@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import MotionField, PartitionMap
-from .nn import ConvLayer, conv_backward, conv_forward
+from .nn import ConvLayer, conv_backward, conv_forward_cached
 
 
 def _check_map(fmap: np.ndarray) -> np.ndarray:
@@ -298,35 +298,34 @@ def predict_offsets(
     feat_prev: np.ndarray,
     motion_planes: np.ndarray,
     predictor: OffsetPredictor,
-) -> np.ndarray:
-    """Offset field from concatenated current/neighbor features and motion."""
-    x = np.concatenate(
-        [_check_map(feat_t), _check_map(feat_prev), _check_map(motion_planes)], axis=0
-    )
-    return conv_forward(predictor.out, conv_forward(predictor.hidden, x))
+) -> tuple[np.ndarray, tuple]:
+    """Offset field from concatenated current/neighbor features and motion.
 
-
-def predict_offsets_backward(
-    upstream: np.ndarray,
-    feat_t: np.ndarray,
-    feat_prev: np.ndarray,
-    motion_planes: np.ndarray,
-    predictor: OffsetPredictor,
-):
-    """Gradients for inputs and both conv layers of the offset predictor.
-
-    Returns ((d_feat_t, d_feat_prev, d_motion), (dw_hidden, db_hidden,
-    dw_out, db_out)).
+    Returns ``(offsets, cache)``; the cache holds the concatenated input, both
+    layers' conv caches, the hidden map and the channel split, and is what
+    :func:`predict_offsets_backward` consumes.
     """
     feat_t = _check_map(feat_t)
     feat_prev = _check_map(feat_prev)
-    motion_planes = _check_map(motion_planes)
-    x = np.concatenate([feat_t, feat_prev, motion_planes], axis=0)
-    h1 = conv_forward(predictor.hidden, x)
-    d_h1, dw_out, db_out = conv_backward(predictor.out, h1, upstream)
-    d_x, dw_hidden, db_hidden = conv_backward(predictor.hidden, x, d_h1)
-    c1 = feat_t.shape[0]
-    c2 = c1 + feat_prev.shape[0]
+    x = np.concatenate([feat_t, feat_prev, _check_map(motion_planes)], axis=0)
+    hidden, hidden_cache = conv_forward_cached(predictor.hidden, x)
+    offsets, out_cache = conv_forward_cached(predictor.out, hidden)
+    split = (feat_t.shape[0], feat_t.shape[0] + feat_prev.shape[0])
+    return offsets, (x, hidden_cache, hidden, out_cache, split)
+
+
+def predict_offsets_backward(
+    upstream: np.ndarray, predictor: OffsetPredictor, cache: tuple
+):
+    """Gradients for inputs and both conv layers of the offset predictor.
+
+    ``cache`` is the one :func:`predict_offsets` returned.  Returns
+    ((d_feat_t, d_feat_prev, d_motion), (dw_hidden, db_hidden, dw_out,
+    db_out)).
+    """
+    x, hidden_cache, hidden, out_cache, (c1, c2) = cache
+    d_h1, dw_out, db_out = conv_backward(predictor.out, hidden, upstream, cache=out_cache)
+    d_x, dw_hidden, db_hidden = conv_backward(predictor.hidden, x, d_h1, cache=hidden_cache)
     return (
         (d_x[:c1], d_x[c1:c2], d_x[c2:]),
         (dw_hidden, db_hidden, dw_out, db_out),

@@ -293,15 +293,21 @@ def predict_frame(
     return Frame(pred.astype(np.uint8))
 
 
-def _reconstruct_block(pred: np.ndarray, levels: np.ndarray, qt: QuantTable) -> np.ndarray:
-    """Dequantize + inverse transform + prediction, rounded and clipped."""
-    size = pred.shape[0]
+def leaf_residual(levels: np.ndarray, qp: int) -> np.ndarray:
+    """Dequantized, inverse-transformed residual of one leaf, tile by tile."""
+    qt = QuantTable(qp)
+    size = levels.shape[0]
     resid = np.empty((size, size), dtype=np.float64)
     for oy, ox, tile in transform_tiles(size):
         resid[oy : oy + tile, ox : ox + tile] = idct2d(
             dequantize(levels[oy : oy + tile, ox : ox + tile], qt)
         )
-    recon = round_half_away(pred.astype(np.float64) + resid)
+    return resid
+
+
+def _reconstruct_block(pred: np.ndarray, levels: np.ndarray, qt: QuantTable) -> np.ndarray:
+    """Dequantize + inverse transform + prediction, rounded and clipped."""
+    recon = round_half_away(pred.astype(np.float64) + leaf_residual(levels, qt.qp))
     return np.clip(recon, 0, 255).astype(np.int32)
 
 

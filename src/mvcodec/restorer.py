@@ -6,8 +6,11 @@ codec-prior planes, gates those with sigmoid spatial attention maps, fuses
 everything, and predicts a residual added to the center decoded frame.  With
 all-zero parameters it is exactly the identity on the decoded frame.
 
-All layers are plain numpy; gradients are hand-written and checked against
-finite differences in the test suite.
+All layers are plain numpy with hand-written gradients.  The model is a
+composition of the units the test suite checks against finite differences:
+the conv layers, the offset predictor, the deformable gather, the attention
+map and the fusion block.  Each unit's forward returns a cache that its
+backward consumes, so training runs exactly the checked code.
 """
 
 from __future__ import annotations
@@ -23,24 +26,25 @@ from .alignment import (
     OffsetPredictor,
     deformable_gather_backward,
     deformable_gather_cached,
+    predict_offsets,
+    predict_offsets_backward,
     rasterize_motion,
     warp_mv,
     warp_mv_backward,
 )
-from .codec import Leaf, MotionField, PartitionMap, SideInfo, transform_tiles
+from .codec import Leaf, MotionField, PartitionMap, SideInfo, leaf_residual
 from .frames import Frame
 from .nn import (
+    ConvCache,
     ConvLayer,
     TrainConfig,
     adam_init,
     adam_step,
     conv_backward,
-    conv_forward,
     conv_forward_cached,
     l1_loss,
     l1_loss_grad,
 )
-from .transform import QuantTable, dequantize, idct2d
 
 MODEL_MAGIC = b"MVDR"
 MODEL_VERSION = 1
@@ -53,6 +57,9 @@ PIXEL_NORM = 255.0
 
 AUX_CODEC_CHANNELS = 3  # prediction, residual, qp
 AUX_STRUCT_CHANNELS = 2  # |mv|, leaf size
+
+# architecture fields of RestorerModel, recorded in the model file header
+ARCH_FIELDS = ("half_window", "channels", "kernel_size", "offset_hidden", "attn_kernel")
 
 
 class TrainingDiverged(RuntimeError):
@@ -86,7 +93,6 @@ def build_aux_planes(side: SideInfo) -> AuxPriorPlanes:
     """Rasterize a frame's side information into normalized planes."""
     h = side.prediction.height
     w = side.prediction.width
-    qt = QuantTable(side.qp)
     mv_mag = np.zeros((h, w), dtype=np.float64)
     leaf_size = np.zeros((h, w), dtype=np.float64)
     residual = np.zeros((h, w), dtype=np.float64)
@@ -95,12 +101,7 @@ def build_aux_planes(side: SideInfo) -> AuxPriorPlanes:
         if not vec.intra:
             mv_mag[sl] = np.hypot(vec.dx, vec.dy) / MV_NORM
         leaf_size[sl] = leaf.size / SIZE_NORM
-        block = np.empty((leaf.size, leaf.size), dtype=np.float64)
-        for oy, ox, tile in transform_tiles(leaf.size):
-            block[oy : oy + tile, ox : ox + tile] = idct2d(
-                dequantize(levels[oy : oy + tile, ox : ox + tile], qt)
-            )
-        residual[sl] = block / PIXEL_NORM
+        residual[sl] = leaf_residual(levels, side.qp) / PIXEL_NORM
     return AuxPriorPlanes(
         mv_magnitude=mv_mag,
         leaf_size=leaf_size,
@@ -114,13 +115,21 @@ def build_aux_planes(side: SideInfo) -> AuxPriorPlanes:
 # Attention fusion
 # ---------------------------------------------------------------------------
 
-def attention_map(fv: np.ndarray, faux: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Sigmoid-gated single-channel attention over concatenated features."""
+def attention_map(
+    fv: np.ndarray, faux: np.ndarray, layer: ConvLayer
+) -> tuple[np.ndarray, tuple[np.ndarray, ConvCache]]:
+    """Sigmoid-gated single-channel attention over concatenated features.
+
+    Returns ``(map, (x, conv cache))`` with ``x`` the concatenated input, so
+    :func:`conv_backward` on ``layer`` gives the gradient.
+    """
     if layer.activation != "sigmoid" or layer.weights.shape[0] != 1:
         raise ValueError("attention layer must be a 1-channel sigmoid conv")
     if fv.shape[1:] != faux.shape[1:]:
         raise ValueError("feature maps must share spatial dimensions")
-    return conv_forward(layer, np.concatenate([fv, faux], axis=0))
+    x = np.concatenate([fv, faux], axis=0)
+    out, cc = conv_forward_cached(layer, x)
+    return out, (x, cc)
 
 
 def fuse(
@@ -130,37 +139,35 @@ def fuse(
     ma: np.ndarray,
     ml: np.ndarray,
     agg_layers: list[ConvLayer],
-) -> np.ndarray:
-    """Gate the two auxiliary feature groups and aggregate with the video path."""
+) -> tuple[np.ndarray, tuple]:
+    """Gate the two auxiliary feature groups and aggregate with the video path.
+
+    Returns ``(fused, cache)``; the cache holds the inputs and each
+    aggregation layer's ``(x, conv cache)`` for :func:`fuse_backward`.
+    """
     if ma.shape != (1,) + fa.shape[1:] or ml.shape != (1,) + fl.shape[1:]:
         raise ValueError("attention maps must be (1, h, w) matching the features")
     x = np.concatenate([fv, fa * ma, fl * ml], axis=0)
+    layer_caches = []
     for layer in agg_layers:
-        x = conv_forward(layer, x)
-    return x
+        y, cc = conv_forward_cached(layer, x)
+        layer_caches.append((x, cc))
+        x = y
+    return x, (fv, fa, fl, ma, ml, layer_caches)
 
 
-def fuse_backward(
-    upstream: np.ndarray,
-    fv: np.ndarray,
-    fa: np.ndarray,
-    fl: np.ndarray,
-    ma: np.ndarray,
-    ml: np.ndarray,
-    agg_layers: list[ConvLayer],
-):
+def fuse_backward(upstream: np.ndarray, agg_layers: list[ConvLayer], cache: tuple):
     """Gradients of :func:`fuse` for every input and aggregation layer.
 
-    Returns ((d_fv, d_fa, d_fl, d_ma, d_ml), [(d_w, d_b) per layer]).
+    ``cache`` is the one :func:`fuse` returned.  Returns
+    ((d_fv, d_fa, d_fl, d_ma, d_ml), [(d_w, d_b) per layer]).
     """
-    x0 = np.concatenate([fv, fa * ma, fl * ml], axis=0)
-    inputs = [x0]
-    for layer in agg_layers[:-1]:
-        inputs.append(conv_forward(layer, inputs[-1]))
+    fv, fa, fl, ma, ml, layer_caches = cache
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(agg_layers)
     d = upstream
     for i in range(len(agg_layers) - 1, -1, -1):
-        d, dw, db = conv_backward(agg_layers[i], inputs[i], d)
+        x, cc = layer_caches[i]
+        d, dw, db = conv_backward(agg_layers[i], x, d, cache=cc)
         layer_grads[i] = (dw, db)
     cv, ca = fv.shape[0], fa.shape[0]
     d_fv = d[:cv]
@@ -289,75 +296,67 @@ def restorer_forward_cached(
 ) -> tuple[np.ndarray, dict]:
     """Forward pass returning the raw real-valued frame and the cache.
 
-    The cache keeps every layer's input, im2col columns and pre-activation,
-    so :func:`restorer_backward` never recomputes forward work.
+    The cache keeps every unit's own cache (conv inputs, im2col columns and
+    pre-activations included), so :func:`restorer_backward` never recomputes
+    forward work.  ``cache["convs"]`` maps a key to
+    ``(param name, ConvLayer, x, ConvCache)`` for every conv outside the
+    offset predictor and the fusion block.
     """
     _check_window(window, side, model)
     n = model.half_window
-    feat_layer = model.layer("feat", "relu")
-    gather_w = model.params["gather.w"]
-    off_hidden = model.layer("off_hidden", "relu")
-    off_out = model.layer("off_out", "none")
+    convs: dict[str, tuple[str, ConvLayer, np.ndarray, ConvCache]] = {}
 
-    cache: dict = {"side": side, "convs": {}}
-
-    def conv(key: str, layer: ConvLayer, x: np.ndarray) -> np.ndarray:
+    def conv(name: str, activation: str, x: np.ndarray, key: str | None = None) -> np.ndarray:
+        layer = model.layer(name, activation)
         y, cc = conv_forward_cached(layer, x)
-        cache["convs"][key] = (x, cc)
+        convs[key or name] = (name, layer, x, cc)
         return y
 
-    frames_norm = [f.as_float() / PIXEL_NORM for f in window]
-    feats = [conv(f"feat{j}", feat_layer, fr[None]) for j, fr in enumerate(frames_norm)]
+    def attend(name: str, fv: np.ndarray, faux: np.ndarray) -> np.ndarray:
+        layer = model.layer(name, "sigmoid")
+        m, (x, cc) = attention_map(fv, faux, layer)
+        convs[name] = (name, layer, x, cc)
+        return m
+
+    feats = [
+        conv("feat", "relu", (f.as_float() / PIXEL_NORM)[None], key=f"feat{j}")
+        for j, f in enumerate(window)
+    ]
     mv_planes = rasterize_motion(side.partition, side.motion)
-
-    neighbors = [j for j in range(model.window) if j != n]
-    warped: dict[int, np.ndarray] = {}
-    offsets: dict[int, np.ndarray] = {}
-    aligned: dict[int, np.ndarray] = {}
-    gather_caches: dict[int, tuple] = {}
-    for j in neighbors:
-        warped[j] = warp_mv(feats[j], side.motion, side.partition)
-        off_in = np.concatenate([feats[n], warped[j], mv_planes], axis=0)
-        hidden = conv(f"off_hidden{j}", off_hidden, off_in)
-        offsets[j] = conv(f"off_out{j}", off_out, hidden)
-        aligned[j], gather_caches[j] = deformable_gather_cached(
-            warped[j], model.kernel_size, offsets[j], gather_w
+    predictor = model.offset_predictor()
+    gather_w = model.params["gather.w"]
+    neighbors = []
+    slots = list(feats)
+    for j in range(model.window):
+        if j == n:
+            continue
+        warped = warp_mv(feats[j], side.motion, side.partition)
+        offsets, offset_cache = predict_offsets(feats[n], warped, mv_planes, predictor)
+        slots[j], gather_cache = deformable_gather_cached(
+            warped, model.kernel_size, offsets, gather_w
         )
+        neighbors.append((j, warped, offsets, offset_cache, gather_cache))
 
-    slots = [aligned[j] if j != n else feats[n] for j in range(model.window)]
-    stacked = np.concatenate(slots, axis=0)
-    fv1 = conv("vmix", model.layer("vmix", "relu"), stacked)
-    fv = conv("vres", model.layer("vres", "relu"), fv1)
+    fv = conv("vres", "relu", conv("vmix", "relu", np.concatenate(slots, axis=0)))
+    fa = conv("auxa2", "relu", conv("auxa1", "relu", aux.codec_planes()))
+    fl = conv("auxl2", "relu", conv("auxl1", "relu", aux.structure_planes()))
+    ma = attend("attn_a", fv, fa)
+    ml = attend("attn_l", fv, fl)
+    agg_layers = [model.layer("agg1", "relu"), model.layer("agg2", "relu")]
+    fused, fuse_cache = fuse(fv, fa, fl, ma, ml, agg_layers)
 
-    fa = conv("auxa2", model.layer("auxa2", "relu"),
-              conv("auxa1", model.layer("auxa1", "relu"), aux.codec_planes()))
-    fl = conv("auxl2", model.layer("auxl2", "relu"),
-              conv("auxl1", model.layer("auxl1", "relu"), aux.structure_planes()))
-
-    ma = conv("attn_a", model.layer("attn_a", "sigmoid"), np.concatenate([fv, fa], axis=0))
-    ml = conv("attn_l", model.layer("attn_l", "sigmoid"), np.concatenate([fv, fl], axis=0))
-    fused = conv("agg2", model.layer("agg2", "relu"),
-                 conv("agg1", model.layer("agg1", "relu"),
-                      np.concatenate([fv, fa * ma, fl * ml], axis=0)))
-
-    r1 = conv("rec1", model.layer("rec1", "relu"), fused)
-    resid = conv("rec2", model.layer("rec2", "none"), r1)
+    resid = conv("rec2", "none", conv("rec1", "relu", fused))
     out = window[n].as_float() + PIXEL_NORM * resid[0]
 
-    cache.update(
-        frames_norm=frames_norm,
-        feats=feats,
-        mv_planes=mv_planes,
-        neighbors=neighbors,
-        warped=warped,
-        offsets=offsets,
-        gather_caches=gather_caches,
-        fa=fa,
-        fl=fl,
-        ma=ma,
-        ml=ml,
-    )
-    return out, cache
+    return out, {
+        "side": side,
+        "convs": convs,
+        "feats": feats,
+        "neighbors": neighbors,
+        "predictor": predictor,
+        "agg_layers": agg_layers,
+        "fuse": fuse_cache,
+    }
 
 
 def restorer_forward(
@@ -379,61 +378,53 @@ def restorer_backward(
     side = cache["side"]
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
 
-    def conv_back(key: str, name: str, activation: str, up: np.ndarray) -> np.ndarray:
-        x, cc = cache["convs"][key]
-        dx, dw, db = conv_backward(model.layer(name, activation), x, up, cache=cc)
+    def conv_back(key: str, up: np.ndarray) -> np.ndarray:
+        name, layer, x, cc = cache["convs"][key]
+        dx, dw, db = conv_backward(layer, x, up, cache=cc)
         grads[f"{name}.w"] += dw
         grads[f"{name}.b"] += db
         return dx
 
     d_resid = PIXEL_NORM * np.asarray(d_out, dtype=np.float64)[None]
-    d_r1 = conv_back("rec2", "rec2", "none", d_resid)
-    d_fused = conv_back("rec1", "rec1", "relu", d_r1)
+    d_fused = conv_back("rec1", conv_back("rec2", d_resid))
 
-    fa, fl, ma, ml = cache["fa"], cache["fl"], cache["ma"], cache["ml"]
-    d_g1 = conv_back("agg2", "agg2", "relu", d_fused)
-    d_cat = conv_back("agg1", "agg1", "relu", d_g1)
-    d_fv = d_cat[:c].copy()
-    d_fa = d_cat[c : 2 * c] * ma
-    d_fl = d_cat[2 * c :] * ml
-    d_ma = (d_cat[c : 2 * c] * fa).sum(axis=0, keepdims=True)
-    d_ml = (d_cat[2 * c :] * fl).sum(axis=0, keepdims=True)
+    (d_fv, d_fa, d_fl, d_ma, d_ml), agg_grads = fuse_backward(
+        d_fused, cache["agg_layers"], cache["fuse"]
+    )
+    for name, (dw, db) in zip(("agg1", "agg2"), agg_grads):
+        grads[f"{name}.w"] += dw
+        grads[f"{name}.b"] += db
 
-    d_cat_a = conv_back("attn_a", "attn_a", "sigmoid", d_ma)
-    d_fv += d_cat_a[:c]
-    d_fa = d_fa + d_cat_a[c:]
-    d_cat_l = conv_back("attn_l", "attn_l", "sigmoid", d_ml)
-    d_fv += d_cat_l[:c]
-    d_fl = d_fl + d_cat_l[c:]
-
-    conv_back("auxa1", "auxa1", "relu", conv_back("auxa2", "auxa2", "relu", d_fa))
-    conv_back("auxl1", "auxl1", "relu", conv_back("auxl2", "auxl2", "relu", d_fl))
-
-    d_fv1 = conv_back("vres", "vres", "relu", d_fv)
-    d_stacked = conv_back("vmix", "vmix", "relu", d_fv1)
+    d_cat_a = conv_back("attn_a", d_ma)
+    d_cat_l = conv_back("attn_l", d_ml)
+    d_fv = d_fv + d_cat_a[:c] + d_cat_l[:c]
+    conv_back("auxa1", conv_back("auxa2", d_fa + d_cat_a[c:]))
+    conv_back("auxl1", conv_back("auxl2", d_fl + d_cat_l[c:]))
+    d_stacked = conv_back("vmix", conv_back("vres", d_fv))
 
     gather_w = model.params["gather.w"]
     d_feats = [np.zeros_like(f) for f in cache["feats"]]
     d_feats[n] += d_stacked[n * c : (n + 1) * c]
-    for j in cache["neighbors"]:
-        d_ali = d_stacked[j * c : (j + 1) * c]
+    for j, warped, offsets, offset_cache, gather_cache in cache["neighbors"]:
         d_warped, d_offsets, dw_gather = deformable_gather_backward(
-            d_ali,
-            cache["warped"][j],
+            d_stacked[j * c : (j + 1) * c],
+            warped,
             model.kernel_size,
-            cache["offsets"][j],
+            offsets,
             gather_w,
-            cache=cache["gather_caches"][j],
+            cache=gather_cache,
         )
         grads["gather.w"] += dw_gather
-        d_hidden = conv_back(f"off_out{j}", "off_out", "none", d_offsets)
-        d_off_in = conv_back(f"off_hidden{j}", "off_hidden", "relu", d_hidden)
-        d_feats[n] += d_off_in[:c]
-        d_warped_p = d_off_in[c : 2 * c]
+        (d_center, d_warped_p, _), offset_grads = predict_offsets_backward(
+            d_offsets, cache["predictor"], offset_cache
+        )
+        for name, g in zip(("off_hidden.w", "off_hidden.b", "off_out.w", "off_out.b"), offset_grads):
+            grads[name] += g
+        d_feats[n] += d_center
         d_feats[j] += warp_mv_backward(d_warped + d_warped_p, side.motion, side.partition)
 
     for j, d_feat in enumerate(d_feats):
-        conv_back(f"feat{j}", "feat", "relu", d_feat)
+        conv_back(f"feat{j}", d_feat)
     return grads
 
 
@@ -604,21 +595,9 @@ def restore_sequence(
 
 def save_model(model: RestorerModel, path) -> None:
     """Write magic, schedule header, then parameters as little-endian f64."""
-    sched = model_schedule(
-        model.half_window,
-        model.channels,
-        model.kernel_size,
-        model.offset_hidden,
-        model.attn_kernel,
-    )
-    header = {
-        "half_window": model.half_window,
-        "channels": model.channels,
-        "kernel_size": model.kernel_size,
-        "offset_hidden": model.offset_hidden,
-        "attn_kernel": model.attn_kernel,
-        "schedule": [[name, list(shape)] for name, shape in sched],
-    }
+    arch = {name: getattr(model, name) for name in ARCH_FIELDS}
+    sched = model_schedule(**arch)
+    header = dict(arch, schedule=[[name, list(shape)] for name, shape in sched])
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
@@ -632,22 +611,27 @@ def save_model(model: RestorerModel, path) -> None:
 
 
 def load_model(path) -> RestorerModel:
+    """Read a model file; any malformed content raises ``ValueError``."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ValueError(f"not a restorer model file (magic {magic!r})")
-        version, hlen = struct.unpack("<HI", fh.read(6))
+        preamble = fh.read(6)
+        if len(preamble) != 6:
+            raise ValueError("model file truncated in its preamble")
+        version, hlen = struct.unpack("<HI", preamble)
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
         header = json.loads(fh.read(hlen).decode("utf-8"))
-        expected = model_schedule(
-            header["half_window"],
-            header["channels"],
-            header["kernel_size"],
-            header["offset_hidden"],
-            header["attn_kernel"],
-        )
-        if [[n, list(s)] for n, s in expected] != header["schedule"]:
+        if not isinstance(header, dict):
+            raise ValueError("model header must be a JSON object")
+        for name in ARCH_FIELDS:
+            value = header.get(name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"model header field {name!r} must be an integer")
+        arch = {name: header[name] for name in ARCH_FIELDS}
+        expected = model_schedule(**arch)
+        if [[n, list(s)] for n, s in expected] != header.get("schedule"):
             raise ValueError("model schedule does not match its architecture fields")
         params: dict[str, np.ndarray] = {}
         for name, shape in expected:
@@ -658,11 +642,4 @@ def load_model(path) -> RestorerModel:
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
         if fh.read(1):
             raise ValueError("trailing bytes after model parameters")
-    return RestorerModel(
-        header["half_window"],
-        header["channels"],
-        header["kernel_size"],
-        header["offset_hidden"],
-        header["attn_kernel"],
-        params,
-    )
+    return RestorerModel(params=params, **arch)

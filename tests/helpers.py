@@ -209,7 +209,7 @@ def predictor_case_clear(case):
         return False
     # parameter perturbations of size h move the coordinates by O(h * |x|),
     # far less than the 0.05 kink margin coords_clear demands
-    offsets = predict_offsets(feat_t, feat_prev, motion, predictor)
+    offsets = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
     px, py = _tap_coords(3, offsets, feat_t.shape[1], feat_t.shape[2])
     return coords_clear(px, feat_t.shape[2]) and coords_clear(py, feat_t.shape[1])
 

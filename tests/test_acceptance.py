@@ -159,7 +159,7 @@ def test_criterion_4_gradient_correctness():
         x = np.concatenate([fv, fa], axis=0)
         dx, dw, db = conv_backward(layer, x, up)
         # attention_map concatenates internally; perturb the concat buffer
-        obj = lambda: float((attention_map(x[:2], x[2:], layer) * up).sum())
+        obj = lambda: float((attention_map(x[:2], x[2:], layer)[0] * up).sum())
         assert rel_error(dx, finite_diff(obj, x)) < GRAD_TOL
         assert rel_error(dw, finite_diff(obj, layer.weights)) < GRAD_TOL
         assert rel_error(db, finite_diff(obj, layer.bias)) < GRAD_TOL
@@ -167,8 +167,10 @@ def test_criterion_4_gradient_correctness():
     for seed in seeds:  # fusion block
         fv, fa, fl, ma, ml, agg = draw_until(4000 + seed, fuse_case, fuse_case_clear)
         up = np.random.default_rng(seed).normal(size=fv.shape)
-        obj = lambda: float((fuse(fv, fa, fl, ma, ml, agg) * up).sum())
-        (d_fv, d_fa, d_fl, d_ma, d_ml), layer_grads = fuse_backward(up, fv, fa, fl, ma, ml, agg)
+        obj = lambda: float((fuse(fv, fa, fl, ma, ml, agg)[0] * up).sum())
+        (d_fv, d_fa, d_fl, d_ma, d_ml), layer_grads = fuse_backward(
+            up, agg, fuse(fv, fa, fl, ma, ml, agg)[1]
+        )
         assert rel_error(d_fv, finite_diff(obj, fv)) < GRAD_TOL
         assert rel_error(d_fa, finite_diff(obj, fa)) < GRAD_TOL
         assert rel_error(d_fl, finite_diff(obj, fl)) < GRAD_TOL
@@ -192,13 +194,13 @@ def test_criterion_4_gradient_correctness():
         )
 
         def obj():
-            offs = predict_offsets(feat_t, feat_prev, motion, predictor)
+            offs = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
             return float((deformable_gather(feat_prev, 3, offs, gather_w) * up).sum())
 
-        offs = predict_offsets(feat_t, feat_prev, motion, predictor)
+        offs, offs_cache = predict_offsets(feat_t, feat_prev, motion, predictor)
         d_prev_g, d_off, d_gw = deformable_gather_backward(up, feat_prev, 3, offs, gather_w)
         (d_ft, d_prev_p, _), (dw_h, db_h, dw_o, db_o) = predict_offsets_backward(
-            d_off, feat_t, feat_prev, motion, predictor
+            d_off, predictor, offs_cache
         )
         assert rel_error(d_ft, finite_diff(obj, feat_t)) < GRAD_TOL
         assert rel_error(d_prev_g + d_prev_p, finite_diff(obj, feat_prev)) < GRAD_TOL
@@ -282,8 +284,8 @@ def test_criterion_8_reduction_identities(both_fixtures):
     fv, fa, fl, ma, ml, agg = fuse_case(rng)
     zero = np.zeros_like(ma)
     up = rng.normal(size=fv.shape)
-    (_, d_fa, _, _, _), _ = fuse_backward(up, fv, fa, fl, zero, ml, agg)
-    (_, _, d_fl, _, _), _ = fuse_backward(up, fv, fa, fl, ma, zero, agg)
+    (_, d_fa, _, _, _), _ = fuse_backward(up, agg, fuse(fv, fa, fl, zero, ml, agg)[1])
+    (_, _, d_fl, _, _), _ = fuse_backward(up, agg, fuse(fv, fa, fl, ma, zero, agg)[1])
     assert not d_fa.any() and not d_fl.any()
     print("\nPASS criterion 8: zero-offset, zero-weight and zero-attention reductions")
 

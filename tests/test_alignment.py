@@ -219,14 +219,14 @@ class TestPredictOffsets:
         )
         offsets = predict_offsets(
             np.ones((c, h, w)), np.ones((c, h, w)), np.zeros((2, h, w)), predictor
-        )
+        )[0]
         assert offsets.shape == (18, h, w)
         assert not offsets.any()
 
     def test_output_shape_contract(self):
         rng = np.random.default_rng(50)
         case = predictor_case(rng)
-        offsets = predict_offsets(*case[:4])
+        offsets = predict_offsets(*case[:4])[0]
         assert offsets.shape == (2 * 9, 5, 5)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -236,16 +236,16 @@ class TestPredictOffsets:
         )
 
         def objective():
-            offsets = predict_offsets(feat_t, feat_prev, motion, predictor)
+            offsets = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
             out = deformable_gather(feat_prev, 3, offsets, gather_w)
             return float((out * upstream).sum())
 
-        offsets = predict_offsets(feat_t, feat_prev, motion, predictor)
+        offsets, offset_cache = predict_offsets(feat_t, feat_prev, motion, predictor)
         d_prev_g, d_off, d_gw = deformable_gather_backward(
             upstream, feat_prev, 3, offsets, gather_w
         )
         (d_ft, d_prev_p, _), (dw_h, db_h, dw_o, db_o) = predict_offsets_backward(
-            d_off, feat_t, feat_prev, motion, predictor
+            d_off, predictor, offset_cache
         )
         assert rel_error(d_ft, finite_diff(objective, feat_t)) < GRAD_TOL
         assert rel_error(d_prev_g + d_prev_p, finite_diff(objective, feat_prev)) < GRAD_TOL

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -142,6 +143,32 @@ class TestRestore:
         stream = tmp_path / "s.mvc"
         main(["encode", str(manifest), "--qp", "36", "-o", str(stream)])
         assert main(["restore", str(stream), "-o", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize(
+        "case", ["missing_field", "string_field", "list_header", "short_preamble"]
+    )
+    def test_malformed_model_header_is_exit_2(self, seq_dir, tmp_path, capsys, case):
+        _, manifest, _ = seq_dir
+        stream = tmp_path / "s.mvc"
+        main(["encode", str(manifest), "--qp", "36", "-o", str(stream)])
+        model_path = tmp_path / "bad.mvdr"
+        save_model(zero_restorer(), model_path)
+        data = model_path.read_bytes()
+        hlen = struct.unpack("<HI", data[4:10])[1]
+        header = json.loads(data[10 : 10 + hlen])
+        if case == "missing_field":
+            del header["channels"]
+        elif case == "string_field":
+            header["channels"] = "8"
+        elif case == "list_header":
+            header = [header]
+        blob = json.dumps(header).encode()
+        bad = data[:4] + struct.pack("<HI", 1, len(blob)) + blob + data[10 + hlen :]
+        model_path.write_bytes(data[:5] if case == "short_preamble" else bad)
+        capsys.readouterr()
+        rc = main(["restore", str(stream), "--model", str(model_path), "-o", str(tmp_path / "r")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestMetrics:

@@ -1,0 +1,99 @@
+"""Golden SHA-256 digests of the codec's bitstream and decoded frames.
+
+Any refactor of the encoder, the decoder or the transform layer must keep
+these byte-identical.  Regenerate only for a deliberate format change.
+"""
+
+import hashlib
+
+import pytest
+
+from mvcodec import fixtures
+from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence
+
+CLIPS = {
+    "texture": lambda: fixtures.translating_texture(4),
+    "checker": lambda: fixtures.deforming_checker(4),
+}
+
+# (clip, qp, intra_period) -> (stream digest, decoded-frames digest)
+GOLDEN = {
+    ("texture", 0, 0): (
+        "0a6932eb104be7f7c9cd102e6caf112de4a506911d520c6ca9ed0a54b51bd582",
+        "c068ff0138eb893c313f9666f6ac39dbd07614415312155817300f44d6e894cb",
+    ),
+    ("texture", 0, 2): (
+        "1ed5c7c0e33f98cd68699234457dc9217d6700b61734f93649405a7a988d4339",
+        "0a4d9c40e968ff7deb8c76f4868acf494a37a846f8dae5ab459da8ad5d60bea9",
+    ),
+    ("texture", 16, 0): (
+        "06105004895d47286e3612afed0e778e973f2e0301ef41c3c8d82c72a4749e51",
+        "6e4386eb4610a367adfb1de736964674d6bfd7851aaab4b1d101d26aba44e2e8",
+    ),
+    ("texture", 16, 2): (
+        "8504b5887f66efd74f1b9ada116b5fdb5b2d6a06b5b2abb198ab9ebf79b534db",
+        "7d6dfe54df59ed385d7b06779576f71412dc733d34a7fd6f216c44b880c4228b",
+    ),
+    ("texture", 32, 0): (
+        "165434a376b28d20104aa33a07edf9b99384c7c8eda18e1dee2c402ea4de0c8c",
+        "f5ebbf585cb7af159607a97008b640b7f03e3e42ce20b0b7599b9986e6effa10",
+    ),
+    ("texture", 32, 2): (
+        "4de672f2f3d7eb93e6766b0244797090b0753a60ad99bec06228d5cfae6bac9f",
+        "16da69e02596eb8ce81e5b2ce745b1b70805a5f55f67d0fb9fff01cc376b049a",
+    ),
+    ("texture", 51, 0): (
+        "617b954aae911988a2f5ae5e414143c5f96eb329a8ad6d6230b54e91f53014d4",
+        "45f400490740946731e149364b900a76c75ab824a3d03ae4e1204e2f72683d46",
+    ),
+    ("texture", 51, 2): (
+        "1261c4da7b1d06a3804693a870df6181d4dcb86318e3356c5f4885a3315cb7bf",
+        "87d54cf49f25e4409aaf2156b541285650db1cfab700cfc1ffbd27b12f6987d6",
+    ),
+    ("checker", 0, 0): (
+        "5071932db6c5641475e428146fdbb545077a4b082cf617c266af93883a6c6b27",
+        "06eea556c13954ce595bd9ac9abb7b0772faaefcb99026f3dc1123d3e1fd806b",
+    ),
+    ("checker", 0, 2): (
+        "a2cceec4c06b7f033bddeb52ead4bdf728b7bb7966e3068e4401d882668080b3",
+        "7a544c1d6d2838ba240e22af46ba2e6d080f7a134929b41f8269100bd5bf6ea5",
+    ),
+    ("checker", 16, 0): (
+        "71a0eeb8407f71c6056cc75df791afaf6fce974d010f79127523f011e19a3504",
+        "9f5d99060c18af29d55062d956fcc933533e47df613f71848ae69f5d9048ad87",
+    ),
+    ("checker", 16, 2): (
+        "98ea194906d06f5fc18ba28c55aac1bc8cccb3f3b201ade7c36d3eaf5b806a8b",
+        "9f7d21a7fe7d6f2f3769e79a2cf1654aab79a14b03edf16610a812e9556d27bf",
+    ),
+    ("checker", 32, 0): (
+        "4c7203e877e825a2d664b1950d7a43c4a0fccd617c0610efc26691d37e29d1d5",
+        "cefb26d5a2d3432a0625a292ddddae924d1246f3551af74d3c17dbe85366a53d",
+    ),
+    ("checker", 32, 2): (
+        "52ddccb7ec5740997552094b8e067b23234f67db4ee3ab7d0b5b6d860b8dadea",
+        "78c098f7e221c081a561eb110bc2f894315188ef665d38b11ba2ab9bd2c025df",
+    ),
+    ("checker", 51, 0): (
+        "3c4ca5db248922ece9e195fb225d5e1599c2f06fc0928527306265b7938bb2d5",
+        "e8eed8f9be12151d6f7aa6fc5c87d82d3b8e8d5b7073adc1119f37df08aad8d1",
+    ),
+    ("checker", 51, 2): (
+        "b0530835870ca827634b78f574d55025acef6dcd203a4f85d86c35677ad12534",
+        "0e42fbf12195cf54f80ce573011bfd696de51e59ffaab171a7b3271830a94d9d",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def clips():
+    return {name: make() for name, make in CLIPS.items()}
+
+
+@pytest.mark.parametrize("clip, qp, intra_period", sorted(GOLDEN))
+def test_stream_and_decoded_frames_match_golden_digests(clips, clip, qp, intra_period):
+    data = encode_sequence(clips[clip], CodecConfig(qp=qp, intra_period=intra_period))
+    decoded, _ = decode_sequence(data)
+    frames = b"".join(f.pixels.tobytes() for f in decoded)
+    got = (hashlib.sha256(data).hexdigest(), hashlib.sha256(frames).hexdigest())
+    assert got == GOLDEN[clip, qp, intra_period]

@@ -42,13 +42,13 @@ class TestAttentionMap:
 
     def test_zero_weights_give_half(self):
         layer = self._layer(np.zeros((1, 4, 7, 7)), np.zeros(1))
-        out = attention_map(np.ones((2, 16, 16)), np.ones((2, 16, 16)), layer)
+        out = attention_map(np.ones((2, 16, 16)), np.ones((2, 16, 16)), layer)[0]
         assert out.shape == (1, 16, 16)
         assert (out == 0.5).all()
 
     def test_large_bias_saturates_to_one(self):
         layer = self._layer(np.zeros((1, 4, 7, 7)), np.array([20.0]))
-        out = attention_map(np.ones((2, 16, 16)), np.ones((2, 16, 16)), layer)
+        out = attention_map(np.ones((2, 16, 16)), np.ones((2, 16, 16)), layer)[0]
         np.testing.assert_allclose(out, 1.0, atol=1e-8)
 
     def test_always_in_unit_interval(self):
@@ -57,7 +57,7 @@ class TestAttentionMap:
         for _ in range(100):
             fv = rng.normal(size=(2, 12, 12)) * 5
             fa = rng.normal(size=(2, 12, 12)) * 5
-            out = attention_map(fv, fa, layer)
+            out = attention_map(fv, fa, layer)[0]
             assert (out >= 0.0).all() and (out <= 1.0).all()
 
     def test_rejects_non_sigmoid_layer(self):
@@ -73,15 +73,15 @@ class TestFuse:
         rng = np.random.default_rng(1)
         fv, fa, fl, _, _, agg = fuse_case(rng)
         zeros = np.zeros((1, 6, 6))
-        gated = fuse(fv, fa, fl, zeros, zeros, agg)
-        manual = fuse(fv, np.zeros_like(fa), np.zeros_like(fl), zeros + 1.0, zeros + 1.0, agg)
+        gated = fuse(fv, fa, fl, zeros, zeros, agg)[0]
+        manual = fuse(fv, np.zeros_like(fa), np.zeros_like(fl), zeros + 1.0, zeros + 1.0, agg)[0]
         assert np.array_equal(gated, manual)
 
     def test_unit_attention_passes_features_through(self):
         rng = np.random.default_rng(2)
         fv, fa, fl, _, _, agg = fuse_case(rng)
         ones = np.ones((1, 6, 6))
-        out = fuse(fv, fa, fl, ones, ones, agg)
+        out = fuse(fv, fa, fl, ones, ones, agg)[0]
         x = np.concatenate([fv, fa, fl], axis=0)
         from mvcodec.nn import conv_forward
 
@@ -93,7 +93,9 @@ class TestFuse:
         fv, fa, fl, _, ml, agg = fuse_case(rng)
         ma = np.zeros((1, 6, 6))
         upstream = rng.normal(size=fv.shape)
-        (d_fv, d_fa, d_fl, d_ma, d_ml), _ = fuse_backward(upstream, fv, fa, fl, ma, ml, agg)
+        (d_fv, d_fa, d_fl, d_ma, d_ml), _ = fuse_backward(
+            upstream, agg, fuse(fv, fa, fl, ma, ml, agg)[1]
+        )
         assert not d_fa.any()  # exact zeros, not merely small
         assert d_fl.any()
 
@@ -103,10 +105,10 @@ class TestFuse:
         upstream = np.random.default_rng(seed).normal(size=fv.shape)
 
         def objective():
-            return float((fuse(fv, fa, fl, ma, ml, agg) * upstream).sum())
+            return float((fuse(fv, fa, fl, ma, ml, agg)[0] * upstream).sum())
 
         (d_fv, d_fa, d_fl, d_ma, d_ml), layer_grads = fuse_backward(
-            upstream, fv, fa, fl, ma, ml, agg
+            upstream, agg, fuse(fv, fa, fl, ma, ml, agg)[1]
         )
         assert rel_error(d_fv, finite_diff(objective, fv)) < GRAD_TOL
         assert rel_error(d_fa, finite_diff(objective, fa)) < GRAD_TOL
@@ -204,12 +206,16 @@ class TestRestorerGradients:
             model.params[f"{name}.b"] += 0.7
         model.params["off_out.b"] += 0.4
         out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
-        min_z = min(
-            float(np.abs(cc.z).min())
-            for key, (x, cc) in cache["convs"].items()
-            if any(key.startswith(name) for name in relu_layers)
-        )
-        offs = np.concatenate([o.ravel() for o in cache["offsets"].values()])
+        # every relu pre-activation: the registered convs, each neighbour's
+        # offset-predictor hidden layer and both fusion layers
+        relu_z = [
+            cc.z for _, layer, _, cc in cache["convs"].values() if layer.activation == "relu"
+        ]
+        relu_z += [offset_cache[1].z for _, _, _, offset_cache, _ in cache["neighbors"]]
+        relu_z += [cc.z for _, cc in cache["fuse"][-1]]
+        assert len(relu_z) == 14  # 3 feat, 2 off_hidden, 9 single layers
+        min_z = min(float(np.abs(z).min()) for z in relu_z)
+        offs = np.concatenate([offsets.ravel() for _, _, offsets, _, _ in cache["neighbors"]])
         frac = np.abs(offs - np.round(offs))
         assert min_z > 0.05, "pre-activations not clear of relu corners"
         assert frac.min() > 0.1 and np.abs(offs).max() < 0.9, "offsets not mid-cell"
