@@ -89,38 +89,31 @@ def rasterize_motion(partition: PartitionMap, motion: MotionField) -> np.ndarray
     return planes
 
 
-def _warp_index(partition: PartitionMap, motion: MotionField) -> np.ndarray:
-    h, w = partition.height, partition.width
-    src_y = np.empty((h, w), dtype=np.intp)
-    src_x = np.empty((h, w), dtype=np.intp)
-    for leaf, vec in zip(partition.leaves, motion.vectors):
-        dx, dy = (0, 0) if vec.intra else (vec.dx, vec.dy)
-        ys = np.clip(np.arange(leaf.y - dy, leaf.y - dy + leaf.size), 0, h - 1)
-        xs = np.clip(np.arange(leaf.x - dx, leaf.x - dx + leaf.size), 0, w - 1)
-        src_y[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = ys[:, None]
-        src_x[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = xs[None, :]
-    return src_y * w + src_x
+def _source_index(mv_planes: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Flat source index of every pixel, from the dense (2, H, W) motion planes."""
+    if mv_planes.shape != (2, h, w):
+        raise ValueError(f"motion planes {mv_planes.shape} do not match a {w}x{h} map")
+    dx, dy = mv_planes.astype(np.intp)
+    src_y = np.clip(np.arange(h)[:, None] - dy, 0, h - 1)
+    src_x = np.clip(np.arange(w)[None, :] - dx, 0, w - 1)
+    return (src_y * w + src_x).ravel()
 
 
-def warp_mv(fmap: np.ndarray, motion: MotionField, partition: PartitionMap) -> np.ndarray:
-    """Copy each leaf's area from the map displaced by the leaf's vector."""
+def warp_mv(fmap: np.ndarray, mv_planes: np.ndarray) -> np.ndarray:
+    """Read every pixel from the map displaced by its motion vector.
+
+    ``mv_planes`` are the (dx, dy) planes of :func:`rasterize_motion`.
+    """
     fmap = _check_map(fmap)
     c, h, w = fmap.shape
-    if (h, w) != (partition.height, partition.width):
-        raise ValueError(
-            f"map {w}x{h} does not match partition {partition.width}x{partition.height}"
-        )
-    idx = _warp_index(partition, motion)
-    return fmap.reshape(c, h * w)[:, idx.ravel()].reshape(c, h, w)
+    return fmap.reshape(c, h * w)[:, _source_index(mv_planes, h, w)].reshape(c, h, w)
 
 
-def warp_mv_backward(
-    upstream: np.ndarray, motion: MotionField, partition: PartitionMap
-) -> np.ndarray:
+def warp_mv_backward(upstream: np.ndarray, mv_planes: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`warp_mv` (scatter-add along the same index map)."""
     upstream = _check_map(upstream)
     c, h, w = upstream.shape
-    idx = _warp_index(partition, motion).ravel()
+    idx = _source_index(mv_planes, h, w)
     grad = np.empty_like(upstream)
     for ch in range(c):
         grad[ch] = np.bincount(

@@ -5,8 +5,14 @@ DCT coefficients relative to the frame's prediction.  Each coefficient of
 the original frame is known to lie in a half-step interval around the
 dequantized value, so clamping the candidate's coefficients into those
 intervals can only move the candidate closer to the truth (the DCT is
-orthonormal).  The clamp delta is applied back in the pixel domain, which
-keeps candidates that already satisfy every bound bit-for-bit unchanged.
+orthonormal).
+
+One pass is three frame-wide steps on the levels-plane layout of
+:class:`~mvcodec.codec.SideInfo`: one forward transform of the candidate's
+residual (:func:`~mvcodec.codec.transform_frame`), one ``np.clip`` of the
+coefficient plane against the bound planes, and one inverse transform of the
+clamp delta, which is added back in the pixel domain.  Candidates that
+already satisfy every bound come back bit-for-bit unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import SideInfo, transform_tiles
+from .codec import SideInfo, transform_frame
 from .frames import Frame
 from .transform import (
     CoeffBounds,
@@ -50,29 +56,14 @@ def _as_candidate(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:
     return arr
 
 
-def candidate_residual_coeffs(
-    candidate: Frame | np.ndarray, side: SideInfo
-) -> list[np.ndarray]:
-    """Residual DCT coefficients of a candidate, one leaf-sized array per leaf.
+def candidate_residual_coeffs(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:
+    """Residual DCT coefficients of a candidate as one frame-sized plane.
 
-    Transform tiles within a leaf are transformed independently, matching the
-    layout of ``SideInfo.levels``.
+    Every transform tile is transformed independently and its coefficients
+    sit in place, matching the layout of ``SideInfo.levels``.
     """
-    arr = _as_candidate(candidate, side)
-    pred = side.prediction.as_float()
-    out = []
-    for leaf in side.partition.leaves:
-        resid = (
-            arr[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
-            - pred[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
-        )
-        coeffs = np.empty_like(resid)
-        for oy, ox, tile in transform_tiles(leaf.size):
-            coeffs[oy : oy + tile, ox : ox + tile] = dct2d(
-                resid[oy : oy + tile, ox : ox + tile]
-            )
-        out.append(coeffs)
-    return out
+    resid = _as_candidate(candidate, side) - side.prediction.as_float()
+    return transform_frame(resid, side.partition, dct2d)
 
 
 def clamp_to_bounds(coeffs: np.ndarray, bounds: CoeffBounds) -> np.ndarray:
@@ -82,29 +73,23 @@ def clamp_to_bounds(coeffs: np.ndarray, bounds: CoeffBounds) -> np.ndarray:
     return np.clip(coeffs, bounds.lower, bounds.upper)
 
 
-def leaf_bounds(side: SideInfo) -> list[CoeffBounds]:
-    """Quantization-interval bounds for every leaf of a coded frame."""
+def frame_bounds(side: SideInfo) -> CoeffBounds:
+    """Quantization-interval bounds of every coefficient of a coded frame."""
     qt = QuantTable(side.qp)
-    return [coeff_bounds(dequantize(levels, qt), qt) for levels in side.levels]
+    return coeff_bounds(dequantize(side.levels, qt), qt)
+
+
+def _project(candidate: Frame | np.ndarray, side: SideInfo):
+    """One projection pass: (candidate, coefficient clamp delta, projection)."""
+    arr = _as_candidate(candidate, side)
+    coeffs = candidate_residual_coeffs(arr, side)
+    delta = clamp_to_bounds(coeffs, frame_bounds(side)) - coeffs
+    return arr, delta, arr + transform_frame(delta, side.partition, idct2d)
 
 
 def back_project(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:
     """One projection pass; returns the corrected frame as unrounded reals."""
-    arr = _as_candidate(candidate, side).copy()
-    coeffs_per_leaf = candidate_residual_coeffs(arr, side)
-    bounds_per_leaf = leaf_bounds(side)
-    for leaf, coeffs, bounds in zip(
-        side.partition.leaves, coeffs_per_leaf, bounds_per_leaf
-    ):
-        delta = clamp_to_bounds(coeffs, bounds) - coeffs
-        if not np.any(delta):
-            continue
-        block = arr[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
-        for oy, ox, tile in transform_tiles(leaf.size):
-            block[oy : oy + tile, ox : ox + tile] += idct2d(
-                delta[oy : oy + tile, ox : ox + tile]
-            )
-    return arr
+    return _project(candidate, side)[2]
 
 
 def back_project_frame(candidate: Frame | np.ndarray, side: SideInfo) -> Frame:
@@ -119,21 +104,12 @@ def projection_report(
     truth: Frame | None = None,
 ) -> ProjectionReport:
     """Run one projection and summarize the clamping it performed."""
-    arr = _as_candidate(candidate, side)
-    coeffs_per_leaf = candidate_residual_coeffs(arr, side)
-    bounds_per_leaf = leaf_bounds(side)
-    clamped = 0
-    max_mag = 0.0
-    for coeffs, bounds in zip(coeffs_per_leaf, bounds_per_leaf):
-        delta = clamp_to_bounds(coeffs, bounds) - coeffs
-        nz = delta != 0.0
-        clamped += int(nz.sum())
-        if nz.any():
-            max_mag = max(max_mag, float(np.abs(delta).max()))
+    arr, delta, projected = _project(candidate, side)
+    clamped = int(np.count_nonzero(delta))
+    max_mag = float(np.abs(delta).max()) if clamped else 0.0
     mse_before = mse_after = None
     if truth is not None:
         ref = truth.as_float()
-        projected = back_project(arr, side)
         mse_before = float(np.mean((arr - ref) ** 2))
         mse_after = float(np.mean((projected - ref) ** 2))
     return ProjectionReport(clamped, max_mag, mse_before, mse_after)

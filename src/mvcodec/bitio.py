@@ -16,41 +16,6 @@ def unsigned_to_signed(code: int) -> int:
     return code // 2 if code % 2 == 0 else -(code + 1) // 2
 
 
-def ue_golomb(value: int) -> str:
-    """Order-0 exp-Golomb codeword for an unsigned value, as a bit string.
-
-    value+1 takes k+1 significant bits; the codeword is k zeros followed by
-    those bits, so 0 -> "1", 1 -> "010", 4 -> "00101".
-    """
-    if value < 0:
-        raise ValueError(f"ue_golomb needs a non-negative value, got {value}")
-    bits = bin(value + 1)[2:]
-    return "0" * (len(bits) - 1) + bits
-
-
-def ue_golomb_decode(bits: str, pos: int = 0) -> tuple[int, int]:
-    """Decode one unsigned exp-Golomb codeword; returns (value, next position)."""
-    zeros = 0
-    n = len(bits)
-    while pos < n and bits[pos] == "0":
-        zeros += 1
-        pos += 1
-    if pos >= n or pos + zeros + 1 > n:
-        raise BitstreamError("truncated exp-Golomb codeword")
-    value = int(bits[pos : pos + zeros + 1], 2) - 1
-    return value, pos + zeros + 1
-
-
-def se_golomb(value: int) -> str:
-    """Signed exp-Golomb codeword."""
-    return ue_golomb(signed_to_unsigned(value))
-
-
-def se_golomb_decode(bits: str, pos: int = 0) -> tuple[int, int]:
-    code, pos = ue_golomb_decode(bits, pos)
-    return unsigned_to_signed(code), pos
-
-
 class BitWriter:
     """Accumulates bits MSB-first; the final byte is zero padded."""
 

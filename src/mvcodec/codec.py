@@ -111,9 +111,11 @@ class MotionField:
 class SideInfo:
     """Decoder-visible priors of one coded frame.
 
-    ``levels`` holds one int32 array per leaf (leaf-sized, transform tiles
-    in place); dequantizing, inverse transforming, adding ``prediction``
-    and rounding/clipping to [0, 255] reproduces the decoded frame exactly.
+    ``levels`` is one frame-sized int32 plane holding every transform tile's
+    quantized levels in place, tiled as :func:`transform_frame` tiles the
+    frame.  Dequantizing it, inverse transforming it tile by tile, adding
+    ``prediction`` and rounding/clipping to [0, 255] reproduces the decoded
+    frame exactly.
     """
 
     frame_index: int
@@ -121,11 +123,12 @@ class SideInfo:
     partition: PartitionMap
     motion: MotionField
     prediction: Frame
-    levels: tuple[np.ndarray, ...]
+    levels: np.ndarray
 
     def __post_init__(self):
-        if len(self.levels) != len(self.partition.leaves):
-            raise ValueError("need exactly one level block per partition leaf")
+        shape = (self.partition.height, self.partition.width)
+        if np.shape(self.levels) != shape:
+            raise ValueError(f"levels plane must be {shape}, got {np.shape(self.levels)}")
         if len(self.motion.vectors) != len(self.partition.leaves):
             raise ValueError("need exactly one motion entry per partition leaf")
 
@@ -164,14 +167,43 @@ class StreamHeader:
     split_threshold: float
 
 
-def transform_tiles(size: int) -> list[tuple[int, int, int]]:
-    """Transform blocks tiling a leaf, as (offset_y, offset_x, tile_size).
+# ---------------------------------------------------------------------------
+# Transform tiling
+# ---------------------------------------------------------------------------
 
-    Leaves larger than the 8x8 transform are covered by a raster of 8x8
-    tiles; smaller leaves are a single tile.
+def tiles(plane: np.ndarray, t: int) -> np.ndarray:
+    """Raster ``(rows, cols, t, t)`` view of the t x t tiles of a plane.
+
+    The result is a view, also for a slice of a larger plane, so assigning
+    to it writes the tiles in place.
     """
-    tile = min(size, MAX_TRANSFORM)
-    return [(oy, ox, tile) for oy in range(0, size, tile) for ox in range(0, size, tile)]
+    h, w = plane.shape
+    return plane.reshape(h // t, t, w // t, t).swapaxes(1, 2)
+
+
+def _leaf_tiles(block: np.ndarray) -> np.ndarray:
+    """Transform tiles of one leaf: 8x8 tiles, or the whole leaf when smaller."""
+    return tiles(block, min(block.shape[0], MAX_TRANSFORM))
+
+
+def transform_frame(plane: np.ndarray, partition: PartitionMap, fn) -> np.ndarray:
+    """Apply ``dct2d`` or ``idct2d`` to every transform tile of a frame.
+
+    Leaves of 8 and 16 pixels are tiled by 8x8 transforms, and 4x4 leaves
+    only come from splitting an 8x8 block, so every 8x8 block of the frame
+    is either one 8x8 tile or four 4x4 tiles.  ``fn`` runs once per tile
+    size on the stacked tiles.
+    """
+    split = np.zeros((partition.height // MAX_TRANSFORM, partition.width // MAX_TRANSFORM), bool)
+    for leaf in partition.leaves:
+        if leaf.size < MAX_TRANSFORM:
+            split[leaf.y // MAX_TRANSFORM, leaf.x // MAX_TRANSFORM] = True
+    split_small = split.repeat(2, axis=0).repeat(2, axis=1)
+    small = MAX_TRANSFORM // 2
+    out = np.empty(plane.shape)
+    tiles(out, MAX_TRANSFORM)[~split] = fn(tiles(plane, MAX_TRANSFORM)[~split])
+    tiles(out, small)[split_small] = fn(tiles(plane, small)[split_small])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +325,23 @@ def predict_frame(
     return Frame(pred.astype(np.uint8))
 
 
-def leaf_residual(levels: np.ndarray, qp: int) -> np.ndarray:
-    """Dequantized, inverse-transformed residual of one leaf, tile by tile."""
-    qt = QuantTable(qp)
-    size = levels.shape[0]
-    resid = np.empty((size, size), dtype=np.float64)
-    for oy, ox, tile in transform_tiles(size):
-        resid[oy : oy + tile, ox : ox + tile] = idct2d(
-            dequantize(levels[oy : oy + tile, ox : ox + tile], qt)
-        )
-    return resid
-
-
 def _reconstruct_block(pred: np.ndarray, levels: np.ndarray, qt: QuantTable) -> np.ndarray:
-    """Dequantize + inverse transform + prediction, rounded and clipped."""
-    recon = round_half_away(pred.astype(np.float64) + leaf_residual(levels, qt.qp))
+    """Dequantize + inverse transform + prediction of one leaf, rounded and clipped."""
+    resid = np.empty(levels.shape)
+    _leaf_tiles(resid)[...] = idct2d(dequantize(_leaf_tiles(levels), qt))
+    recon = round_half_away(pred.astype(np.float64) + resid)
     return np.clip(recon, 0, 255).astype(np.int32)
+
+
+def residual_plane(side: SideInfo) -> np.ndarray:
+    """Dequantized, inverse-transformed residual of a whole coded frame."""
+    return transform_frame(dequantize(side.levels, QuantTable(side.qp)), side.partition, idct2d)
 
 
 def reconstruct_from_side_info(side: SideInfo) -> Frame:
     """Rebuild the decoded frame from side information alone."""
-    qt = QuantTable(side.qp)
-    pred = side.prediction.pixels.astype(np.int32)
-    out = np.zeros_like(pred)
-    for leaf, levels in zip(side.partition.leaves, side.levels):
-        block = pred[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
-        out[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = _reconstruct_block(
-            block, levels, qt
-        )
-    return Frame(out.astype(np.uint8))
+    recon = round_half_away(side.prediction.as_float() + residual_plane(side))
+    return Frame(np.clip(recon, 0, 255).astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +460,11 @@ def encode_with_reconstruction(
             if not intra:
                 writer.write_se(dx)
                 writer.write_se(dy)
-            levels = np.zeros((size, size), dtype=np.int32)
-            residf = resid.astype(np.float64)
-            for oy, ox, tile in transform_tiles(size):
-                coeffs = dct2d(residf[oy : oy + tile, ox : ox + tile])
-                lv = quantize(coeffs, qt)
-                levels[oy : oy + tile, ox : ox + tile] = lv
-                _write_levels(writer, lv)
+            levels = np.empty((size, size), dtype=np.int32)
+            _leaf_tiles(levels)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), qt)
+            for row in _leaf_tiles(levels):
+                for tile in row:
+                    _write_levels(writer, tile)
             recon[y : y + size, x : x + size] = _reconstruct_block(pred, levels, qt)
 
         for my in range(0, height, MACROBLOCK):
@@ -484,9 +502,9 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
             raise BitstreamError(f"frame {t} is inter but has no reference")
         recon = np.zeros((height, width), dtype=np.int32)
         pred_frame = np.zeros((height, width), dtype=np.int32)
+        levels = np.zeros((height, width), dtype=np.int32)
         leaves: list[Leaf] = []
         vectors: list[LeafMotion] = []
-        level_blocks: list[np.ndarray] = []
 
         def decode_block(x: int, y: int, size: int) -> None:
             if size > 4 and reader.read_bit():
@@ -511,14 +529,14 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
                     )
                 vec = LeafMotion(intra=False, dx=dx, dy=dy)
                 pred = _mc_block(ref, x, y, size, dx, dy)
-            levels = np.zeros((size, size), dtype=np.int32)
-            for oy, ox, tile in transform_tiles(size):
-                levels[oy : oy + tile, ox : ox + tile] = _read_levels(reader, tile)
+            block = levels[y : y + size, x : x + size]
+            for row in _leaf_tiles(block):
+                for tile in row:
+                    tile[...] = _read_levels(reader, tile.shape[0])
             pred_frame[y : y + size, x : x + size] = pred
-            recon[y : y + size, x : x + size] = _reconstruct_block(pred, levels, qt)
+            recon[y : y + size, x : x + size] = _reconstruct_block(pred, block, qt)
             leaves.append(Leaf(x, y, size))
             vectors.append(vec)
-            level_blocks.append(levels)
 
         for my in range(0, height, MACROBLOCK):
             for mx in range(0, width, MACROBLOCK):
@@ -532,7 +550,7 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
                 partition=PartitionMap(width, height, tuple(leaves)),
                 motion=MotionField(tuple(vectors)),
                 prediction=Frame(pred_frame.astype(np.uint8)),
-                levels=tuple(level_blocks),
+                levels=levels,
             )
         )
         prev = recon
@@ -559,10 +577,8 @@ def side_info_to_json(sides: list[SideInfo]) -> dict:
     out = []
     for side in sides:
         leaves = []
-        for leaf, vec, levels in zip(side.partition.leaves, side.motion.vectors, side.levels):
-            flat: list[int] = []
-            for oy, ox, tile in transform_tiles(leaf.size):
-                flat.extend(int(v) for v in zigzag(levels[oy : oy + tile, ox : ox + tile]))
+        for leaf, vec in zip(side.partition.leaves, side.motion.vectors):
+            block = side.levels[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
             leaves.append(
                 {
                     "x": leaf.x,
@@ -570,7 +586,7 @@ def side_info_to_json(sides: list[SideInfo]) -> dict:
                     "size": leaf.size,
                     "intra": vec.intra,
                     "mv": None if vec.intra else [vec.dx, vec.dy],
-                    "levels": flat,
+                    "levels": zigzag(_leaf_tiles(block)).ravel().tolist(),
                 }
             )
         out.append({"qp": side.qp, "leaves": leaves})

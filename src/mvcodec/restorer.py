@@ -32,7 +32,7 @@ from .alignment import (
     warp_mv,
     warp_mv_backward,
 )
-from .codec import Leaf, MotionField, PartitionMap, SideInfo, leaf_residual
+from .codec import Leaf, MotionField, PartitionMap, SideInfo, residual_plane
 from .frames import Frame
 from .nn import (
     ConvCache,
@@ -95,18 +95,16 @@ def build_aux_planes(side: SideInfo) -> AuxPriorPlanes:
     w = side.prediction.width
     mv_mag = np.zeros((h, w), dtype=np.float64)
     leaf_size = np.zeros((h, w), dtype=np.float64)
-    residual = np.zeros((h, w), dtype=np.float64)
-    for leaf, vec, levels in zip(side.partition.leaves, side.motion.vectors, side.levels):
+    for leaf, vec in zip(side.partition.leaves, side.motion.vectors):
         sl = (slice(leaf.y, leaf.y + leaf.size), slice(leaf.x, leaf.x + leaf.size))
         if not vec.intra:
             mv_mag[sl] = np.hypot(vec.dx, vec.dy) / MV_NORM
         leaf_size[sl] = leaf.size / SIZE_NORM
-        residual[sl] = leaf_residual(levels, side.qp) / PIXEL_NORM
     return AuxPriorPlanes(
         mv_magnitude=mv_mag,
         leaf_size=leaf_size,
         prediction=side.prediction.as_float() / PIXEL_NORM,
-        residual=residual,
+        residual=residual_plane(side) / PIXEL_NORM,
         qp_plane=np.full((h, w), side.qp / QP_NORM),
     )
 
@@ -330,7 +328,7 @@ def restorer_forward_cached(
     for j in range(model.window):
         if j == n:
             continue
-        warped = warp_mv(feats[j], side.motion, side.partition)
+        warped = warp_mv(feats[j], mv_planes)
         offsets, offset_cache = predict_offsets(feats[n], warped, mv_planes, predictor)
         slots[j], gather_cache = deformable_gather_cached(
             warped, model.kernel_size, offsets, gather_w
@@ -349,7 +347,7 @@ def restorer_forward_cached(
     out = window[n].as_float() + PIXEL_NORM * resid[0]
 
     return out, {
-        "side": side,
+        "mv_planes": mv_planes,
         "convs": convs,
         "feats": feats,
         "neighbors": neighbors,
@@ -375,7 +373,6 @@ def restorer_backward(
     """Parameter gradients for a cached forward pass."""
     n = model.half_window
     c = model.channels
-    side = cache["side"]
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
 
     def conv_back(key: str, up: np.ndarray) -> np.ndarray:
@@ -421,7 +418,7 @@ def restorer_backward(
         for name, g in zip(("off_hidden.w", "off_hidden.b", "off_out.w", "off_out.b"), offset_grads):
             grads[name] += g
         d_feats[n] += d_center
-        d_feats[j] += warp_mv_backward(d_warped + d_warped_p, side.motion, side.partition)
+        d_feats[j] += warp_mv_backward(d_warped + d_warped_p, cache["mv_planes"])
 
     for j, d_feat in enumerate(d_feats):
         conv_back(f"feat{j}", d_feat)
@@ -455,20 +452,18 @@ def crop_side_info(side: SideInfo, x0: int, y0: int, size: int) -> SideInfo:
         raise ValueError("crops must be 16-aligned")
     leaves = []
     vectors = []
-    levels = []
-    for leaf, vec, lv in zip(side.partition.leaves, side.motion.vectors, side.levels):
+    for leaf, vec in zip(side.partition.leaves, side.motion.vectors):
         if x0 <= leaf.x < x0 + size and y0 <= leaf.y < y0 + size:
             leaves.append(Leaf(leaf.x - x0, leaf.y - y0, leaf.size))
             vectors.append(vec)
-            levels.append(lv)
-    pred = side.prediction.pixels[y0 : y0 + size, x0 : x0 + size]
+    window = (slice(y0, y0 + size), slice(x0, x0 + size))
     return SideInfo(
         frame_index=side.frame_index,
         qp=side.qp,
         partition=PartitionMap(size, size, tuple(leaves)),
         motion=MotionField(tuple(vectors)),
-        prediction=Frame(pred),
-        levels=tuple(levels),
+        prediction=Frame(side.prediction.pixels[window]),
+        levels=side.levels[window],
     )
 
 

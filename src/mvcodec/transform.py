@@ -71,24 +71,28 @@ def _dct_basis(size: int) -> np.ndarray:
 
 def _check_block(block: np.ndarray, what: str) -> np.ndarray:
     block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ValueError(f"{what} must be a square 2-D block, got {block.shape}")
-    if block.shape[0] not in BLOCK_SIZES:
-        raise ValueError(f"unsupported block size {block.shape[0]} (need 4 or 8)")
+    if block.ndim < 2 or block.shape[-2] != block.shape[-1]:
+        raise ValueError(f"{what} must be square blocks (..., n, n), got {block.shape}")
+    if block.shape[-1] not in BLOCK_SIZES:
+        raise ValueError(f"unsupported block size {block.shape[-1]} (need 4 or 8)")
     return block
 
 
 def dct2d(block: np.ndarray) -> np.ndarray:
-    """Forward orthonormal 2-D DCT-II of a 4x4 or 8x8 block."""
+    """Forward orthonormal 2-D DCT-II of a 4x4 or 8x8 block, or a stack of them.
+
+    A ``(..., n, n)`` stack is transformed block by block with one stacked
+    matmul, which gives each block the same bits as transforming it alone.
+    """
     block = _check_block(block, "block")
-    c = _dct_basis(block.shape[0])
+    c = _dct_basis(block.shape[-1])
     return c @ block @ c.T
 
 
 def idct2d(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`dct2d`."""
+    """Inverse of :func:`dct2d`, for one block or a ``(..., n, n)`` stack."""
     coeffs = _check_block(coeffs, "coefficients")
-    c = _dct_basis(coeffs.shape[0])
+    c = _dct_basis(coeffs.shape[-1])
     return c.T @ coeffs @ c
 
 
@@ -153,9 +157,9 @@ def zigzag_indices(size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def zigzag(block: np.ndarray) -> np.ndarray:
-    """Flatten a square block in zigzag order."""
-    rows, cols = zigzag_indices(block.shape[0])
-    return np.asarray(block)[rows, cols]
+    """Flatten a square block, or each block of a ``(..., n, n)`` stack, in zigzag order."""
+    rows, cols = zigzag_indices(block.shape[-1])
+    return np.asarray(block)[..., rows, cols]
 
 
 def inverse_zigzag(seq: np.ndarray, size: int) -> np.ndarray:

@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from mvcodec.alignment import bilinear_sample, kernel_grid
+from mvcodec.bitio import BitstreamError, signed_to_unsigned, unsigned_to_signed
+from mvcodec.transform import QuantTable, dequantize, idct2d
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
@@ -62,6 +64,59 @@ def draw_until(seed: int, build, acceptable, limit: int = 64):
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+def ue_golomb(value: int) -> str:
+    """Order-0 exp-Golomb codeword for an unsigned value, as a bit string.
+
+    value+1 takes k+1 significant bits; the codeword is k zeros followed by
+    those bits, so 0 -> "1", 1 -> "010", 4 -> "00101".
+    """
+    if value < 0:
+        raise ValueError(f"ue_golomb needs a non-negative value, got {value}")
+    bits = bin(value + 1)[2:]
+    return "0" * (len(bits) - 1) + bits
+
+
+def ue_golomb_decode(bits: str, pos: int = 0) -> tuple[int, int]:
+    """Decode one unsigned exp-Golomb codeword; returns (value, next position)."""
+    zeros = 0
+    n = len(bits)
+    while pos < n and bits[pos] == "0":
+        zeros += 1
+        pos += 1
+    if pos >= n or pos + zeros + 1 > n:
+        raise BitstreamError("truncated exp-Golomb codeword")
+    value = int(bits[pos : pos + zeros + 1], 2) - 1
+    return value, pos + zeros + 1
+
+
+def se_golomb(value: int) -> str:
+    """Signed exp-Golomb codeword."""
+    return ue_golomb(signed_to_unsigned(value))
+
+
+def se_golomb_decode(bits: str, pos: int = 0) -> tuple[int, int]:
+    code, pos = ue_golomb_decode(bits, pos)
+    return unsigned_to_signed(code), pos
+
+
+def preclip_reconstruction(side) -> np.ndarray:
+    """Decoded frame before rounding/clipping: prediction + dequantized residual.
+
+    Walks every leaf's transform tiles itself (8x8, or the whole leaf when
+    smaller), so it stays independent of the codec's batched tiling.
+    """
+    qt = QuantTable(side.qp)
+    out = side.prediction.as_float()
+    for leaf in side.partition.leaves:
+        tile = min(leaf.size, 8)
+        for y in range(leaf.y, leaf.y + leaf.size, tile):
+            for x in range(leaf.x, leaf.x + leaf.size, tile):
+                out[y : y + tile, x : x + tile] += idct2d(
+                    dequantize(side.levels[y : y + tile, x : x + tile], qt)
+                )
+    return out
+
 
 def dct2d_direct(block: np.ndarray) -> np.ndarray:
     """O(N^4) orthonormal DCT-II straight from the definition."""

@@ -22,11 +22,12 @@ from helpers import (
     gather_case_clear,
     predictor_case,
     predictor_case_clear,
+    preclip_reconstruction,
     rel_error,
 )
 from mvcodec import fixtures
 from mvcodec.alignment import deformable_gather, deformable_gather_backward, predict_offsets, predict_offsets_backward
-from mvcodec.backproject import back_project, candidate_residual_coeffs, clamp_to_bounds, leaf_bounds
+from mvcodec.backproject import back_project, candidate_residual_coeffs, clamp_to_bounds, frame_bounds
 from mvcodec.bitio import BitReader, BitWriter
 from mvcodec.cli import main
 from mvcodec.codec import (
@@ -35,7 +36,6 @@ from mvcodec.codec import (
     encode_sequence,
     encode_with_reconstruction,
     reconstruct_from_side_info,
-    transform_tiles,
 )
 from mvcodec.frames import load_sequence, psnr
 from mvcodec.nn import ConvLayer, conv_backward, conv_forward, l1_loss, l1_loss_grad
@@ -48,7 +48,6 @@ from mvcodec.restorer import (
     restorer_forward,
     zero_restorer,
 )
-from mvcodec.transform import QuantTable, dequantize, idct2d
 
 
 @pytest.fixture(scope="module")
@@ -70,17 +69,6 @@ def _true_coeffs(original, side):
     return candidate_residual_coeffs(original, side)
 
 
-def _preclip(side):
-    qt = QuantTable(side.qp)
-    out = side.prediction.as_float()
-    for leaf, levels in zip(side.partition.leaves, side.levels):
-        for oy, ox, tile in transform_tiles(leaf.size):
-            out[leaf.y + oy : leaf.y + oy + tile, leaf.x + ox : leaf.x + ox + tile] += idct2d(
-                dequantize(levels[oy : oy + tile, ox : ox + tile], qt)
-            )
-    return out
-
-
 def test_criterion_1_backprojection_non_expansiveness(both_fixtures):
     started = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -91,14 +79,13 @@ def test_criterion_1_backprojection_non_expansiveness(both_fixtures):
             per_pair = -(-1000 // (3 * len(frames)))  # >= 1000 per fixture overall
             for orig, dec, side in zip(frames, decoded, sides):
                 truth = orig.as_float()
-                e_blocks = _true_coeffs(orig, side)
-                bounds = leaf_bounds(side)
+                e = _true_coeffs(orig, side)
+                bounds = frame_bounds(side)
                 for _ in range(per_pair):
                     candidate = dec.as_float() + rng.uniform(-30, 30, truth.shape)
-                    c_blocks = candidate_residual_coeffs(candidate, side)
-                    for c, e, b in zip(c_blocks, e_blocks, bounds):
-                        f = clamp_to_bounds(c, b)
-                        assert (np.abs(f - e) <= np.abs(c - e)).all()
+                    c = candidate_residual_coeffs(candidate, side)
+                    f = clamp_to_bounds(c, bounds)
+                    assert (np.abs(f - e) <= np.abs(c - e)).all()
                     projected = back_project(candidate, side)
                     mse_before = float(np.mean((candidate - truth) ** 2))
                     mse_after = float(np.mean((projected - truth) ** 2))
@@ -116,9 +103,9 @@ def test_criterion_2_truth_containment(both_fixtures):
         for qp in (8, 16, 24, 32, 40):
             _, _, sides = _coded(frames, qp)
             for orig, side in zip(frames, sides):
-                e_blocks = _true_coeffs(orig, side)
-                for e, b in zip(e_blocks, leaf_bounds(side)):
-                    assert (b.lower <= e).all() and (e <= b.upper).all(), (name, qp)
+                e = _true_coeffs(orig, side)
+                b = frame_bounds(side)
+                assert (b.lower <= e).all() and (e <= b.upper).all(), (name, qp)
     print("\nPASS criterion 2: true residual coefficients inside [L, U], exact")
 
 
@@ -127,7 +114,7 @@ def test_criterion_3_fixed_point_and_idempotence(both_fixtures):
     for frames in both_fixtures.values():
         _, decoded, sides = _coded(frames, 24)
         for dec, side in zip(decoded, sides):
-            pre = _preclip(side)
+            pre = preclip_reconstruction(side)
             assert np.array_equal(back_project(pre, side), pre)  # exact fixed point
         side = sides[2]
         for _ in range(15):

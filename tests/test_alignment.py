@@ -80,18 +80,18 @@ class TestWarp:
         from mvcodec.codec import LeafMotion, MotionField
 
         motion0 = MotionField(tuple(LeafMotion(intra=False) for _ in side.partition.leaves))
-        assert np.array_equal(warp_mv(fmap, motion0, side.partition), fmap)
+        assert np.array_equal(warp_mv(fmap, rasterize_motion(side.partition, motion0)), fmap)
 
     def test_global_shift_aligns_interior(self, coded_pair):
         ref, cur, side = coded_pair
-        warped = warp_mv(ref.as_float()[None], side.motion, side.partition)
+        warped = warp_mv(ref.as_float()[None], rasterize_motion(side.partition, side.motion))
         interior = (slice(8, 56), slice(8, 56))
         assert np.array_equal(warped[0][interior], cur.as_float()[interior])
 
     def test_constant_map_unchanged(self, coded_pair):
         _, _, side = coded_pair
         fmap = np.full((1, 64, 64), 3.25)
-        assert np.array_equal(warp_mv(fmap, side.motion, side.partition), fmap)
+        assert np.array_equal(warp_mv(fmap, rasterize_motion(side.partition, side.motion)), fmap)
 
     def test_backward_is_adjoint(self, coded_pair):
         # <warp(x), y> == <x, warp_backward(y)> for random x, y
@@ -99,8 +99,8 @@ class TestWarp:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 64, 64))
         y = rng.normal(size=(2, 64, 64))
-        lhs = float((warp_mv(x, side.motion, side.partition) * y).sum())
-        rhs = float((x * warp_mv_backward(y, side.motion, side.partition)).sum())
+        lhs = float((warp_mv(x, rasterize_motion(side.partition, side.motion)) * y).sum())
+        rhs = float((x * warp_mv_backward(y, rasterize_motion(side.partition, side.motion))).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_rasterize_motion_planes(self, coded_pair):

@@ -1,28 +1,15 @@
 import numpy as np
 import pytest
 
+from helpers import preclip_reconstruction
 from mvcodec.backproject import (
     back_project,
     back_project_frame,
     candidate_residual_coeffs,
     clamp_to_bounds,
-    leaf_bounds,
     projection_report,
 )
-from mvcodec.codec import transform_tiles
-from mvcodec.transform import CoeffBounds, QuantTable, dequantize, idct2d
-
-
-def _preclip_reconstruction(side):
-    """Decoded frame before rounding/clipping: prediction + dequantized residual."""
-    qt = QuantTable(side.qp)
-    out = side.prediction.as_float()
-    for leaf, levels in zip(side.partition.leaves, side.levels):
-        for oy, ox, tile in transform_tiles(leaf.size):
-            out[leaf.y + oy : leaf.y + oy + tile, leaf.x + ox : leaf.x + ox + tile] += idct2d(
-                dequantize(levels[oy : oy + tile, ox : ox + tile], qt)
-            )
-    return out
+from mvcodec.transform import CoeffBounds, QuantTable, dequantize
 
 
 class TestClamp:
@@ -54,16 +41,14 @@ class TestResidualCoeffs:
         _, _, _, sides = coded_texture_qp24
         side = sides[1]
         coeffs = candidate_residual_coeffs(side.prediction, side)
-        for block in coeffs:
-            assert np.abs(block).max() < 1e-9
+        assert np.abs(coeffs).max() < 1e-9
 
     def test_preclip_reconstruction_recovers_levels(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
         side = sides[2]
         qt = QuantTable(side.qp)
-        coeffs = candidate_residual_coeffs(_preclip_reconstruction(side), side)
-        for block, levels in zip(coeffs, side.levels):
-            np.testing.assert_allclose(block, dequantize(levels, qt), atol=1e-9)
+        coeffs = candidate_residual_coeffs(preclip_reconstruction(side), side)
+        np.testing.assert_allclose(coeffs, dequantize(side.levels, qt), atol=1e-9)
 
     def test_linearity(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
@@ -77,8 +62,7 @@ class TestResidualCoeffs:
         a = candidate_residual_coeffs(c1, side)
         b = candidate_residual_coeffs(c2, side)
         z = candidate_residual_coeffs(pred, side)
-        for l, x, y, zz in zip(lhs, a, b, z):
-            np.testing.assert_allclose(l, x + y - zz, atol=1e-9)
+        np.testing.assert_allclose(lhs, a + b - z, atol=1e-9)
 
     def test_dimension_mismatch(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
@@ -90,7 +74,7 @@ class TestBackProjection:
     def test_decoded_preclip_is_exact_fixed_point(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
         for side in sides[:3]:
-            pre = _preclip_reconstruction(side)
+            pre = preclip_reconstruction(side)
             assert np.array_equal(back_project(pre, side), pre)
 
     def test_original_frame_survives_projection(self, coded_texture_qp24, texture_frames):
@@ -122,7 +106,7 @@ class TestBackProjection:
     def test_report_counts_clamps(self, coded_texture_qp24):
         _, _, decoded, sides = coded_texture_qp24
         side = sides[1]
-        pre = _preclip_reconstruction(side)
+        pre = preclip_reconstruction(side)
         quiet = projection_report(pre, side)
         assert quiet.coefficients_clamped == 0
         loud = projection_report(pre + 80.0 * np.sign(np.sin(np.arange(4096)).reshape(64, 64)), side)

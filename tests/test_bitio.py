@@ -1,14 +1,11 @@
 import pytest
 
+from helpers import se_golomb, se_golomb_decode, ue_golomb, ue_golomb_decode
 from mvcodec.bitio import (
     BitReader,
     BitstreamError,
     BitWriter,
-    se_golomb,
-    se_golomb_decode,
     signed_to_unsigned,
-    ue_golomb,
-    ue_golomb_decode,
     unsigned_to_signed,
 )
 

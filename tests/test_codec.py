@@ -10,6 +10,7 @@ from mvcodec.codec import (
     LeafMotion,
     MotionField,
     PartitionMap,
+    SideInfo,
     choose_partition,
     decode_sequence,
     encode_sequence,
@@ -19,9 +20,11 @@ from mvcodec.codec import (
     predict_frame,
     reconstruct_from_side_info,
     side_info_to_json,
-    transform_tiles,
+    tiles,
+    transform_frame,
 )
 from mvcodec.frames import Frame, psnr
+from mvcodec.transform import dct2d, idct2d
 
 
 def _const(value, size=64):
@@ -135,11 +138,46 @@ class TestPredictFrame:
             assert np.array_equal(again.pixels, side.prediction.pixels)
 
 
-class TestTransformTiles:
-    def test_leaf_tiling(self):
-        assert transform_tiles(4) == [(0, 0, 4)]
-        assert transform_tiles(8) == [(0, 0, 8)]
-        assert transform_tiles(16) == [(0, 0, 8), (0, 8, 8), (8, 0, 8), (8, 8, 8)]
+class TestTransformFrame:
+    @pytest.fixture()
+    def mixed_side(self, coded_texture_qp24):
+        # the third frame splits into 16, 8 and 4 leaves
+        return coded_texture_qp24[3][2]
+
+    def test_matches_per_tile_transforms(self, mixed_side):
+        side = mixed_side
+        assert {leaf.size for leaf in side.partition.leaves} == {16, 8, 4}
+        rng = np.random.default_rng(12)
+        plane = rng.uniform(-255, 255, side.levels.shape)
+        for fn in (dct2d, idct2d):
+            expected = np.empty_like(plane)
+            for leaf in side.partition.leaves:
+                t = min(leaf.size, 8)
+                for y in range(leaf.y, leaf.y + leaf.size, t):
+                    for x in range(leaf.x, leaf.x + leaf.size, t):
+                        expected[y : y + t, x : x + t] = fn(plane[y : y + t, x : x + t])
+            assert np.array_equal(transform_frame(plane, side.partition, fn), expected)
+
+    def test_tiles_is_a_raster_view(self):
+        plane = np.arange(16 * 32).reshape(16, 32)
+        view = tiles(plane, 8)
+        assert view.shape == (2, 4, 8, 8)
+        assert np.array_equal(view[1, 2], plane[8:16, 16:24])
+        view[0, 1] = -1
+        assert (plane[0:8, 8:16] == -1).all()
+
+    def test_side_info_rejects_levels_plane_of_wrong_shape(self, mixed_side):
+        side = mixed_side
+        for levels in (side.levels[:-1], side.levels.T[:, :16], np.zeros(4, np.int32)):
+            with pytest.raises(ValueError, match="levels plane"):
+                SideInfo(
+                    frame_index=side.frame_index,
+                    qp=side.qp,
+                    partition=side.partition,
+                    motion=side.motion,
+                    prediction=side.prediction,
+                    levels=levels,
+                )
 
 
 class TestEncodeDecode:
@@ -222,7 +260,7 @@ class TestSideInfo:
             assert a.partition == b.partition
             assert a.motion == b.motion
             assert np.array_equal(a.prediction.pixels, b.prediction.pixels)
-            assert all(np.array_equal(x, y) for x, y in zip(a.levels, b.levels))
+            assert np.array_equal(a.levels, b.levels)
 
     def test_qp_field_matches_config(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24

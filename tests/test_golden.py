@@ -1,15 +1,19 @@
-"""Golden SHA-256 digests of the codec's bitstream and decoded frames.
+"""Golden SHA-256 digests of the codec's bitstream, decoded frames, side-info
+dump and back projection.
 
 Any refactor of the encoder, the decoder or the transform layer must keep
 these byte-identical.  Regenerate only for a deliberate format change.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from mvcodec import fixtures
-from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence
+from mvcodec.backproject import back_project_frame
+from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence, side_info_to_json
 
 CLIPS = {
     "texture": lambda: fixtures.translating_texture(4),
@@ -97,3 +101,51 @@ def test_stream_and_decoded_frames_match_golden_digests(clips, clip, qp, intra_p
     frames = b"".join(f.pixels.tobytes() for f in decoded)
     got = (hashlib.sha256(data).hexdigest(), hashlib.sha256(frames).hexdigest())
     assert got == GOLDEN[clip, qp, intra_period]
+
+# (clip, qp, intra_period) -> digest of json.dumps(side_info_to_json(...), sort_keys=True)
+GOLDEN_SIDE_INFO = {
+    ("checker", 0, 0): "6dbf0b1a7a23aa320ee3a75ea414639c0f3ea5b3da3dcf88f0cc1956c596f01a",
+    ("checker", 0, 2): "12d7c08927232d90e2c2daaf41402e89db91a5cd0812eac61d29786d73fcb4a0",
+    ("checker", 16, 0): "3ead95b6a834cee93758e7e000cd711093de124b73656bb9531771feee015641",
+    ("checker", 16, 2): "e5769d695f1c54259e88bb7b28013089691862cd99637d34e2177a882b4b3a63",
+    ("checker", 32, 0): "3953e84e8b75d1231733fb8a754194984f06979121f38d12dc9032d2966e974f",
+    ("checker", 32, 2): "3c81894bcd228fbd20e1ed68a523b9bb56cc8d16d17eee426b59b916760e9c20",
+    ("checker", 51, 0): "71975ee3f4f70e3caea8d5e5b80f05c9631054575b31a33695e2e691ff3b8ce1",
+    ("checker", 51, 2): "bda0015aff9ce1c8ebcb44de849d289e08330010fd44a523d89d107112a97fcb",
+    ("texture", 0, 0): "742e6e4f927b6c12f74d19951cbab77c1dd7c170a73e3a497cd5b32f56f4b6d6",
+    ("texture", 0, 2): "d002b999bac82cfdc14577fcda160b202e783845e33723c2d4857567364c3074",
+    ("texture", 16, 0): "5fc8df726848fdcead2d0e0c36ce0fcb1e61a09416107f65ced37a069cbe6dd9",
+    ("texture", 16, 2): "16319862e2564d8e39434c4a89a65074833ece5634a8d6ea753cd9b2991644ba",
+    ("texture", 32, 0): "80d1cea806dc26f9e73a25ea8e9df084fe8ac35e7106f37643330589fc58d55b",
+    ("texture", 32, 2): "cb10c4fe8f91976048eaf357d2356ba901c0ac05cb1a17eee2b4b55277f0c5b2",
+    ("texture", 51, 0): "b989657e00ebd1822c72e1dd8a13473bcfce748fd0867c3e893521db73eaea05",
+    ("texture", 51, 2): "41ab70864216dec83914f051deeab9ad6bea2e4747130abf8fa941a54a5d9c9f",
+}
+
+# (clip, qp) -> digest of every back_project_frame output for the candidates
+# decoded frame + uniform(-30, 30) noise drawn from default_rng(qp)
+GOLDEN_PROJECTED = {
+    ("checker", 16): "e769ac3a60eaa6c7f8211517a4db869bb084a19e68fd3e36c64a57d7119c5cd2",
+    ("checker", 32): "9d0dfe1418374104c25ebff9d54eb9603e5b2558a34b624e50d723c251677b7c",
+    ("texture", 16): "3150e0c0846816ec9f24d0f052c7c7e6b5ab5fa3c8134021f4f003f7a478005d",
+    ("texture", 32): "40af8ebd762b9d911135335e63fe3570d1a9a34aec901580c2ae1758893a8211",
+}
+
+
+@pytest.mark.parametrize("clip, qp, intra_period", sorted(GOLDEN_SIDE_INFO))
+def test_side_info_json_matches_golden_digest(clips, clip, qp, intra_period):
+    data = encode_sequence(clips[clip], CodecConfig(qp=qp, intra_period=intra_period))
+    _, sides = decode_sequence(data)
+    dump = json.dumps(side_info_to_json(sides), sort_keys=True).encode()
+    assert hashlib.sha256(dump).hexdigest() == GOLDEN_SIDE_INFO[clip, qp, intra_period]
+
+
+@pytest.mark.parametrize("clip, qp", sorted(GOLDEN_PROJECTED))
+def test_back_projection_matches_golden_digest(clips, clip, qp):
+    decoded, sides = decode_sequence(encode_sequence(clips[clip], CodecConfig(qp=qp)))
+    rng = np.random.default_rng(qp)
+    digest = hashlib.sha256()
+    for frame, side in zip(decoded, sides):
+        candidate = frame.as_float() + rng.uniform(-30, 30, frame.pixels.shape)
+        digest.update(back_project_frame(candidate, side).pixels.tobytes())
+    assert digest.hexdigest() == GOLDEN_PROJECTED[clip, qp]
