@@ -113,13 +113,8 @@ def warp_mv_backward(upstream: np.ndarray, mv_planes: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`warp_mv` (scatter-add along the same index map)."""
     upstream = _check_map(upstream)
     c, h, w = upstream.shape
-    idx = _source_index(mv_planes, h, w)
-    grad = np.empty_like(upstream)
-    for ch in range(c):
-        grad[ch] = np.bincount(
-            idx, weights=upstream[ch].ravel(), minlength=h * w
-        ).reshape(h, w)
-    return grad
+    idx = (_source_index(mv_planes, h, w) + h * w * np.arange(c)[:, None]).ravel()
+    return np.bincount(idx, weights=upstream.ravel(), minlength=c * h * w).reshape(c, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -199,30 +194,19 @@ def deformable_gather(
 
 
 def deformable_gather_backward(
-    upstream: np.ndarray,
-    fmap: np.ndarray,
-    kernel_size: int,
-    offsets: np.ndarray,
-    weights: np.ndarray,
-    cache: tuple | None = None,
+    upstream: np.ndarray, weights: np.ndarray, cache: tuple
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_map, d_offsets, d_weights) of :func:`deformable_gather`."""
-    fmap = _check_map(fmap)
+    """Gradients (d_map, d_offsets, d_weights) of :func:`deformable_gather`.
+
+    ``cache`` is the one :func:`deformable_gather_cached` returned.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
-    offsets = np.asarray(offsets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    c, h, w = fmap.shape
-    taps = kernel_size * kernel_size
+    sampled, (x0, x1, fx, sat_x, y0, y1, fy, sat_y, v00, v01, v10, v11) = cache
+    c, taps, h, w = sampled.shape
     out_ch = weights.shape[0]
     if upstream.shape != (out_ch, h, w):
         raise ValueError(f"upstream must be ({out_ch}, {h}, {w}), got {upstream.shape}")
-
-    if cache is None:
-        px, py = _tap_coords(kernel_size, offsets, h, w)
-        sampled, ctx = _sample_taps(fmap, px, py)
-    else:
-        sampled, ctx = cache
-    x0, x1, fx, sat_x, y0, y1, fy, sat_y, v00, v01, v10, v11 = ctx
 
     wr = weights.reshape(out_ch, c, taps)
     d_weights = np.einsum("ohw,cthw->oct", upstream, sampled, optimize=True).reshape(
@@ -243,7 +227,7 @@ def deformable_gather_backward(
             (y1 * w + x1).ravel(),
         ]
     )
-    d_map = np.empty_like(fmap)
+    d_map = np.empty((c, h, w))
     for ch in range(c):
         vals = np.concatenate(
             [
@@ -262,7 +246,7 @@ def deformable_gather_backward(
     d_py = np.einsum("cthw,cthw->thw", d_sampled, ds_dy, optimize=True)
     d_px[sat_x] = 0.0
     d_py[sat_y] = 0.0
-    d_offsets = np.empty_like(offsets)
+    d_offsets = np.empty((2 * taps, h, w))
     d_offsets[0::2] = d_px
     d_offsets[1::2] = d_py
     return d_map, d_offsets, d_weights
@@ -294,9 +278,8 @@ def predict_offsets(
 ) -> tuple[np.ndarray, tuple]:
     """Offset field from concatenated current/neighbor features and motion.
 
-    Returns ``(offsets, cache)``; the cache holds the concatenated input, both
-    layers' conv caches, the hidden map and the channel split, and is what
-    :func:`predict_offsets_backward` consumes.
+    Returns ``(offsets, cache)``; the cache holds both layers' conv caches and
+    the channel split, and is what :func:`predict_offsets_backward` consumes.
     """
     feat_t = _check_map(feat_t)
     feat_prev = _check_map(feat_prev)
@@ -304,7 +287,7 @@ def predict_offsets(
     hidden, hidden_cache = conv_forward_cached(predictor.hidden, x)
     offsets, out_cache = conv_forward_cached(predictor.out, hidden)
     split = (feat_t.shape[0], feat_t.shape[0] + feat_prev.shape[0])
-    return offsets, (x, hidden_cache, hidden, out_cache, split)
+    return offsets, (hidden_cache, out_cache, split)
 
 
 def predict_offsets_backward(
@@ -316,9 +299,9 @@ def predict_offsets_backward(
     ((d_feat_t, d_feat_prev, d_motion), (dw_hidden, db_hidden, dw_out,
     db_out)).
     """
-    x, hidden_cache, hidden, out_cache, (c1, c2) = cache
-    d_h1, dw_out, db_out = conv_backward(predictor.out, hidden, upstream, cache=out_cache)
-    d_x, dw_hidden, db_hidden = conv_backward(predictor.hidden, x, d_h1, cache=hidden_cache)
+    hidden_cache, out_cache, (c1, c2) = cache
+    d_h1, dw_out, db_out = conv_backward(predictor.out, upstream, out_cache)
+    d_x, dw_hidden, db_hidden = conv_backward(predictor.hidden, d_h1, hidden_cache)
     return (
         (d_x[:c1], d_x[c1:c2], d_x[c2:]),
         (dw_hidden, db_hidden, dw_out, db_out),

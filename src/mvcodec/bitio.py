@@ -25,23 +25,22 @@ class BitWriter:
         self._nbits = 0
 
     def write_bit(self, bit: int) -> None:
-        self._acc = (self._acc << 1) | (bit & 1)
-        self._nbits += 1
-        if self._nbits == 8:
-            self._out.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
+        self.write_bits(bit, 1)
 
     def write_bits(self, value: int, count: int) -> None:
-        for shift in range(count - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        """Append the low ``count`` bits of ``value`` and flush whole bytes."""
+        self._acc = (self._acc << count) | (value & ((1 << count) - 1))
+        self._nbits += count
+        while self._nbits >= 8:
+            self._nbits -= 8
+            self._out.append((self._acc >> self._nbits) & 0xFF)
+        self._acc &= (1 << self._nbits) - 1
 
     def write_ue(self, value: int) -> None:
         if value < 0:
             raise ValueError(f"ue value must be non-negative, got {value}")
-        nbits = (value + 1).bit_length()
-        self.write_bits(0, nbits - 1)
-        self.write_bits(value + 1, nbits)
+        # value + 1 in 2n - 1 bits: n - 1 leading zeros, then its n significant bits
+        self.write_bits(value + 1, 2 * (value + 1).bit_length() - 1)
 
     def write_se(self, value: int) -> None:
         self.write_ue(signed_to_unsigned(value))

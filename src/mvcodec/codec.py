@@ -18,7 +18,7 @@ at (x - dx, y - dy) with clamp-to-edge.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -75,16 +75,19 @@ class PartitionMap:
     Coding order is macroblock raster order with quadrants visited
     top-left, top-right, bottom-left, bottom-right; that order guarantees a
     leaf's top row and left column are decoded before the leaf itself.
+    ``sizes`` is the read-only (height, width) uint8 plane of each pixel's
+    leaf size, painted once while the tiling is validated.
     """
 
     width: int
     height: int
     leaves: tuple[Leaf, ...]
+    sizes: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.width % MACROBLOCK or self.height % MACROBLOCK:
             raise ValueError("partition dimensions must be multiples of 16")
-        cover = np.zeros((self.height, self.width), dtype=bool)
+        sizes = np.zeros((self.height, self.width), dtype=np.uint8)
         for leaf in self.leaves:
             if leaf.size not in LEAF_SIZES:
                 raise ValueError(f"illegal leaf size {leaf.size}")
@@ -92,12 +95,14 @@ class PartitionMap:
                 raise ValueError(f"leaf origin ({leaf.x},{leaf.y}) not aligned to {leaf.size}")
             if leaf.x + leaf.size > self.width or leaf.y + leaf.size > self.height:
                 raise ValueError("leaf extends outside the frame")
-            patch = cover[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
+            patch = sizes[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
             if patch.any():
                 raise ValueError(f"leaf at ({leaf.x},{leaf.y}) overlaps another leaf")
-            patch[:] = True
-        if not cover.all():
+            patch[:] = leaf.size
+        if not sizes.all():
             raise ValueError("leaves do not tile the frame")
+        sizes.flags.writeable = False
+        object.__setattr__(self, "sizes", sizes)
 
 
 @dataclass(frozen=True)
@@ -194,10 +199,7 @@ def transform_frame(plane: np.ndarray, partition: PartitionMap, fn) -> np.ndarra
     is either one 8x8 tile or four 4x4 tiles.  ``fn`` runs once per tile
     size on the stacked tiles.
     """
-    split = np.zeros((partition.height // MAX_TRANSFORM, partition.width // MAX_TRANSFORM), bool)
-    for leaf in partition.leaves:
-        if leaf.size < MAX_TRANSFORM:
-            split[leaf.y // MAX_TRANSFORM, leaf.x // MAX_TRANSFORM] = True
+    split = partition.sizes[::MAX_TRANSFORM, ::MAX_TRANSFORM] < MAX_TRANSFORM
     split_small = split.repeat(2, axis=0).repeat(2, axis=1)
     small = MAX_TRANSFORM // 2
     out = np.empty(plane.shape)
@@ -263,34 +265,6 @@ def motion_search(
     )
     best = order[0]
     return int(dxs.ravel()[best]), int(dys.ravel()[best])
-
-
-def choose_partition(current: Frame, prediction: Frame, threshold: float) -> PartitionMap:
-    """Quadtree split of each macroblock against a fixed prediction frame.
-
-    A block splits while its mean absolute residual exceeds the threshold;
-    4x4 blocks never split.
-    """
-    if current.width != prediction.width or current.height != prediction.height:
-        raise ValueError("current and prediction dimensions differ")
-    resid = np.abs(current.as_float() - prediction.as_float())
-    leaves: list[Leaf] = []
-
-    def split(x: int, y: int, size: int) -> None:
-        block = resid[y : y + size, x : x + size]
-        if size > 4 and float(block.mean()) > threshold:
-            half = size // 2
-            split(x, y, half)
-            split(x + half, y, half)
-            split(x, y + half, half)
-            split(x + half, y + half, half)
-        else:
-            leaves.append(Leaf(x, y, size))
-
-    for my in range(0, current.height, MACROBLOCK):
-        for mx in range(0, current.width, MACROBLOCK):
-            split(mx, my, MACROBLOCK)
-    return PartitionMap(current.width, current.height, tuple(leaves))
 
 
 def predict_frame(

@@ -1,8 +1,8 @@
 """Convolution layers with clamp padding, L1 loss, and a deterministic Adam.
 
 Feature maps are float64 arrays shaped (channels, height, width).  The conv
-is implemented as im2col + GEMM; forward can hand back a cache so backward
-does not redo the column extraction, which matters in the training loop.
+is implemented as im2col + GEMM; :func:`conv_backward` reads only the upstream
+gradient, the layer and the cache that :func:`conv_forward_cached` returned.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class ConvLayer:
 
 @dataclass
 class ConvCache:
-    """Forward intermediates: im2col columns and the pre-activation."""
+    """All that :func:`conv_backward` reads of its forward: columns and pre-activation."""
 
     cols: np.ndarray  # (in_ch * k * k, h * w)
     z: np.ndarray  # (out_ch, h, w)
@@ -105,24 +105,15 @@ def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
 
 
 def conv_backward(
-    layer: ConvLayer,
-    x: np.ndarray,
-    upstream: np.ndarray,
-    cache: ConvCache | None = None,
+    layer: ConvLayer, upstream: np.ndarray, cache: ConvCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_input, d_weights, d_bias) for a conv_forward call."""
-    x = _check_input(layer, x)
+    """Gradients (d_input, d_weights, d_bias) of the forward that returned ``cache``."""
     upstream = np.asarray(upstream, dtype=np.float64)
     k = layer.kernel_size
     pad = k // 2
-    out_ch = layer.weights.shape[0]
-    in_ch, h, w = x.shape
-    if cache is None:
-        cols = _im2col(_edge_pad(x, pad), k)
-        z = (layer.weights.reshape(out_ch, -1) @ cols).reshape(out_ch, h, w)
-        z += layer.bias[:, None, None]
-    else:
-        cols, z = cache.cols, cache.z
+    in_ch = layer.weights.shape[1]
+    cols, z = cache.cols, cache.z
+    out_ch, h, w = z.shape
     if upstream.shape != z.shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {z.shape}")
     if layer.activation == "relu":
@@ -145,7 +136,7 @@ def conv_backward(
     # fold the replicated border back onto the edge pixels
     iy = np.clip(np.arange(h + 2 * pad) - pad, 0, h - 1)
     ix = np.clip(np.arange(w + 2 * pad) - pad, 0, w - 1)
-    d_input = np.zeros_like(x)
+    d_input = np.zeros((in_ch, h, w))
     for c in range(in_ch):
         np.add.at(d_input[c], (iy[:, None], ix[None, :]), g_padded[c])
     return d_input, d_weights, d_bias

@@ -9,8 +9,9 @@ all-zero parameters it is exactly the identity on the decoded frame.
 All layers are plain numpy with hand-written gradients.  The model is a
 composition of the units the test suite checks against finite differences:
 the conv layers, the offset predictor, the deformable gather, the attention
-map and the fusion block.  Each unit's forward returns a cache that its
-backward consumes, so training runs exactly the checked code.
+map and the fusion block.  Each unit's backward reads only its upstream
+gradient, its parameters and the cache its forward returned, so training
+runs exactly the checked code.
 """
 
 from __future__ import annotations
@@ -91,21 +92,12 @@ class AuxPriorPlanes:
 
 def build_aux_planes(side: SideInfo) -> AuxPriorPlanes:
     """Rasterize a frame's side information into normalized planes."""
-    h = side.prediction.height
-    w = side.prediction.width
-    mv_mag = np.zeros((h, w), dtype=np.float64)
-    leaf_size = np.zeros((h, w), dtype=np.float64)
-    for leaf, vec in zip(side.partition.leaves, side.motion.vectors):
-        sl = (slice(leaf.y, leaf.y + leaf.size), slice(leaf.x, leaf.x + leaf.size))
-        if not vec.intra:
-            mv_mag[sl] = np.hypot(vec.dx, vec.dy) / MV_NORM
-        leaf_size[sl] = leaf.size / SIZE_NORM
     return AuxPriorPlanes(
-        mv_magnitude=mv_mag,
-        leaf_size=leaf_size,
+        mv_magnitude=np.hypot(*rasterize_motion(side.partition, side.motion)) / MV_NORM,
+        leaf_size=side.partition.sizes / SIZE_NORM,
         prediction=side.prediction.as_float() / PIXEL_NORM,
         residual=residual_plane(side) / PIXEL_NORM,
-        qp_plane=np.full((h, w), side.qp / QP_NORM),
+        qp_plane=np.full(side.partition.sizes.shape, side.qp / QP_NORM),
     )
 
 
@@ -115,19 +107,17 @@ def build_aux_planes(side: SideInfo) -> AuxPriorPlanes:
 
 def attention_map(
     fv: np.ndarray, faux: np.ndarray, layer: ConvLayer
-) -> tuple[np.ndarray, tuple[np.ndarray, ConvCache]]:
+) -> tuple[np.ndarray, ConvCache]:
     """Sigmoid-gated single-channel attention over concatenated features.
 
-    Returns ``(map, (x, conv cache))`` with ``x`` the concatenated input, so
-    :func:`conv_backward` on ``layer`` gives the gradient.
+    Returns ``(map, conv cache)``; :func:`conv_backward` on ``layer`` with
+    that cache gives the gradient for the concatenated ``(fv, faux)`` input.
     """
     if layer.activation != "sigmoid" or layer.weights.shape[0] != 1:
         raise ValueError("attention layer must be a 1-channel sigmoid conv")
     if fv.shape[1:] != faux.shape[1:]:
         raise ValueError("feature maps must share spatial dimensions")
-    x = np.concatenate([fv, faux], axis=0)
-    out, cc = conv_forward_cached(layer, x)
-    return out, (x, cc)
+    return conv_forward_cached(layer, np.concatenate([fv, faux], axis=0))
 
 
 def fuse(
@@ -140,17 +130,16 @@ def fuse(
 ) -> tuple[np.ndarray, tuple]:
     """Gate the two auxiliary feature groups and aggregate with the video path.
 
-    Returns ``(fused, cache)``; the cache holds the inputs and each
-    aggregation layer's ``(x, conv cache)`` for :func:`fuse_backward`.
+    Returns ``(fused, cache)``; the cache holds the gated inputs and each
+    aggregation layer's conv cache for :func:`fuse_backward`.
     """
     if ma.shape != (1,) + fa.shape[1:] or ml.shape != (1,) + fl.shape[1:]:
         raise ValueError("attention maps must be (1, h, w) matching the features")
     x = np.concatenate([fv, fa * ma, fl * ml], axis=0)
     layer_caches = []
     for layer in agg_layers:
-        y, cc = conv_forward_cached(layer, x)
-        layer_caches.append((x, cc))
-        x = y
+        x, cc = conv_forward_cached(layer, x)
+        layer_caches.append(cc)
     return x, (fv, fa, fl, ma, ml, layer_caches)
 
 
@@ -164,8 +153,7 @@ def fuse_backward(upstream: np.ndarray, agg_layers: list[ConvLayer], cache: tupl
     layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(agg_layers)
     d = upstream
     for i in range(len(agg_layers) - 1, -1, -1):
-        x, cc = layer_caches[i]
-        d, dw, db = conv_backward(agg_layers[i], x, d, cache=cc)
+        d, dw, db = conv_backward(agg_layers[i], d, layer_caches[i])
         layer_grads[i] = (dw, db)
     cv, ca = fv.shape[0], fa.shape[0]
     d_fv = d[:cv]
@@ -294,26 +282,27 @@ def restorer_forward_cached(
 ) -> tuple[np.ndarray, dict]:
     """Forward pass returning the raw real-valued frame and the cache.
 
-    The cache keeps every unit's own cache (conv inputs, im2col columns and
-    pre-activations included), so :func:`restorer_backward` never recomputes
-    forward work.  ``cache["convs"]`` maps a key to
-    ``(param name, ConvLayer, x, ConvCache)`` for every conv outside the
-    offset predictor and the fusion block.
+    The cache keeps every unit's own cache and nothing of the units' inputs,
+    so :func:`restorer_backward` feeds each backward its upstream gradient,
+    its parameters and its forward's cache.  ``cache["convs"]`` maps a key to
+    ``(param name, ConvLayer, ConvCache)`` for every conv outside the offset
+    predictor and the fusion block; ``cache["neighbors"]`` holds one
+    ``(j, offset cache, gather cache)`` per neighbour frame.
     """
     _check_window(window, side, model)
     n = model.half_window
-    convs: dict[str, tuple[str, ConvLayer, np.ndarray, ConvCache]] = {}
+    convs: dict[str, tuple[str, ConvLayer, ConvCache]] = {}
 
     def conv(name: str, activation: str, x: np.ndarray, key: str | None = None) -> np.ndarray:
         layer = model.layer(name, activation)
         y, cc = conv_forward_cached(layer, x)
-        convs[key or name] = (name, layer, x, cc)
+        convs[key or name] = (name, layer, cc)
         return y
 
     def attend(name: str, fv: np.ndarray, faux: np.ndarray) -> np.ndarray:
         layer = model.layer(name, "sigmoid")
-        m, (x, cc) = attention_map(fv, faux, layer)
-        convs[name] = (name, layer, x, cc)
+        m, cc = attention_map(fv, faux, layer)
+        convs[name] = (name, layer, cc)
         return m
 
     feats = [
@@ -333,7 +322,7 @@ def restorer_forward_cached(
         slots[j], gather_cache = deformable_gather_cached(
             warped, model.kernel_size, offsets, gather_w
         )
-        neighbors.append((j, warped, offsets, offset_cache, gather_cache))
+        neighbors.append((j, offset_cache, gather_cache))
 
     fv = conv("vres", "relu", conv("vmix", "relu", np.concatenate(slots, axis=0)))
     fa = conv("auxa2", "relu", conv("auxa1", "relu", aux.codec_planes()))
@@ -376,8 +365,8 @@ def restorer_backward(
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
 
     def conv_back(key: str, up: np.ndarray) -> np.ndarray:
-        name, layer, x, cc = cache["convs"][key]
-        dx, dw, db = conv_backward(layer, x, up, cache=cc)
+        name, layer, cc = cache["convs"][key]
+        dx, dw, db = conv_backward(layer, up, cc)
         grads[f"{name}.w"] += dw
         grads[f"{name}.b"] += db
         return dx
@@ -402,14 +391,9 @@ def restorer_backward(
     gather_w = model.params["gather.w"]
     d_feats = [np.zeros_like(f) for f in cache["feats"]]
     d_feats[n] += d_stacked[n * c : (n + 1) * c]
-    for j, warped, offsets, offset_cache, gather_cache in cache["neighbors"]:
+    for j, offset_cache, gather_cache in cache["neighbors"]:
         d_warped, d_offsets, dw_gather = deformable_gather_backward(
-            d_stacked[j * c : (j + 1) * c],
-            warped,
-            model.kernel_size,
-            offsets,
-            gather_w,
-            cache=gather_cache,
+            d_stacked[j * c : (j + 1) * c], gather_w, gather_cache
         )
         grads["gather.w"] += dw_gather
         (d_center, d_warped_p, _), offset_grads = predict_offsets_backward(

@@ -253,18 +253,13 @@ def predictor_case(rng):
 
 def predictor_case_clear(case):
     from mvcodec.alignment import _tap_coords, predict_offsets
-    from mvcodec.nn import _edge_pad, _im2col
 
     feat_t, feat_prev, motion, predictor, gather_w, _ = case
-    x = np.concatenate([feat_t, feat_prev, motion], axis=0)
-    cols = _im2col(_edge_pad(x, 1), 3)
-    z = predictor.hidden.weights.reshape(predictor.hidden.weights.shape[0], -1) @ cols
-    z = z + predictor.hidden.bias[:, None]
-    if np.abs(z).min() < 1e-3:
+    offsets, (hidden_cache, _, _) = predict_offsets(feat_t, feat_prev, motion, predictor)
+    if np.abs(hidden_cache.z).min() < 1e-3:
         return False
     # parameter perturbations of size h move the coordinates by O(h * |x|),
     # far less than the 0.05 kink margin coords_clear demands
-    offsets = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
     px, py = _tap_coords(3, offsets, feat_t.shape[1], feat_t.shape[2])
     return coords_clear(px, feat_t.shape[2]) and coords_clear(py, feat_t.shape[1])
 

@@ -26,7 +26,13 @@ from helpers import (
     rel_error,
 )
 from mvcodec import fixtures
-from mvcodec.alignment import deformable_gather, deformable_gather_backward, predict_offsets, predict_offsets_backward
+from mvcodec.alignment import (
+    deformable_gather,
+    deformable_gather_backward,
+    deformable_gather_cached,
+    predict_offsets,
+    predict_offsets_backward,
+)
 from mvcodec.backproject import back_project, candidate_residual_coeffs, clamp_to_bounds, frame_bounds
 from mvcodec.bitio import BitReader, BitWriter
 from mvcodec.cli import main
@@ -38,7 +44,7 @@ from mvcodec.codec import (
     reconstruct_from_side_info,
 )
 from mvcodec.frames import load_sequence, psnr
-from mvcodec.nn import ConvLayer, conv_backward, conv_forward, l1_loss, l1_loss_grad
+from mvcodec.nn import ConvLayer, conv_backward, conv_forward, conv_forward_cached, l1_loss, l1_loss_grad
 from mvcodec.restorer import (
     attention_map,
     build_aux_planes,
@@ -131,7 +137,7 @@ def test_criterion_4_gradient_correctness():
     for activation in ("none", "relu", "sigmoid"):
         for seed in seeds:
             layer, x, up = draw_until(seed, conv_case(activation), conv_case_clear)
-            dx, dw, db = conv_backward(layer, x, up)
+            dx, dw, db = conv_backward(layer, up, conv_forward_cached(layer, x)[1])
             obj = lambda: float((conv_forward(layer, x) * up).sum())
             assert rel_error(dx, finite_diff(obj, x)) < GRAD_TOL
             assert rel_error(dw, finite_diff(obj, layer.weights)) < GRAD_TOL
@@ -144,7 +150,7 @@ def test_criterion_4_gradient_correctness():
         fa = rng.normal(size=(2, 8, 8))
         up = rng.normal(size=(1, 8, 8))
         x = np.concatenate([fv, fa], axis=0)
-        dx, dw, db = conv_backward(layer, x, up)
+        dx, dw, db = conv_backward(layer, up, attention_map(x[:2], x[2:], layer)[1])
         # attention_map concatenates internally; perturb the concat buffer
         obj = lambda: float((attention_map(x[:2], x[2:], layer)[0] * up).sum())
         assert rel_error(dx, finite_diff(obj, x)) < GRAD_TOL
@@ -169,7 +175,8 @@ def test_criterion_4_gradient_correctness():
 
     for seed in seeds:  # bilinear / deformable gather
         fmap, offsets, weights, up = draw_until(5000 + seed, gather_case, gather_case_clear)
-        d_map, d_off, d_w = deformable_gather_backward(up, fmap, 3, offsets, weights)
+        _, gather_cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        d_map, d_off, d_w = deformable_gather_backward(up, weights, gather_cache)
         obj = lambda: float((deformable_gather(fmap, 3, offsets, weights) * up).sum())
         assert rel_error(d_map, finite_diff(obj, fmap)) < GRAD_TOL
         assert rel_error(d_off, finite_diff(obj, offsets)) < GRAD_TOL
@@ -185,7 +192,8 @@ def test_criterion_4_gradient_correctness():
             return float((deformable_gather(feat_prev, 3, offs, gather_w) * up).sum())
 
         offs, offs_cache = predict_offsets(feat_t, feat_prev, motion, predictor)
-        d_prev_g, d_off, d_gw = deformable_gather_backward(up, feat_prev, 3, offs, gather_w)
+        _, gather_cache = deformable_gather_cached(feat_prev, 3, offs, gather_w)
+        d_prev_g, d_off, d_gw = deformable_gather_backward(up, gather_w, gather_cache)
         (d_ft, d_prev_p, _), (dw_h, db_h, dw_o, db_o) = predict_offsets_backward(
             d_off, predictor, offs_cache
         )

@@ -18,6 +18,7 @@ from mvcodec.alignment import (
     bilinear_sample,
     deformable_gather,
     deformable_gather_backward,
+    deformable_gather_cached,
     kernel_grid,
     predict_offsets,
     predict_offsets_backward,
@@ -167,7 +168,8 @@ class TestDeformableGatherGradients:
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_all_three(self, seed):
         fmap, offsets, weights, upstream = draw_until(seed, gather_case, gather_case_clear)
-        d_map, d_off, d_w = deformable_gather_backward(upstream, fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        d_map, d_off, d_w = deformable_gather_backward(upstream, weights, cache)
 
         def objective():
             return float((deformable_gather(fmap, 3, offsets, weights) * upstream).sum())
@@ -179,9 +181,8 @@ class TestDeformableGatherGradients:
     def test_zero_upstream_zeroes_everything(self):
         rng = np.random.default_rng(33)
         fmap, offsets, weights, _ = gather_case(rng)
-        d_map, d_off, d_w = deformable_gather_backward(
-            np.zeros((2, 5, 6)), fmap, 3, offsets, weights
-        )
+        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        d_map, d_off, d_w = deformable_gather_backward(np.zeros((2, 5, 6)), weights, cache)
         assert not d_map.any() and not d_off.any() and not d_w.any()
 
     def test_lattice_tap_concentrates_input_gradient(self):
@@ -192,7 +193,8 @@ class TestDeformableGatherGradients:
         offsets = _zero_offsets(3, 5, 5)
         upstream = np.zeros((1, 5, 5))
         upstream[0, 2, 2] = 1.0  # output position (2,2); tap lands on (1,1)
-        d_map, _, _ = deformable_gather_backward(upstream, fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        d_map, _, _ = deformable_gather_backward(upstream, weights, cache)
         expected = np.zeros((1, 5, 5))
         expected[0, 1, 1] = 1.0
         assert np.array_equal(d_map, expected)
@@ -204,8 +206,17 @@ class TestDeformableGatherGradients:
         offsets = _zero_offsets(3, 5, 5)
         offsets[0::2] = -20.0  # push every tap far off the left edge
         upstream = rng.normal(size=(1, 5, 5))
-        _, d_off, _ = deformable_gather_backward(upstream, fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, d_off, _ = deformable_gather_backward(upstream, weights, cache)
         assert not d_off[0::2].any()
+
+    def test_upstream_must_match_cached_output(self):
+        rng = np.random.default_rng(33)
+        fmap, offsets, weights, upstream = gather_case(rng)
+        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        for bad in (upstream[:, :-1], upstream[:1], upstream[None]):
+            with pytest.raises(ValueError, match="upstream must be"):
+                deformable_gather_backward(bad, weights, cache)
 
 
 
@@ -241,9 +252,8 @@ class TestPredictOffsets:
             return float((out * upstream).sum())
 
         offsets, offset_cache = predict_offsets(feat_t, feat_prev, motion, predictor)
-        d_prev_g, d_off, d_gw = deformable_gather_backward(
-            upstream, feat_prev, 3, offsets, gather_w
-        )
+        _, gather_cache = deformable_gather_cached(feat_prev, 3, offsets, gather_w)
+        d_prev_g, d_off, d_gw = deformable_gather_backward(upstream, gather_w, gather_cache)
         (d_ft, d_prev_p, _), (dw_h, db_h, dw_o, db_o) = predict_offsets_backward(
             d_off, predictor, offset_cache
         )

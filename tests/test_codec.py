@@ -11,7 +11,6 @@ from mvcodec.codec import (
     MotionField,
     PartitionMap,
     SideInfo,
-    choose_partition,
     decode_sequence,
     encode_sequence,
     extract_side_info,
@@ -52,33 +51,6 @@ class TestMotionSearch:
         f = Frame(px)
         # all rows distinct, columns identical: best dy is 0; dx all tie -> 0
         assert motion_search(f, f, Leaf(16, 16, 16), radius=3) == (0, 0)
-
-
-class TestChoosePartition:
-    def test_zero_residual_keeps_macroblocks(self, texture_frames):
-        f = texture_frames[0]
-        part = choose_partition(f, f, 6.0)
-        assert all(leaf.size == 16 for leaf in part.leaves)
-        assert len(part.leaves) == (64 // 16) ** 2
-
-    def test_saturated_residual_splits_fully(self):
-        part = choose_partition(_const(255), _const(0), 6.0)
-        assert all(leaf.size == 4 for leaf in part.leaves)
-        assert len(part.leaves) == (64 // 4) ** 2
-
-    def test_hot_quadrant_splits_only_its_macroblock(self):
-        cur = np.zeros((64, 64), dtype=np.uint8)
-        cur[16:24, 16:24] = 30  # one 8x8 quadrant of macroblock (1,1)
-        part = choose_partition(Frame(cur), _const(0), 6.0)
-        # direct rule evaluation: MB mean = 30*64/256 = 7.5 > 6 -> split;
-        # the hot 8x8 (mean 30) splits to 4x4, its three siblings stay 8x8
-        by_size = {}
-        for leaf in part.leaves:
-            by_size.setdefault(leaf.size, []).append(leaf)
-        assert len(by_size[16]) == 15
-        assert sorted((l.x, l.y) for l in by_size[8]) == [(16, 24), (24, 16), (24, 24)]
-        assert sorted((l.x, l.y) for l in by_size[4]) == [
-            (16, 16), (16, 20), (20, 16), (20, 20)]
 
 
 class TestPartitionMapInvariants:
@@ -165,6 +137,18 @@ class TestTransformFrame:
         assert np.array_equal(view[1, 2], plane[8:16, 16:24])
         view[0, 1] = -1
         assert (plane[0:8, 8:16] == -1).all()
+
+    def test_sizes_plane_is_painted_leaf_sizes(self, mixed_side):
+        part = mixed_side.partition
+        expected = np.zeros((part.height, part.width), np.uint8)
+        for leaf in part.leaves:
+            expected[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = leaf.size
+        assert set(np.unique(expected)) == {4, 8, 16}
+        assert part.sizes.dtype == np.uint8
+        assert np.array_equal(part.sizes, expected)
+        assert not part.sizes.flags.writeable
+        with pytest.raises(ValueError):
+            part.sizes[0, 0] = 4
 
     def test_side_info_rejects_levels_plane_of_wrong_shape(self, mixed_side):
         side = mixed_side

@@ -57,7 +57,7 @@ class TestConvGradients:
     @pytest.mark.parametrize("seed", range(4))
     def test_finite_differences(self, activation, seed):
         layer, x, upstream = draw_until(seed, conv_case(activation), conv_case_clear)
-        dx, dw, db = conv_backward(layer, x, upstream)
+        dx, dw, db = conv_backward(layer, upstream, conv_forward_cached(layer, x)[1])
 
         def objective():
             return float((conv_forward(layer, x) * upstream).sum())
@@ -66,14 +66,13 @@ class TestConvGradients:
         assert rel_error(dw, finite_diff(objective, layer.weights)) < GRAD_TOL
         assert rel_error(db, finite_diff(objective, layer.bias)) < GRAD_TOL
 
-    def test_cached_backward_matches_recompute(self):
+    def test_upstream_must_match_cached_output(self):
         rng = np.random.default_rng(77)
         layer, x, upstream = conv_case("relu")(rng)
         _, cache = conv_forward_cached(layer, x)
-        plain = conv_backward(layer, x, upstream)
-        cached = conv_backward(layer, x, upstream, cache=cache)
-        for a, b in zip(plain, cached):
-            assert np.array_equal(a, b)
+        for bad in (upstream[:, :-1], upstream[:1], upstream[None]):
+            with pytest.raises(ValueError, match="upstream shape"):
+                conv_backward(layer, bad, cache)
 
 
 class TestSigmoid:

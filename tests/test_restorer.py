@@ -209,13 +209,14 @@ class TestRestorerGradients:
         # every relu pre-activation: the registered convs, each neighbour's
         # offset-predictor hidden layer and both fusion layers
         relu_z = [
-            cc.z for _, layer, _, cc in cache["convs"].values() if layer.activation == "relu"
+            cc.z for _, layer, cc in cache["convs"].values() if layer.activation == "relu"
         ]
-        relu_z += [offset_cache[1].z for _, _, _, offset_cache, _ in cache["neighbors"]]
-        relu_z += [cc.z for _, cc in cache["fuse"][-1]]
+        relu_z += [offset_cache[0].z for _, offset_cache, _ in cache["neighbors"]]
+        relu_z += [cc.z for cc in cache["fuse"][-1]]
         assert len(relu_z) == 14  # 3 feat, 2 off_hidden, 9 single layers
         min_z = min(float(np.abs(z).min()) for z in relu_z)
-        offs = np.concatenate([offsets.ravel() for _, _, offsets, _, _ in cache["neighbors"]])
+        # the offset layer is linear, so its pre-activation is the offset field
+        offs = np.concatenate([oc[1].z.ravel() for _, oc, _ in cache["neighbors"]])
         frac = np.abs(offs - np.round(offs))
         assert min_z > 0.05, "pre-activations not clear of relu corners"
         assert frac.min() > 0.1 and np.abs(offs).max() < 0.9, "offsets not mid-cell"
