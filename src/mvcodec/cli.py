@@ -27,6 +27,7 @@ from .frames import (
     load_sequence,
     psnr,
     ssim,
+    write_atomic,
     write_pgm,
     write_sequence,
 )
@@ -73,7 +74,7 @@ def cmd_encode(args) -> int:
         raise ValueError(f"manifest {args.manifest} lists no frames")
     config = CodecConfig(qp=args.qp, search_radius=args.radius, split_threshold=args.tau)
     data = encode_sequence(frames, config)
-    Path(args.output).write_bytes(data)
+    write_atomic(args.output, data)
     bpp = _bits_per_pixel(data, frames[0].width, frames[0].height, len(frames))
     print(f"bits={8 * len(data)} bpp={bpp:.6f}")
     return 0
@@ -181,10 +182,8 @@ def cmd_train(args) -> int:
     model, losses = train_restorer(samples, train_config)
     save_model(model, args.output)
     loss_csv = Path(str(args.output) + ".loss.csv")
-    loss_csv.write_text(
-        "iteration,loss\n"
-        + "".join(f"{i},{loss:.8f}\n" for i, loss in enumerate(losses))
-    )
+    rows = "".join(f"{i},{loss:.8f}\n" for i, loss in enumerate(losses))
+    write_atomic(loss_csv, ("iteration,loss\n" + rows).encode("ascii"))
     last = losses[-1] if losses else float("nan")
     print(f"trained on {len(samples)} samples; final loss {last:.6f}")
     print(f"model -> {args.output}; loss trace -> {loss_csv}")

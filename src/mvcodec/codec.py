@@ -5,10 +5,10 @@ decoder will reconstruct identically, so encoder state and decoder output
 match bit for bit.  Each frame is coded as a raster scan of 16x16
 macroblocks, recursively quadtree-split down to 4x4 while the mean absolute
 prediction residual of a block exceeds the split threshold.  Inter leaves
-carry one integer motion vector found by exhaustive SAD search; intra leaves
-use DC prediction from already-decoded neighbors.  Residuals go through the
-block DCT and flat quantizer of :mod:`mvcodec.transform` and an exp-Golomb
-bitstream.
+carry one integer motion vector from an exhaustive SAD search run once per
+macroblock row; intra leaves use DC prediction from decoded neighbors.
+Residuals go through the block DCT and flat quantizer of
+:mod:`mvcodec.transform` and an exp-Golomb bitstream.
 
 Motion convention: a vector (dx, dy) means the block content moved right by
 dx and down by dy since the reference, so prediction samples the reference
@@ -212,12 +212,13 @@ def transform_frame(plane: np.ndarray, partition: PartitionMap, fn) -> np.ndarra
 # Prediction primitives
 # ---------------------------------------------------------------------------
 
-def _mc_block(ref: np.ndarray, x: int, y: int, size: int, dx: int, dy: int) -> np.ndarray:
-    """Motion-compensated block copy with clamp-to-edge."""
-    h, w = ref.shape
-    ys = np.clip(np.arange(y - dy, y - dy + size), 0, h - 1)
-    xs = np.clip(np.arange(x - dx, x - dx + size), 0, w - 1)
-    return ref[np.ix_(ys, xs)]
+def _mc_block(
+    padded: np.ndarray, pad: int, x: int, y: int, size: int, dx: int, dy: int
+) -> np.ndarray:
+    """Motion-compensated block with clamp-to-edge, sliced from a reference
+    that ``np.pad(ref, pad, mode="edge")`` padded, where |dx|, |dy| <= pad."""
+    top, left = y - dy + pad, x - dx + pad
+    return padded[top : top + size, left : left + size]
 
 
 def _dc_predict(recon: np.ndarray, x: int, y: int, size: int) -> int:
@@ -240,63 +241,46 @@ def _dc_predict(recon: np.ndarray, x: int, y: int, size: int) -> int:
 def motion_search(
     current: Frame | np.ndarray,
     reference: Frame | np.ndarray,
-    leaf: Leaf,
+    row: int,
     radius: int,
-) -> tuple[int, int]:
-    """Exhaustive integer-pel SAD search over [-radius, radius]^2.
+) -> dict[int, list[list[list[int]]]]:
+    """Exhaustive integer-pel SAD search over [-radius, radius]^2 of every
+    16/8/4 block of macroblock row ``row``: ``result[size][i][j]`` is the
+    ``[dx, dy]`` of the block at ``(j * size, 16 * row + i * size)``.
 
     Ties resolve to the smallest |dx|+|dy|, then smaller dy, then smaller dx.
-    """
+    One pass over the displacements computes the row's 4x4 SADs; the 8x8
+    and 16x16 SADs are their exact 2x2 sums."""
     cur = current.pixels if isinstance(current, Frame) else current
     ref = reference.pixels if isinstance(reference, Frame) else reference
     h, w = ref.shape
-    block = cur[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size].astype(np.int32)
-    ys = np.clip(np.arange(leaf.y - radius, leaf.y + leaf.size + radius), 0, h - 1)
-    xs = np.clip(np.arange(leaf.x - radius, leaf.x + leaf.size + radius), 0, w - 1)
-    window = ref[np.ix_(ys, xs)].astype(np.int32)
-    candidates = sliding_window_view(window, (leaf.size, leaf.size))
-    sad = np.abs(candidates - block).sum(axis=(2, 3))
-    # candidate at window offset (i, j) corresponds to (dy, dx) = (r - i, r - j)
-    disp = radius - np.arange(2 * radius + 1)
-    dys = np.broadcast_to(disp[:, None], sad.shape)
-    dxs = np.broadcast_to(disp[None, :], sad.shape)
-    order = np.lexsort(
-        (dxs.ravel(), dys.ravel(), (np.abs(dxs) + np.abs(dys)).ravel(), sad.ravel())
-    )
-    best = order[0]
-    return int(dxs.ravel()[best]), int(dys.ravel()[best])
-
-
-def predict_frame(
-    intra_frame: bool,
-    reference: Frame | None,
-    motion: MotionField,
-    partition: PartitionMap,
-    decoded: Frame,
-) -> Frame:
-    """Assemble the prediction frame for a coded frame, leaf by leaf.
-
-    ``decoded`` supplies the neighbor samples for DC intra leaves; since
-    leaves never change once reconstructed, the finished decoded frame gives
-    the same neighbor values the in-progress decoder state did.
-    """
-    if intra_frame and not all(v.intra for v in motion.vectors):
-        raise ValueError("intra frames must have every leaf flagged intra")
-    ref = reference.pixels.astype(np.int32) if reference is not None else None
-    dec = decoded.pixels.astype(np.int32)
-    pred = np.zeros_like(dec)
-    for leaf, vec in zip(partition.leaves, motion.vectors):
-        if vec.intra:
-            pred[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = _dc_predict(
-                dec, leaf.x, leaf.y, leaf.size
-            )
-        else:
-            if ref is None:
-                raise ValueError("inter leaf needs a reference frame")
-            pred[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = _mc_block(
-                ref, leaf.x, leaf.y, leaf.size, vec.dx, vec.dy
-            )
-    return Frame(pred.astype(np.uint8))
+    n = 2 * radius + 1
+    block = cur[row * MACROBLOCK : (row + 1) * MACROBLOCK].astype(np.int16)
+    ys = np.clip(np.arange(row * MACROBLOCK - radius, (row + 1) * MACROBLOCK + radius), 0, h - 1)
+    window = np.pad(ref[ys].astype(np.int16), ((0, 0), (radius, radius)), mode="edge")
+    # shifted[i, dx + radius] is window row i read at columns x - dx + radius
+    shifted = sliding_window_view(window, w, axis=1)[:, ::-1]
+    diff = np.empty((MACROBLOCK, n, w), dtype=np.int16)
+    # 4x4 SADs per (dy, dx, block row, block column); at most 4080
+    sad4 = np.empty((n, n, MACROBLOCK // 4, w // 4), dtype=np.int16)
+    for k in range(n):  # dy = k - radius reads window rows radius - dy onward
+        np.subtract(shifted[2 * radius - k :][:MACROBLOCK], block[:, None], out=diff)
+        np.abs(diff, out=diff)
+        bands = np.add.reduce(diff.reshape(-1, 4, n, w), axis=1, dtype=np.int16)
+        sad = bands[..., 0::4] + bands[..., 1::4] + bands[..., 2::4] + bands[..., 3::4]
+        sad4[k] = sad.transpose(1, 0, 2)
+    # the (dy, dx) grid in tie-break order, so the first minimum wins
+    dys, dxs = np.indices((n, n)).reshape(2, -1) - radius
+    order = np.lexsort((dxs, dys, np.abs(dxs) + np.abs(dys)))
+    sad = sad4.reshape(n * n, MACROBLOCK // 4, w // 4)[order]
+    result = {}
+    for size in (4, 8, 16):
+        if size > 4:
+            sad = np.add(sad[:, :, 0::2], sad[:, :, 1::2], dtype=np.int32)
+            sad = sad[:, 0::2] + sad[:, 1::2]
+        best = order[sad.argmin(axis=0)]
+        result[size] = np.stack([dxs[best], dys[best]], axis=-1).tolist()
+    return result
 
 
 def _reconstruct_block(pred: np.ndarray, levels: np.ndarray, qt: QuantTable) -> np.ndarray:
@@ -403,6 +387,7 @@ def encode_with_reconstruction(
         if f.width != width or f.height != height:
             raise ValueError("all frames must share dimensions")
     qt = QuantTable(config.qp)
+    radius = config.search_radius
     writer = BitWriter()
     recons: list[Frame] = []
 
@@ -410,15 +395,16 @@ def encode_with_reconstruction(
         intra = t == 0 or (config.intra_period > 0 and t % config.intra_period == 0)
         writer.write_bit(1 if intra else 0)
         cur = frame.pixels.astype(np.int32)
-        ref = None if intra else recons[-1].pixels.astype(np.int32)
+        ref = None if intra else recons[-1]
+        padded = None if intra else np.pad(ref.pixels.astype(np.int32), radius, mode="edge")
         recon = np.zeros((height, width), dtype=np.int32)
 
         def code_block(x: int, y: int, size: int) -> None:
             if intra:
                 pred = np.full((size, size), _dc_predict(recon, x, y, size), dtype=np.int32)
             else:
-                dx, dy = motion_search(cur, ref, Leaf(x, y, size), config.search_radius)
-                pred = _mc_block(ref, x, y, size, dx, dy)
+                dx, dy = vectors[size][y % MACROBLOCK // size][x // size]
+                pred = _mc_block(padded, radius, x, y, size, dx, dy)
             resid = cur[y : y + size, x : x + size] - pred
             if size > 4:
                 do_split = float(np.abs(resid).mean()) > config.split_threshold
@@ -442,6 +428,10 @@ def encode_with_reconstruction(
             recon[y : y + size, x : x + size] = _reconstruct_block(pred, levels, qt)
 
         for my in range(0, height, MACROBLOCK):
+            if not intra:
+                # a block's best vector depends only on cur, ref and the block,
+                # so one search per row serves every split decision in it
+                vectors = motion_search(cur, ref, my // MACROBLOCK, radius)
             for mx in range(0, width, MACROBLOCK):
                 code_block(mx, my, MACROBLOCK)
         recons.append(Frame(recon.astype(np.uint8)))
@@ -471,9 +461,9 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
 
     for t in range(header.frame_count):
         intra_frame = reader.read_bit() == 1
-        ref = None if intra_frame else prev
-        if ref is None and not intra_frame:
+        if prev is None and not intra_frame:
             raise BitstreamError(f"frame {t} is inter but has no reference")
+        padded = None if intra_frame else np.pad(prev, header.search_radius, mode="edge")
         recon = np.zeros((height, width), dtype=np.int32)
         pred_frame = np.zeros((height, width), dtype=np.int32)
         levels = np.zeros((height, width), dtype=np.int32)
@@ -493,7 +483,7 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
                 vec = LeafMotion(intra=True)
                 pred = np.full((size, size), _dc_predict(recon, x, y, size), dtype=np.int32)
             else:
-                if ref is None:
+                if padded is None:
                     raise BitstreamError("inter leaf in an intra frame")
                 dx = reader.read_se()
                 dy = reader.read_se()
@@ -502,7 +492,7 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
                         f"motion vector ({dx},{dy}) exceeds search radius"
                     )
                 vec = LeafMotion(intra=False, dx=dx, dy=dy)
-                pred = _mc_block(ref, x, y, size, dx, dy)
+                pred = _mc_block(padded, header.search_radius, x, y, size, dx, dy)
             block = levels[y : y + size, x : x + size]
             for row in _leaf_tiles(block):
                 for tile in row:

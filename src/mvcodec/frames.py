@@ -9,6 +9,7 @@ pointing at binary PGM (P5, maxval 255) files.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,6 +128,17 @@ def read_pgm(path: Path | str) -> Frame:
         return Frame(px)
     except ValueError as exc:
         raise SequenceError(f"{path}: {exc}") from exc
+
+
+def write_atomic(path: Path | str, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path`` and ``os.replace`` it
+    there, so ``path`` never holds a partial write."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_pgm(path: Path | str, frame: Frame) -> None:

@@ -133,12 +133,12 @@ def conv_backward(
     cols_up = _im2col(dz_full, k)
     w_flip = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_ch, -1)
     g_padded = (w_flip @ cols_up).reshape(in_ch, h + 2 * pad, w + 2 * pad)
-    # fold the replicated border back onto the edge pixels
+    # fold the replicated border back onto the edge pixels: one bincount over
+    # every channel's clamped flat index
     iy = np.clip(np.arange(h + 2 * pad) - pad, 0, h - 1)
     ix = np.clip(np.arange(w + 2 * pad) - pad, 0, w - 1)
-    d_input = np.zeros((in_ch, h, w))
-    for c in range(in_ch):
-        np.add.at(d_input[c], (iy[:, None], ix[None, :]), g_padded[c])
+    index = (iy[:, None] * w + ix).ravel() + h * w * np.arange(in_ch)[:, None]
+    d_input = np.bincount(index.ravel(), g_padded.ravel(), in_ch * h * w).reshape(in_ch, h, w)
     return d_input, d_weights, d_bias
 
 

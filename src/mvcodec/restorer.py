@@ -34,7 +34,7 @@ from .alignment import (
     warp_mv_backward,
 )
 from .codec import Leaf, MotionField, PartitionMap, SideInfo, residual_plane
-from .frames import Frame
+from .frames import Frame, write_atomic
 from .nn import (
     ConvCache,
     ConvLayer,
@@ -578,15 +578,13 @@ def save_model(model: RestorerModel, path) -> None:
     sched = model_schedule(**arch)
     header = dict(arch, schedule=[[name, list(shape)] for name, shape in sched])
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<HI", MODEL_VERSION, len(blob)))
-        fh.write(blob)
-        for name, shape in sched:
-            arr = model.params[name]
-            if tuple(arr.shape) != tuple(shape):
-                raise ValueError(f"parameter {name!r} has drifted from its schedule")
-            fh.write(arr.astype("<f8").tobytes())
+    parts = [MODEL_MAGIC, struct.pack("<HI", MODEL_VERSION, len(blob)), blob]
+    for name, shape in sched:
+        arr = model.params[name]
+        if tuple(arr.shape) != tuple(shape):
+            raise ValueError(f"parameter {name!r} has drifted from its schedule")
+        parts.append(arr.astype("<f8").tobytes())
+    write_atomic(path, b"".join(parts))
 
 
 def load_model(path) -> RestorerModel:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from mvcodec.alignment import bilinear_sample, kernel_grid
 from mvcodec.bitio import BitstreamError, signed_to_unsigned, unsigned_to_signed
-from mvcodec.transform import QuantTable, dequantize, idct2d
+from mvcodec.frames import Frame
+from mvcodec.transform import QuantTable, dequantize, idct2d, round_half_away
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
@@ -98,6 +100,69 @@ def se_golomb(value: int) -> str:
 def se_golomb_decode(bits: str, pos: int = 0) -> tuple[int, int]:
     code, pos = ue_golomb_decode(bits, pos)
     return unsigned_to_signed(code), pos
+
+
+def motion_search_direct(current, reference, leaf, radius: int) -> tuple[int, int]:
+    """Exhaustive integer-pel SAD search of one leaf over [-radius, radius]^2.
+
+    Every candidate window of the clamp-to-edge reference is scored on its
+    own, and one lexsort ranks them by SAD, then |dx|+|dy|, then dy, then dx.
+    """
+    cur = current.pixels if isinstance(current, Frame) else current
+    ref = reference.pixels if isinstance(reference, Frame) else reference
+    h, w = ref.shape
+    block = cur[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size].astype(np.int32)
+    ys = np.clip(np.arange(leaf.y - radius, leaf.y + leaf.size + radius), 0, h - 1)
+    xs = np.clip(np.arange(leaf.x - radius, leaf.x + leaf.size + radius), 0, w - 1)
+    window = ref[np.ix_(ys, xs)].astype(np.int32)
+    candidates = sliding_window_view(window, (leaf.size, leaf.size))
+    sad = np.abs(candidates - block).sum(axis=(2, 3))
+    # candidate at window offset (i, j) corresponds to (dy, dx) = (r - i, r - j)
+    disp = radius - np.arange(2 * radius + 1)
+    dys = np.broadcast_to(disp[:, None], sad.shape)
+    dxs = np.broadcast_to(disp[None, :], sad.shape)
+    order = np.lexsort(
+        (dxs.ravel(), dys.ravel(), (np.abs(dxs) + np.abs(dys)).ravel(), sad.ravel())
+    )
+    best = order[0]
+    return int(dxs.ravel()[best]), int(dys.ravel()[best])
+
+
+def predict_frame(intra_frame: bool, reference, motion, partition, decoded) -> Frame:
+    """Assemble the prediction frame of a coded frame, leaf by leaf.
+
+    Inter leaves copy the reference at (x - dx, y - dy) through clipped
+    index vectors; intra leaves take the rounded mean of the decoded
+    left-column and top-row neighbors, or 128 without any.  Leaves never
+    change once reconstructed, so the finished ``decoded`` frame gives the
+    same neighbor values the in-progress decoder state did.
+    """
+    if intra_frame and not all(v.intra for v in motion.vectors):
+        raise ValueError("intra frames must have every leaf flagged intra")
+    dec = decoded.pixels.astype(np.int32)
+    pred = np.zeros_like(dec)
+    h, w = dec.shape
+    for leaf, vec in zip(partition.leaves, motion.vectors):
+        x, y, size = leaf.x, leaf.y, leaf.size
+        if vec.intra:
+            neighbors = []
+            if x > 0:
+                neighbors.append(dec[y : y + size, x - 1])
+            if y > 0:
+                neighbors.append(dec[y - 1, x : x + size])
+            if neighbors:
+                mean = np.concatenate(neighbors).sum() / (size * len(neighbors))
+                value = int(round_half_away(mean))
+            else:
+                value = 128
+        else:
+            if reference is None:
+                raise ValueError("inter leaf needs a reference frame")
+            ys = np.clip(np.arange(y - vec.dy, y - vec.dy + size), 0, h - 1)
+            xs = np.clip(np.arange(x - vec.dx, x - vec.dx + size), 0, w - 1)
+            value = reference.pixels[np.ix_(ys, xs)]
+        pred[y : y + size, x : x + size] = value
+    return Frame(pred.astype(np.uint8))
 
 
 def preclip_reconstruction(side) -> np.ndarray:

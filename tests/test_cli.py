@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -262,6 +263,32 @@ class TestUsage:
 
         monkeypatch.setattr(cli, "train_restorer", explode)
         assert main(["train", str(dataset), "--iters", "1", "-o", str(tmp_path / "m.mvdr")]) == 3
+
+    @pytest.mark.parametrize("command, target", [
+        ("encode", "out.mvc"), ("train", "m.mvdr"), ("train", "m.mvdr.loss.csv"),
+    ])
+    def test_failed_write_leaves_no_output(self, seq_dir, tmp_path, monkeypatch, command, target):
+        # the last step of an atomic write fails for one output: that output
+        # must not exist, and no temp file may be left beside it
+        _, manifest, _ = seq_dir
+        dataset = tmp_path / "dataset.txt"
+        dataset.write_text(str(manifest) + "\n")
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == target:
+                raise OSError("simulated write failure")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        before = set(tmp_path.iterdir())
+        if command == "encode":
+            argv = ["encode", str(manifest), "--qp", "32", "-o", str(tmp_path / target)]
+        else:
+            argv = ["train", str(dataset), "--iters", "1", "-o", str(tmp_path / "m.mvdr")]
+        assert main(argv) == 1
+        assert not (tmp_path / target).exists()
+        assert not any(p.name.endswith(".tmp") for p in set(tmp_path.iterdir()) - before)
 
     def test_repeated_invocations_are_byte_identical(self, seq_dir, tmp_path):
         _, manifest, _ = seq_dir

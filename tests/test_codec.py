@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import motion_search_direct, predict_frame
 from mvcodec import fixtures
 from mvcodec.bitio import BitstreamError
 from mvcodec.codec import (
@@ -13,10 +14,10 @@ from mvcodec.codec import (
     SideInfo,
     decode_sequence,
     encode_sequence,
+    encode_with_reconstruction,
     extract_side_info,
     motion_search,
     parse_header,
-    predict_frame,
     reconstruct_from_side_info,
     side_info_to_json,
     tiles,
@@ -30,27 +31,52 @@ def _const(value, size=64):
     return Frame(np.full((size, size), value, dtype=np.uint8))
 
 
+def _leaf_search(current, reference, leaf, radius):
+    """The vector the per-row search finds for one leaf."""
+    row = motion_search(current, reference, leaf.y // 16, radius)[leaf.size]
+    dx, dy = row[leaf.y % 16 // leaf.size][leaf.x // leaf.size]
+    return dx, dy
+
+
 class TestMotionSearch:
     def test_global_shift_recovered_on_interior_leaves(self):
         ref, cur = fixtures.global_shift_pair(shift=(2, 3))
         for leaf in (Leaf(16, 16, 16), Leaf(32, 16, 16), Leaf(32, 32, 8)):
-            assert motion_search(cur, ref, leaf, radius=8) == (2, 3)
+            assert _leaf_search(cur, ref, leaf, radius=8) == (2, 3)
 
     def test_identical_frames_give_zero(self):
         ref, _ = fixtures.global_shift_pair()
         for leaf in (Leaf(0, 0, 16), Leaf(48, 48, 16)):
-            assert motion_search(ref, ref, leaf, radius=8) == (0, 0)
+            assert _leaf_search(ref, ref, leaf, radius=8) == (0, 0)
 
     def test_constant_frames_resolve_ties_to_zero(self):
         a = _const(33)
-        assert motion_search(a, a, Leaf(16, 16, 16), radius=4) == (0, 0)
+        assert _leaf_search(a, a, Leaf(16, 16, 16), radius=4) == (0, 0)
 
     def test_tie_break_prefers_small_then_dy_then_dx(self):
         # two-pixel-wide frame of identical columns: any dx ties, dy breaks rows
         px = np.tile(np.arange(64, dtype=np.uint8)[:, None], (1, 64))
         f = Frame(px)
         # all rows distinct, columns identical: best dy is 0; dx all tie -> 0
-        assert motion_search(f, f, Leaf(16, 16, 16), radius=3) == (0, 0)
+        assert _leaf_search(f, f, Leaf(16, 16, 16), radius=3) == (0, 0)
+
+    @pytest.mark.parametrize("radius", [0, 3, 8, 40])
+    @pytest.mark.parametrize("clip", ["texture", "checker"])
+    def test_row_search_matches_per_leaf_oracle(self, clip, radius):
+        # 32x32 frames: at radius 40 every candidate beyond the frame is an
+        # edge clamp, and the SAD ties there exercise the tie-break order
+        make = {"texture": fixtures.translating_texture, "checker": fixtures.deforming_checker}
+        ref, cur = make[clip](2, size=32)
+        for a, b in ((cur, ref), (ref, cur)):
+            for row in range(2):
+                found = motion_search(a, b, row, radius)
+                assert set(found) == {16, 8, 4}
+                for size, vectors in found.items():
+                    assert len(vectors) == 16 // size and len(vectors[0]) == 32 // size
+                    for i, line in enumerate(vectors):
+                        for j, (dx, dy) in enumerate(line):
+                            leaf = Leaf(j * size, row * 16 + i * size, size)
+                            assert (dx, dy) == motion_search_direct(a, b, leaf, radius), leaf
 
 
 class TestPartitionMapInvariants:
@@ -220,6 +246,25 @@ class TestEncodeDecode:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             encode_sequence([], CodecConfig(qp=24))
+
+    @pytest.mark.parametrize("radius", [0, 40])
+    def test_round_trip_at_search_radius(self, radius):
+        frames = fixtures.translating_texture(4, size=32, shift=(3, 2), patch=12)
+        data, recons = encode_with_reconstruction(frames, CodecConfig(qp=16, search_radius=radius))
+        assert parse_header(data).search_radius == radius
+        decoded, sides = decode_sequence(data)
+        for t, (recon, frame, side) in enumerate(zip(recons, decoded, sides)):
+            assert np.array_equal(recon.pixels, frame.pixels)
+            vectors = [(v.dx, v.dy) for v in side.motion.vectors if not v.intra]
+            assert all(abs(dx) <= radius and abs(dy) <= radius for dx, dy in vectors)
+            ref = decoded[t - 1] if t > 0 else None
+            again = predict_frame(t == 0, ref, side.motion, side.partition, frame)
+            assert np.array_equal(again.pixels, side.prediction.pixels)
+        found = {(v.dx, v.dy) for side in sides for v in side.motion.vectors if not v.intra}
+        if radius == 0:
+            assert found == {(0, 0)}
+        else:
+            assert (3, 2) in found
 
     def test_gop_forces_periodic_intra(self, texture_frames):
         data = encode_sequence(texture_frames, CodecConfig(qp=24, intra_period=2))
