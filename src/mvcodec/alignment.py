@@ -13,6 +13,7 @@ reads its content from (x - dx, y - dy) in the map being warped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,26 +32,13 @@ def _check_map(fmap: np.ndarray) -> np.ndarray:
 # Bilinear sampling
 # ---------------------------------------------------------------------------
 
-def bilinear_sample(fmap: np.ndarray, x: float, y: float, channel: int = 0) -> float:
-    """Bilinear interpolation at a single (x, y), clamped to the map."""
-    fmap = _check_map(fmap)
-    _, h, w = fmap.shape
-    cx = min(max(float(x), 0.0), w - 1.0)
-    cy = min(max(float(y), 0.0), h - 1.0)
-    x0 = min(int(np.floor(cx)), max(w - 2, 0))
-    y0 = min(int(np.floor(cy)), max(h - 2, 0))
-    x1 = min(x0 + 1, w - 1)
-    y1 = min(y0 + 1, h - 1)
-    fx = cx - x0
-    fy = cy - y0
-    plane = fmap[channel]
-    top = (1.0 - fx) * plane[y0, x0] + fx * plane[y0, x1]
-    bottom = (1.0 - fx) * plane[y1, x0] + fx * plane[y1, x1]
-    return float((1.0 - fy) * top + fy * bottom)
+def _bilinear_corners(px: np.ndarray, py: np.ndarray, h: int, w: int):
+    """Flat indices and weights of the four clamped corners of every point.
 
-
-def _prep_coords(px: np.ndarray, py: np.ndarray, h: int, w: int):
-    """Clamped corner indices, fractions, and saturation masks."""
+    Returns ``(index, corner_w, fx, fy, sat_x, sat_y)``: ``index`` and
+    ``corner_w`` are ``(4, px.size)`` in corner order 00, 01, 10, 11 (row,
+    column); the fractions and the saturation masks keep ``px``'s shape.
+    """
     cx = np.clip(px, 0.0, w - 1.0)
     cy = np.clip(py, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
@@ -59,20 +47,12 @@ def _prep_coords(px: np.ndarray, py: np.ndarray, h: int, w: int):
     y1 = np.minimum(y0 + 1, h - 1)
     fx = cx - x0
     fy = cy - y0
+    index = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]).reshape(4, -1)
+    gx, gy = 1.0 - fx, 1.0 - fy
+    corner_w = np.stack([gx * gy, fx * gy, gx * fy, fx * fy]).reshape(4, -1)
     sat_x = (px < 0.0) | (px > w - 1.0)
     sat_y = (py < 0.0) | (py > h - 1.0)
-    return x0, x1, fx, sat_x, y0, y1, fy, sat_y
-
-
-def _gather_corners(fmap: np.ndarray, x0, x1, y0, y1):
-    c, h, w = fmap.shape
-    flat = fmap.reshape(c, h * w)
-    shape = (c,) + x0.shape
-    v00 = flat[:, (y0 * w + x0).ravel()].reshape(shape)
-    v01 = flat[:, (y0 * w + x1).ravel()].reshape(shape)
-    v10 = flat[:, (y1 * w + x0).ravel()].reshape(shape)
-    v11 = flat[:, (y1 * w + x1).ravel()].reshape(shape)
-    return v00, v01, v10, v11
+    return index, corner_w, fx, fy, sat_x, sat_y
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +125,22 @@ def _tap_coords(kernel_size: int, offsets: np.ndarray, h: int, w: int):
     return px, py
 
 
-def _sample_taps(fmap: np.ndarray, px: np.ndarray, py: np.ndarray):
-    _, h, w = fmap.shape
-    x0, x1, fx, sat_x, y0, y1, fy, sat_y = _prep_coords(px, py, h, w)
-    v00, v01, v10, v11 = _gather_corners(fmap, x0, x1, y0, y1)
-    top = (1.0 - fx) * v00 + fx * v01
-    bottom = (1.0 - fx) * v10 + fx * v11
-    sampled = (1.0 - fy) * top + fy * bottom
-    return sampled, (x0, x1, fx, sat_x, y0, y1, fy, sat_y, v00, v01, v10, v11)
+class GatherCache(NamedTuple):
+    """All that :func:`deformable_gather_backward` reads of its forward.
+
+    The four bilinear corners of every tap are shared by all channels, so the
+    cache holds one flat index and one weight per corner and tap position,
+    not the gathered corner values; the backward re-reads those from ``flat``.
+    """
+
+    flat: np.ndarray  # (c, h * w) input map
+    index: np.ndarray  # (4, taps * h * w) flat corner indices: 00, 01, 10, 11
+    corner_w: np.ndarray  # (4, taps * h * w) bilinear weights of those corners
+    fx: np.ndarray  # (taps, h, w) horizontal fraction
+    fy: np.ndarray  # (taps, h, w) vertical fraction
+    sat_x: np.ndarray  # (taps, h, w) True where the x clamp saturates
+    sat_y: np.ndarray  # (taps, h, w) True where the y clamp saturates
+    sampled: np.ndarray  # (c, taps, h, w) bilinear samples
 
 
 def deformable_gather_cached(
@@ -160,7 +148,7 @@ def deformable_gather_cached(
     kernel_size: int,
     offsets: np.ndarray,
     weights: np.ndarray,
-) -> tuple[np.ndarray, tuple]:
+) -> tuple[np.ndarray, GatherCache]:
     """:func:`deformable_gather` that also returns the sampling cache."""
     fmap = _check_map(fmap)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -171,11 +159,23 @@ def deformable_gather_cached(
         raise ValueError(
             f"weights must be (out, {c}, {kernel_size}, {kernel_size}), got {weights.shape}"
         )
-    px, py = _tap_coords(kernel_size, offsets, h, w)
-    sampled, ctx = _sample_taps(fmap, px, py)
-    wr = weights.reshape(weights.shape[0], c, taps)
-    out = np.einsum("oct,cthw->ohw", wr, sampled, optimize=True)
-    return out, (sampled, ctx)
+    index, corner_w, fx, fy, sat_x, sat_y = _bilinear_corners(
+        *_tap_coords(kernel_size, offsets, h, w), h, w
+    )
+    flat = fmap.reshape(c, h * w)
+    sampled = np.take(flat, index[0], axis=1)
+    sampled *= corner_w[0]
+    corner = np.empty_like(sampled)
+    for k in range(1, 4):
+        # every index is in range; mode="clip" lets take write into ``corner``
+        # without buffering
+        np.take(flat, index[k], axis=1, out=corner, mode="clip")
+        corner *= corner_w[k]
+        sampled += corner
+    out = weights.reshape(weights.shape[0], c * taps) @ sampled.reshape(c * taps, h * w)
+    sampled = sampled.reshape(c, taps, h, w)
+    cache = GatherCache(flat, index, corner_w, fx, fy, sat_x, sat_y, sampled)
+    return out.reshape(weights.shape[0], h, w), cache
 
 
 def deformable_gather(
@@ -194,7 +194,7 @@ def deformable_gather(
 
 
 def deformable_gather_backward(
-    upstream: np.ndarray, weights: np.ndarray, cache: tuple
+    upstream: np.ndarray, weights: np.ndarray, cache: GatherCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_map, d_offsets, d_weights) of :func:`deformable_gather`.
 
@@ -202,54 +202,38 @@ def deformable_gather_backward(
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    sampled, (x0, x1, fx, sat_x, y0, y1, fy, sat_y, v00, v01, v10, v11) = cache
-    c, taps, h, w = sampled.shape
+    flat, index, corner_w = cache.flat, cache.index, cache.corner_w
+    c, taps, h, w = cache.sampled.shape
     out_ch = weights.shape[0]
     if upstream.shape != (out_ch, h, w):
         raise ValueError(f"upstream must be ({out_ch}, {h}, {w}), got {upstream.shape}")
 
-    wr = weights.reshape(out_ch, c, taps)
-    d_weights = np.einsum("ohw,cthw->oct", upstream, sampled, optimize=True).reshape(
-        weights.shape
-    )
-    d_sampled = np.einsum("ohw,oct->cthw", upstream, wr, optimize=True)
+    up = upstream.reshape(out_ch, h * w)
+    wr = weights.reshape(out_ch, c * taps)
+    d_weights = (up @ cache.sampled.reshape(c * taps, h * w).T).reshape(weights.shape)
+    d_sampled = (wr.T @ up).reshape(c, taps * h * w)
 
     # input gradient: scatter the four corner weights of every tap
-    w00 = (1.0 - fx) * (1.0 - fy)
-    w01 = fx * (1.0 - fy)
-    w10 = (1.0 - fx) * fy
-    w11 = fx * fy
-    idx = np.concatenate(
-        [
-            (y0 * w + x0).ravel(),
-            (y0 * w + x1).ravel(),
-            (y1 * w + x0).ravel(),
-            (y1 * w + x1).ravel(),
-        ]
-    )
-    d_map = np.empty((c, h, w))
+    idx = index.ravel()
+    d_map = np.empty((c, h * w))
     for ch in range(c):
-        vals = np.concatenate(
-            [
-                (d_sampled[ch] * w00).ravel(),
-                (d_sampled[ch] * w01).ravel(),
-                (d_sampled[ch] * w10).ravel(),
-                (d_sampled[ch] * w11).ravel(),
-            ]
-        )
-        d_map[ch] = np.bincount(idx, weights=vals, minlength=h * w).reshape(h, w)
+        d_map[ch] = np.bincount(idx, weights=(corner_w * d_sampled[ch]).ravel(), minlength=h * w)
 
-    # coordinate gradients, zero where the clamp saturates
-    ds_dx = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
-    ds_dy = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)
-    d_px = np.einsum("cthw,cthw->thw", d_sampled, ds_dx, optimize=True)
-    d_py = np.einsum("cthw,cthw->thw", d_sampled, ds_dy, optimize=True)
-    d_px[sat_x] = 0.0
-    d_py[sat_y] = 0.0
+    # coordinate gradients from the upstream-weighted corner values, zero
+    # where the clamp saturates
+    a00, a01, a10, a11 = (
+        np.einsum("cn,cn->n", d_sampled, np.take(flat, index[k], axis=1)).reshape(taps, h, w)
+        for k in range(4)
+    )
+    fx, fy = cache.fx, cache.fy
+    d_px = (1.0 - fy) * (a01 - a00) + fy * (a11 - a10)
+    d_py = (1.0 - fx) * (a10 - a00) + fx * (a11 - a01)
+    d_px[cache.sat_x] = 0.0
+    d_py[cache.sat_y] = 0.0
     d_offsets = np.empty((2 * taps, h, w))
     d_offsets[0::2] = d_px
     d_offsets[1::2] = d_py
-    return d_map, d_offsets, d_weights
+    return d_map.reshape(c, h, w), d_offsets, d_weights
 
 
 # ---------------------------------------------------------------------------

@@ -83,23 +83,6 @@ def deforming_checker(
     return frames
 
 
-def global_shift_pair(
-    size: int = 64, seed: int = 11, shift: tuple[int, int] = (2, 3)
-) -> tuple[Frame, Frame]:
-    """(reference, current) where current is reference moved by (dx, dy).
-
-    Both frames crop the same oversized texture, so the shift is exact
-    everywhere, including what enters at the edges.
-    """
-    dx, dy = shift
-    margin = max(abs(dx), abs(dy)) + 4
-    rng = np.random.default_rng(seed)
-    base = np.clip(np.rint(_texture(rng, size + 2 * margin, size + 2 * margin, 20.0, 235.0)), 0, 255)
-    ref = base[margin : margin + size, margin : margin + size]
-    cur = base[margin - dy : margin - dy + size, margin - dx : margin - dx + size]
-    return Frame(ref.astype(np.uint8)), Frame(cur.astype(np.uint8))
-
-
 def write_fixture_tree(root: Path | str) -> dict[str, Path]:
     """Dump the bundled sequences plus a training dataset manifest.
 

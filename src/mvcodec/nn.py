@@ -1,8 +1,14 @@
 """Convolution layers with clamp padding, L1 loss, and a deterministic Adam.
 
 Feature maps are float64 arrays shaped (channels, height, width).  The conv
-is implemented as im2col + GEMM; :func:`conv_backward` reads only the upstream
-gradient, the layer and the cache that :func:`conv_forward_cached` returned.
+edge-pads its input and then picks one of two GEMM forms from the layer's
+shape.  A layer with fewer output than input channels runs kn2row: one
+``(k*k*out, in) @ (in, Hp*Wp)`` product over the padded map, then k*k shifted
+adds of its rows (Vasudevan et al. 2017), so no ``in*k*k``-row column buffer
+is built.  Every other layer runs im2col + GEMM, which is cheaper when the
+shifted adds would outweigh the columns.  :func:`conv_backward` reads only
+the upstream gradient, the layer and the cache that :func:`conv_forward_cached`
+returned.
 """
 
 from __future__ import annotations
@@ -40,9 +46,13 @@ class ConvLayer:
 
 @dataclass
 class ConvCache:
-    """All that :func:`conv_backward` reads of its forward: columns and pre-activation."""
+    """All that :func:`conv_backward` reads of its forward.
 
-    cols: np.ndarray  # (in_ch * k * k, h * w)
+    ``xp`` is the edge-padded input; the backward builds its im2col columns
+    from it, whichever form the forward ran.  ``z`` is the pre-activation.
+    """
+
+    xp: np.ndarray  # (in_ch, h + k - 1, w + k - 1)
     z: np.ndarray  # (out_ch, h, w)
 
 
@@ -87,16 +97,42 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
+def _kn2row(weights: np.ndarray, xp: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Cross-correlation of the padded map as one GEMM plus k*k shifted adds.
+
+    Row ``(i, j, o)`` of the product holds every padded pixel's contribution
+    to output channel ``o`` through tap ``(i, j)``.  On rows of stride Wp,
+    output pixel ``(y, x)`` reads that row at flat ``(y + i) * Wp + x + j``,
+    so each tap is one contiguous slice added at offset ``i * Wp + j``.
+    """
+    out_ch, in_ch, k, _ = weights.shape
+    _, hp, wp = xp.shape
+    prod = weights.transpose(2, 3, 0, 1).reshape(k * k * out_ch, in_ch) @ xp.reshape(in_ch, -1)
+    prod = prod.reshape(k, k, out_ch, hp * wp)
+    span = (h - 1) * wp + w  # last output pixel + 1, on the padded row stride
+    acc = np.zeros((out_ch, h * wp))
+    for i in range(k):
+        for j in range(k):
+            start = i * wp + j
+            acc[:, :span] += prod[i, j, :, start : start + span]
+    return acc.reshape(out_ch, h, wp)[:, :, :w]
+
+
 def conv_forward_cached(layer: ConvLayer, x: np.ndarray) -> tuple[np.ndarray, ConvCache]:
-    """Forward pass that also returns the reusable column/pre-activation cache."""
+    """Forward pass that also returns the padded-input/pre-activation cache.
+
+    kn2row when the layer has fewer output than input channels, else im2col.
+    """
     x = _check_input(layer, x)
-    k = layer.kernel_size
-    out_ch = layer.weights.shape[0]
+    out_ch, in_ch, k, _ = layer.weights.shape
     _, h, w = x.shape
-    cols = _im2col(_edge_pad(x, k // 2), k)
-    z = (layer.weights.reshape(out_ch, -1) @ cols).reshape(out_ch, h, w)
-    z += layer.bias[:, None, None]
-    return _activate(z, layer.activation), ConvCache(cols=cols, z=z)
+    xp = _edge_pad(x, k // 2)
+    if out_ch < in_ch:
+        z = _kn2row(layer.weights, xp, h, w) + layer.bias[:, None, None]
+    else:
+        z = (layer.weights.reshape(out_ch, -1) @ _im2col(xp, k)).reshape(out_ch, h, w)
+        z += layer.bias[:, None, None]
+    return _activate(z, layer.activation), ConvCache(xp=xp, z=z)
 
 
 def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
@@ -112,7 +148,7 @@ def conv_backward(
     k = layer.kernel_size
     pad = k // 2
     in_ch = layer.weights.shape[1]
-    cols, z = cache.cols, cache.z
+    z = cache.z
     out_ch, h, w = z.shape
     if upstream.shape != z.shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {z.shape}")
@@ -125,7 +161,7 @@ def conv_backward(
         dz = upstream
 
     dz_mat = dz.reshape(out_ch, h * w)
-    d_weights = (dz_mat @ cols.T).reshape(layer.weights.shape)
+    d_weights = (dz_mat @ _im2col(cache.xp, k).T).reshape(layer.weights.shape)
     d_bias = dz_mat.sum(axis=1)
 
     # gradient w.r.t. the padded input: full correlation with the flipped kernel

@@ -17,6 +17,8 @@ runs exactly the checked code.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -279,6 +281,8 @@ def restorer_forward_cached(
     side: SideInfo,
     aux: AuxPriorPlanes,
     model: RestorerModel,
+    *,
+    _record: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """Forward pass returning the raw real-valued frame and the cache.
 
@@ -288,6 +292,11 @@ def restorer_forward_cached(
     ``(param name, ConvLayer, ConvCache)`` for every conv outside the offset
     predictor and the fusion block; ``cache["neighbors"]`` holds one
     ``(j, offset cache, gather cache)`` per neighbour frame.
+
+    :func:`restorer_forward` runs this same composition with ``_record``
+    false: the conv registry and the neighbour list then stay empty, so each
+    unit's cache is freed as soon as the unit returns, and the returned cache
+    is empty.
     """
     _check_window(window, side, model)
     n = model.half_window
@@ -296,13 +305,15 @@ def restorer_forward_cached(
     def conv(name: str, activation: str, x: np.ndarray, key: str | None = None) -> np.ndarray:
         layer = model.layer(name, activation)
         y, cc = conv_forward_cached(layer, x)
-        convs[key or name] = (name, layer, cc)
+        if _record:
+            convs[key or name] = (name, layer, cc)
         return y
 
     def attend(name: str, fv: np.ndarray, faux: np.ndarray) -> np.ndarray:
         layer = model.layer(name, "sigmoid")
         m, cc = attention_map(fv, faux, layer)
-        convs[name] = (name, layer, cc)
+        if _record:
+            convs[name] = (name, layer, cc)
         return m
 
     feats = [
@@ -322,7 +333,10 @@ def restorer_forward_cached(
         slots[j], gather_cache = deformable_gather_cached(
             warped, model.kernel_size, offsets, gather_w
         )
-        neighbors.append((j, offset_cache, gather_cache))
+        if _record:
+            neighbors.append((j, offset_cache, gather_cache))
+        # unrecorded caches die here, before the next neighbour builds its own
+        del offset_cache, gather_cache
 
     fv = conv("vres", "relu", conv("vmix", "relu", np.concatenate(slots, axis=0)))
     fa = conv("auxa2", "relu", conv("auxa1", "relu", aux.codec_planes()))
@@ -334,7 +348,8 @@ def restorer_forward_cached(
 
     resid = conv("rec2", "none", conv("rec1", "relu", fused))
     out = window[n].as_float() + PIXEL_NORM * resid[0]
-
+    if not _record:
+        return out, {}
     return out, {
         "mv_planes": mv_planes,
         "convs": convs,
@@ -352,8 +367,12 @@ def restorer_forward(
     aux: AuxPriorPlanes,
     model: RestorerModel,
 ) -> np.ndarray:
-    """Restored frame as unrounded reals (candidate for back projection)."""
-    return restorer_forward_cached(window, side, aux, model)[0]
+    """Restored frame as unrounded reals (candidate for back projection).
+
+    The same composition as :func:`restorer_forward_cached`, keeping no
+    cache, since inference runs no backward.
+    """
+    return restorer_forward_cached(window, side, aux, model, _record=False)[0]
 
 
 def restorer_backward(
@@ -590,6 +609,7 @@ def save_model(model: RestorerModel, path) -> None:
 def load_model(path) -> RestorerModel:
     """Read a model file; any malformed content raises ``ValueError``."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ValueError(f"not a restorer model file (magic {magic!r})")
@@ -599,6 +619,8 @@ def load_model(path) -> RestorerModel:
         version, hlen = struct.unpack("<HI", preamble)
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
+        if hlen > size - fh.tell():
+            raise ValueError("model file truncated in its header")
         header = json.loads(fh.read(hlen).decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError("model header must be a JSON object")
@@ -607,12 +629,26 @@ def load_model(path) -> RestorerModel:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"model header field {name!r} must be an integer")
         arch = {name: header[name] for name in ARCH_FIELDS}
+        if arch["half_window"] < 0:
+            raise ValueError("model half_window must be non-negative")
+        for name in ("channels", "offset_hidden"):
+            if arch[name] < 1:
+                raise ValueError(f"model {name} must be positive")
+        for name in ("kernel_size", "attn_kernel"):
+            if arch[name] < 1 or arch[name] % 2 == 0:
+                raise ValueError(f"model {name} must be odd and positive")
         expected = model_schedule(**arch)
         if [[n, list(s)] for n, s in expected] != header.get("schedule"):
             raise ValueError("model schedule does not match its architecture fields")
+        declared = 8 * sum(math.prod(shape) for _, shape in expected)
+        remaining = size - fh.tell()
+        if declared > remaining:
+            raise ValueError(
+                f"model file truncated: parameters need {declared} bytes, {remaining} remain"
+            )
         params: dict[str, np.ndarray] = {}
         for name, shape in expected:
-            count = int(np.prod(shape))
+            count = math.prod(shape)
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:
                 raise ValueError(f"model file truncated in parameter {name!r}")

@@ -12,8 +12,9 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from mvcodec.alignment import bilinear_sample, kernel_grid
+from mvcodec.alignment import kernel_grid
 from mvcodec.bitio import BitstreamError, signed_to_unsigned, unsigned_to_signed
+from mvcodec.fixtures import _texture
 from mvcodec.frames import Frame
 from mvcodec.transform import QuantTable, dequantize, idct2d, round_half_away
 
@@ -203,6 +204,23 @@ def dct2d_direct(block: np.ndarray) -> np.ndarray:
     return out
 
 
+def bilinear_sample(fmap: np.ndarray, x: float, y: float, channel: int = 0) -> float:
+    """Bilinear interpolation at a single (x, y), clamped to the map."""
+    _, h, w = fmap.shape
+    cx = min(max(float(x), 0.0), w - 1.0)
+    cy = min(max(float(y), 0.0), h - 1.0)
+    x0 = min(int(np.floor(cx)), max(w - 2, 0))
+    y0 = min(int(np.floor(cy)), max(h - 2, 0))
+    x1 = min(x0 + 1, w - 1)
+    y1 = min(y0 + 1, h - 1)
+    fx = cx - x0
+    fy = cy - y0
+    plane = fmap[channel]
+    top = (1.0 - fx) * plane[y0, x0] + fx * plane[y0, x1]
+    bottom = (1.0 - fx) * plane[y1, x0] + fx * plane[y1, x1]
+    return float((1.0 - fy) * top + fy * bottom)
+
+
 def deformable_gather_direct(
     fmap: np.ndarray, kernel_size: int, offsets: np.ndarray, weights: np.ndarray
 ) -> np.ndarray:
@@ -223,6 +241,23 @@ def deformable_gather_direct(
                         acc += weights[o, c, ky, kx] * bilinear_sample(fmap, sx, sy, c)
                 out[o, y, x] = acc
     return out
+
+
+def global_shift_pair(
+    size: int = 64, seed: int = 11, shift: tuple[int, int] = (2, 3)
+) -> tuple[Frame, Frame]:
+    """(reference, current) where current is reference moved by (dx, dy).
+
+    Both frames crop the same oversized texture, so the shift is exact
+    everywhere, including what enters at the edges.
+    """
+    dx, dy = shift
+    margin = max(abs(dx), abs(dy)) + 4
+    rng = np.random.default_rng(seed)
+    base = np.clip(np.rint(_texture(rng, size + 2 * margin, size + 2 * margin, 20.0, 235.0)), 0, 255)
+    ref = base[margin : margin + size, margin : margin + size]
+    cur = base[margin - dy : margin - dy + size, margin - dx : margin - dx + size]
+    return Frame(ref.astype(np.uint8)), Frame(cur.astype(np.uint8))
 
 
 def fraction_clear(values: np.ndarray, margin: float) -> bool:
@@ -248,17 +283,17 @@ def coords_clear(raw: np.ndarray, dim: int, margin: float = 0.05) -> bool:
 # Shared gradient-check case builders (kink-free by construction/rejection)
 # ---------------------------------------------------------------------------
 
-def conv_case(activation):
+def conv_case(activation, out_ch: int = 2, in_ch: int = 2, k: int = 3):
     from mvcodec.nn import ConvLayer
 
     def build(rng):
         layer = ConvLayer(
-            rng.normal(size=(2, 2, 3, 3)) * 0.7,
-            rng.normal(size=2) * 0.3,
+            rng.normal(size=(out_ch, in_ch, k, k)) * 0.7,
+            rng.normal(size=out_ch) * 0.3,
             activation,
         )
-        x = rng.normal(size=(2, 6, 6))
-        upstream = rng.normal(size=(2, 6, 6))
+        x = rng.normal(size=(in_ch, 6, 6))
+        upstream = rng.normal(size=(out_ch, 6, 6))
         return layer, x, upstream
 
     return build

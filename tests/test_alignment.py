@@ -3,19 +3,19 @@ import pytest
 
 from helpers import (
     GRAD_TOL,
+    bilinear_sample,
     deformable_gather_direct,
     draw_until,
     finite_diff,
     gather_case,
     gather_case_clear,
+    global_shift_pair,
     predictor_case,
     predictor_case_clear,
     rel_error,
 )
-from mvcodec import fixtures
 from mvcodec.alignment import (
     OffsetPredictor,
-    bilinear_sample,
     deformable_gather,
     deformable_gather_backward,
     deformable_gather_cached,
@@ -68,7 +68,7 @@ class TestBilinearSample:
 class TestWarp:
     @pytest.fixture()
     def coded_pair(self):
-        ref, cur = fixtures.global_shift_pair(shift=(2, 3))
+        ref, cur = global_shift_pair(shift=(2, 3))
         data = encode_sequence([ref, cur], CodecConfig(qp=8))
         _, sides = decode_sequence(data)
         return ref, cur, sides[1]

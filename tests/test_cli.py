@@ -1,15 +1,17 @@
 import json
+import math
 import os
 import struct
 
 import numpy as np
 import pytest
 
+from helpers import global_shift_pair
 from mvcodec import fixtures
 from mvcodec.cli import main
 from mvcodec.codec import decode_sequence
 from mvcodec.frames import Frame, load_sequence, write_sequence
-from mvcodec.restorer import save_model, zero_restorer
+from mvcodec.restorer import ARCH_FIELDS, load_model, model_schedule, save_model, zero_restorer
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +93,7 @@ class TestExtract:
         assert sorted(pred_dir.glob("pred_*.pgm"))
 
     def test_global_shift_motion_in_dump(self, tmp_path):
-        ref, cur = fixtures.global_shift_pair(shift=(2, 3))
+        ref, cur = global_shift_pair(shift=(2, 3))
         manifest = write_sequence(tmp_path / "pair", [ref, cur])
         stream = tmp_path / "p.mvc"
         main(["encode", str(manifest), "--qp", "8", "-o", str(stream)])
@@ -146,7 +148,14 @@ class TestRestore:
         assert main(["restore", str(stream), "-o", str(tmp_path / "r")]) == 2
 
     @pytest.mark.parametrize(
-        "case", ["missing_field", "string_field", "list_header", "short_preamble"]
+        "case",
+        [
+            "missing_field", "string_field", "list_header", "short_preamble", "huge_header",
+            # consistent schedules whose fields are out of range, with the
+            # payload the schedule declares where that count is non-negative
+            "channels=10000000000", "half_window=-1", "channels=0", "offset_hidden=0",
+            "kernel_size=4", "kernel_size=-1", "attn_kernel=6", "attn_kernel=0",
+        ],
     )
     def test_malformed_model_header_is_exit_2(self, seq_dir, tmp_path, capsys, case):
         _, manifest, _ = seq_dir
@@ -157,15 +166,31 @@ class TestRestore:
         data = model_path.read_bytes()
         hlen = struct.unpack("<HI", data[4:10])[1]
         header = json.loads(data[10 : 10 + hlen])
+        payload = data[10 + hlen :]
         if case == "missing_field":
             del header["channels"]
         elif case == "string_field":
             header["channels"] = "8"
         elif case == "list_header":
             header = [header]
+        elif "=" in case:
+            name, value = case.split("=")
+            header[name] = int(value)
+            arch = {field: header[field] for field in ARCH_FIELDS}
+            sched = model_schedule(**arch)
+            header["schedule"] = [[n, list(shape)] for n, shape in sched]
+            count = sum(math.prod(shape) for _, shape in sched)
+            # 10**10 channels declare terabytes; the file carries 80 bytes
+            payload = bytes(80) if count > 10**6 else bytes(8 * max(count, 0))
         blob = json.dumps(header).encode()
-        bad = data[:4] + struct.pack("<HI", 1, len(blob)) + blob + data[10 + hlen :]
-        model_path.write_bytes(data[:5] if case == "short_preamble" else bad)
+        bad = data[:4] + struct.pack("<HI", 1, len(blob)) + blob + payload
+        if case == "short_preamble":
+            bad = data[:5]
+        elif case == "huge_header":
+            bad = data[:4] + struct.pack("<HI", 1, 2**32 - 1) + data[10:]
+        model_path.write_bytes(bad)
+        with pytest.raises(ValueError):  # at load time, before any decoding
+            load_model(model_path)
         capsys.readouterr()
         rc = main(["restore", str(stream), "--model", str(model_path), "-o", str(tmp_path / "r")])
         assert rc == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import motion_search_direct, predict_frame
+from helpers import global_shift_pair, motion_search_direct, predict_frame
 from mvcodec import fixtures
 from mvcodec.bitio import BitstreamError
 from mvcodec.codec import (
@@ -40,12 +40,12 @@ def _leaf_search(current, reference, leaf, radius):
 
 class TestMotionSearch:
     def test_global_shift_recovered_on_interior_leaves(self):
-        ref, cur = fixtures.global_shift_pair(shift=(2, 3))
+        ref, cur = global_shift_pair(shift=(2, 3))
         for leaf in (Leaf(16, 16, 16), Leaf(32, 16, 16), Leaf(32, 32, 8)):
             assert _leaf_search(cur, ref, leaf, radius=8) == (2, 3)
 
     def test_identical_frames_give_zero(self):
-        ref, _ = fixtures.global_shift_pair()
+        ref, _ = global_shift_pair()
         for leaf in (Leaf(0, 0, 16), Leaf(48, 48, 16)):
             assert _leaf_search(ref, ref, leaf, radius=8) == (0, 0)
 
@@ -301,7 +301,7 @@ class TestSideInfo:
         assert all(not v.intra for v in sides[1].motion.vectors)
 
     def test_motion_field_of_global_shift(self):
-        ref, cur = fixtures.global_shift_pair(shift=(2, 3))
+        ref, cur = global_shift_pair(shift=(2, 3))
         data = encode_sequence([ref, cur], CodecConfig(qp=8))
         sides = extract_side_info(data)
         interior = [

@@ -4,6 +4,7 @@ import pytest
 from helpers import GRAD_TOL, conv_case, conv_case_clear, draw_until, finite_diff, rel_error
 from mvcodec.nn import (
     ConvLayer,
+    _im2col,
     TrainConfig,
     adam_init,
     adam_step,
@@ -14,6 +15,7 @@ from mvcodec.nn import (
     l1_loss_grad,
     sigmoid,
 )
+from mvcodec.restorer import init_restorer
 
 
 class TestConvForward:
@@ -49,14 +51,27 @@ class TestConvForward:
         with pytest.raises(ValueError):
             ConvLayer(np.zeros((1, 1, 2, 2)), np.zeros(1), "none")
 
-
+# (out, in, k) of every conv in the default restorer: the shapes the
+# benchmark traces
+DEFAULT_CONV_SHAPES = sorted(
+    {
+        p.shape[:3]
+        for name, p in init_restorer().params.items()
+        if name.endswith(".w") and name != "gather.w"
+    }
+)
 
 
 class TestConvGradients:
     @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_finite_differences(self, activation, seed):
-        layer, x, upstream = draw_until(seed, conv_case(activation), conv_case_clear)
+    @pytest.mark.parametrize(
+        "seed, shape",
+        # (out, in, k): out == in and out > in run im2col, out < in runs kn2row
+        [(seed, (2, 2, 3)) for seed in range(4)] + [(4, (1, 3, 7)), (5, (3, 2, 3))],
+        ids=["0", "1", "2", "3", "kn2row-1x3x7", "im2col-3x2x3"],
+    )
+    def test_finite_differences(self, activation, seed, shape):
+        layer, x, upstream = draw_until(seed, conv_case(activation, *shape), conv_case_clear)
         dx, dw, db = conv_backward(layer, upstream, conv_forward_cached(layer, x)[1])
 
         def objective():
@@ -65,6 +80,19 @@ class TestConvGradients:
         assert rel_error(dx, finite_diff(objective, x)) < GRAD_TOL
         assert rel_error(dw, finite_diff(objective, layer.weights)) < GRAD_TOL
         assert rel_error(db, finite_diff(objective, layer.bias)) < GRAD_TOL
+
+    @pytest.mark.parametrize("shape", DEFAULT_CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_matches_im2col_gemm(self, shape):
+        # every conv shape of the default restorer, on whichever side of the
+        # kn2row/im2col rule it falls
+        out_ch, in_ch, k = shape
+        rng = np.random.default_rng(in_ch * 100 + out_ch * 10 + k)
+        layer = ConvLayer(rng.normal(size=(out_ch, in_ch, k, k)), rng.normal(size=out_ch), "none")
+        x = rng.normal(size=(in_ch, 19, 24))
+        cols = _im2col(np.pad(x, ((0, 0), (k // 2,) * 2, (k // 2,) * 2), mode="edge"), k)
+        oracle = (layer.weights.reshape(out_ch, -1) @ cols).reshape(out_ch, 19, 24)
+        oracle += layer.bias[:, None, None]
+        np.testing.assert_allclose(conv_forward_cached(layer, x)[0], oracle, rtol=0, atol=1e-12)
 
     def test_upstream_must_match_cached_output(self):
         rng = np.random.default_rng(77)

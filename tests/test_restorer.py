@@ -159,6 +159,21 @@ class TestRestorerForward:
         assert a.shape == (64, 64)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("size", [32, 64])
+    @pytest.mark.parametrize("kind", ["texture", "checker"])
+    def test_inference_is_the_cached_composition(self, kind, size):
+        make = {"texture": fixtures.translating_texture, "checker": fixtures.deforming_checker}
+        decoded, sides = decode_sequence(
+            encode_sequence(make[kind](4, size=size), CodecConfig(qp=36))
+        )
+        model = init_restorer(seed=5)
+        for t in (0, 2):
+            window = padded_window(decoded, t, model.half_window)
+            aux = build_aux_planes(sides[t])
+            out, cache = restorer_forward_cached(window, sides[t], aux, model)
+            assert cache["convs"] and cache["neighbors"]
+            assert np.array_equal(restorer_forward(window, sides[t], aux, model), out)
+
     def test_window_length_validated(self, tiny_coded):
         _, _, _, samples = tiny_coded
         model = init_restorer(seed=5)
