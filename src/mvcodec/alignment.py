@@ -149,7 +149,13 @@ def deformable_gather_cached(
     offsets: np.ndarray,
     weights: np.ndarray,
 ) -> tuple[np.ndarray, GatherCache]:
-    """:func:`deformable_gather` that also returns the sampling cache."""
+    """Convolution whose taps are displaced by per-position offsets.
+
+    With all-zero offsets this is an ordinary cross-correlation with
+    clamp-to-edge padding.  ``weights`` is (out_ch, in_ch, k, k); there is
+    no bias term.  Returns ``(output, cache)``; the cache is what
+    :func:`deformable_gather_backward` reads.
+    """
     fmap = _check_map(fmap)
     offsets = np.asarray(offsets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -178,27 +184,12 @@ def deformable_gather_cached(
     return out.reshape(weights.shape[0], h, w), cache
 
 
-def deformable_gather(
-    fmap: np.ndarray,
-    kernel_size: int,
-    offsets: np.ndarray,
-    weights: np.ndarray,
-) -> np.ndarray:
-    """Convolution whose taps are displaced by per-position offsets.
-
-    With all-zero offsets this is an ordinary cross-correlation with
-    clamp-to-edge padding.  ``weights`` is (out_ch, in_ch, k, k); there is
-    no bias term.
-    """
-    return deformable_gather_cached(fmap, kernel_size, offsets, weights)[0]
-
-
 def deformable_gather_backward(
     upstream: np.ndarray, weights: np.ndarray, cache: GatherCache
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_map, d_offsets, d_weights) of :func:`deformable_gather`.
+    """Gradients (d_map, d_offsets, d_weights) of :func:`deformable_gather_cached`.
 
-    ``cache`` is the one :func:`deformable_gather_cached` returned.
+    ``cache`` is the one that forward returned.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -213,11 +204,12 @@ def deformable_gather_backward(
     d_weights = (up @ cache.sampled.reshape(c * taps, h * w).T).reshape(weights.shape)
     d_sampled = (wr.T @ up).reshape(c, taps * h * w)
 
-    # input gradient: scatter the four corner weights of every tap
-    idx = index.ravel()
-    d_map = np.empty((c, h * w))
-    for ch in range(c):
-        d_map[ch] = np.bincount(idx, weights=(corner_w * d_sampled[ch]).ravel(), minlength=h * w)
+    # input gradient: scatter the four corner weights of every tap, one
+    # bincount over every channel's flat index
+    idx = (index.ravel() + h * w * np.arange(c)[:, None]).ravel()
+    d_map = np.bincount(
+        idx, weights=(corner_w * d_sampled[:, None]).ravel(), minlength=c * h * w
+    )
 
     # coordinate gradients from the upstream-weighted corner values, zero
     # where the clamp saturates

@@ -41,9 +41,6 @@ from .restorer import (
     train_restorer,
 )
 
-DECODE_FPS = 25  # the bitstream does not carry a frame rate
-
-
 def _pair_metrics(reference: list[Frame], test: list[Frame]) -> dict:
     if len(reference) != len(test):
         raise ValueError(
@@ -82,7 +79,7 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     frames, _ = decode_sequence(Path(args.input).read_bytes())
-    manifest = write_sequence(args.output, frames, fps=DECODE_FPS)
+    manifest = write_sequence(args.output, frames)
     print(f"decoded {len(frames)} frames -> {manifest}")
     return 0
 
@@ -90,7 +87,7 @@ def cmd_decode(args) -> int:
 def cmd_extract(args) -> int:
     sides = extract_side_info(Path(args.input).read_bytes())
     doc = side_info_to_json(sides)
-    Path(args.output).write_text(json.dumps(doc, indent=1) + "\n")
+    write_atomic(args.output, (json.dumps(doc, indent=1) + "\n").encode("ascii"))
     if args.pred_dir:
         pred_dir = Path(args.pred_dir)
         pred_dir.mkdir(parents=True, exist_ok=True)
@@ -106,7 +103,7 @@ def cmd_restore(args) -> int:
     restored = restore_sequence(
         decoded, sides, model, back_projection=not args.no_backprojection
     )
-    manifest = write_sequence(args.output, restored, fps=DECODE_FPS)
+    manifest = write_sequence(args.output, restored)
     print(f"restored {len(restored)} frames -> {manifest}")
     if args.reference:
         reference = load_sequence(args.reference)
@@ -122,7 +119,7 @@ def cmd_metrics(args) -> int:
     reference = load_sequence(args.reference)
     test = load_sequence(args.test)
     report = _pair_metrics(reference, test)
-    Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
+    write_atomic(args.output, (json.dumps(report, indent=1) + "\n").encode("ascii"))
     print(f"mean_psnr={report['mean_psnr']:.4f} mean_ssim={report['mean_ssim']:.6f}")
     return 0
 
@@ -157,7 +154,7 @@ def cmd_rdcurve(args) -> int:
     lines = ["qp,bpp,psnr_dec,psnr_rest,ssim_dec,ssim_rest"]
     for qp, bpp, pd, pr, sd, sr in rows:
         lines.append(f"{qp},{bpp:.6f},{pd:.4f},{pr:.4f},{sd:.6f},{sr:.6f}")
-    Path(args.output).write_text("\n".join(lines) + "\n")
+    write_atomic(args.output, ("\n".join(lines) + "\n").encode("ascii"))
     print("\n".join(lines))
     return 0
 

@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 MACROBLOCK = 16
+SEQUENCE_FPS = 25  # written manifests' frame rate; bitstreams carry none
 PSNR_CAP_DB = 99.0
 
 SSIM_WINDOW = 11
@@ -188,13 +189,13 @@ def load_sequence(manifest: FrameSequenceManifest | Path | str) -> list[Frame]:
     return frames
 
 
-def write_sequence(
-    directory: Path | str,
-    frames: list[Frame],
-    fps: int = 25,
-    prefix: str = "frame_",
-) -> Path:
-    """Write frames as PGM files plus a manifest; returns the manifest path."""
+def write_sequence(directory: Path | str, frames: list[Frame]) -> Path:
+    """Write frames as PGM files plus a manifest; returns the manifest path.
+
+    Any earlier manifest in ``directory`` is removed first and the new one is
+    written last, atomically, so an interrupted write leaves no manifest
+    that loads.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if frames:
@@ -203,14 +204,15 @@ def write_sequence(
             _require_same_dims(frames[0], f)
     else:
         raise ValueError("cannot write an empty sequence (dimensions unknown)")
+    manifest = directory / "manifest.txt"
+    manifest.unlink(missing_ok=True)
     names = []
     for i, frame in enumerate(frames):
-        name = f"{prefix}{i:04d}.pgm"
+        name = f"frame_{i:04d}.pgm"
         write_pgm(directory / name, frame)
         names.append(name)
-    manifest = directory / "manifest.txt"
-    body = f"{width} {height} {fps}\n" + "".join(n + "\n" for n in names)
-    manifest.write_text(body)
+    body = f"{width} {height} {SEQUENCE_FPS}\n" + "".join(n + "\n" for n in names)
+    write_atomic(manifest, body.encode("ascii"))
     return manifest
 
 

@@ -119,7 +119,8 @@ def _kn2row(weights: np.ndarray, xp: np.ndarray, h: int, w: int) -> np.ndarray:
 
 
 def conv_forward_cached(layer: ConvLayer, x: np.ndarray) -> tuple[np.ndarray, ConvCache]:
-    """Forward pass that also returns the padded-input/pre-activation cache.
+    """Output feature map (same spatial size as the input) and the
+    padded-input/pre-activation cache :func:`conv_backward` reads.
 
     kn2row when the layer has fewer output than input channels, else im2col.
     """
@@ -133,11 +134,6 @@ def conv_forward_cached(layer: ConvLayer, x: np.ndarray) -> tuple[np.ndarray, Co
         z = (layer.weights.reshape(out_ch, -1) @ _im2col(xp, k)).reshape(out_ch, h, w)
         z += layer.bias[:, None, None]
     return _activate(z, layer.activation), ConvCache(xp=xp, z=z)
-
-
-def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """Output feature map, same spatial size as the input."""
-    return conv_forward_cached(layer, x)[0]
 
 
 def conv_backward(

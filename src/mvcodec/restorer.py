@@ -6,6 +6,10 @@ codec-prior planes, gates those with sigmoid spatial attention maps, fuses
 everything, and predicts a residual added to the center decoded frame.  With
 all-zero parameters it is exactly the identity on the decoded frame.
 
+The codec planes (prediction, residual, QP) come from :func:`build_aux_planes`;
+the forward builds the structure planes (motion magnitude, leaf size) from the
+motion planes it rasterizes for the warp.
+
 All layers are plain numpy with hand-written gradients.  The model is a
 composition of the units the test suite checks against finite differences:
 the conv layers, the offset predictor, the deformable gather, the attention
@@ -73,34 +77,13 @@ class TrainingDiverged(RuntimeError):
 # Codec prior planes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AuxPriorPlanes:
-    """Dense prior planes derived from one frame's side information."""
-
-    mv_magnitude: np.ndarray
-    leaf_size: np.ndarray
-    prediction: np.ndarray
-    residual: np.ndarray
-    qp_plane: np.ndarray
-
-    def codec_planes(self) -> np.ndarray:
-        """Pixel-domain codec priors: prediction, residual, qp."""
-        return np.stack([self.prediction, self.residual, self.qp_plane])
-
-    def structure_planes(self) -> np.ndarray:
-        """Geometry priors: motion magnitude and partition leaf size."""
-        return np.stack([self.mv_magnitude, self.leaf_size])
-
-
-def build_aux_planes(side: SideInfo) -> AuxPriorPlanes:
-    """Rasterize a frame's side information into normalized planes."""
-    return AuxPriorPlanes(
-        mv_magnitude=np.hypot(*rasterize_motion(side.partition, side.motion)) / MV_NORM,
-        leaf_size=side.partition.sizes / SIZE_NORM,
-        prediction=side.prediction.as_float() / PIXEL_NORM,
-        residual=residual_plane(side) / PIXEL_NORM,
-        qp_plane=np.full(side.partition.sizes.shape, side.qp / QP_NORM),
-    )
+def build_aux_planes(side: SideInfo) -> np.ndarray:
+    """Normalized ``(3, H, W)`` codec planes of a frame: prediction, residual, QP."""
+    return np.stack([
+        side.prediction.as_float() / PIXEL_NORM,
+        residual_plane(side) / PIXEL_NORM,
+        np.full(side.partition.sizes.shape, side.qp / QP_NORM),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +262,15 @@ def _check_window(window: list[Frame], side: SideInfo, model: RestorerModel) -> 
 def restorer_forward_cached(
     window: list[Frame],
     side: SideInfo,
-    aux: AuxPriorPlanes,
+    aux: np.ndarray,
     model: RestorerModel,
     *,
     _record: bool = True,
 ) -> tuple[np.ndarray, dict]:
     """Forward pass returning the raw real-valued frame and the cache.
+
+    ``aux`` holds the codec planes of :func:`build_aux_planes`; the structure
+    planes come from the motion planes this pass rasterizes for the warp.
 
     The cache keeps every unit's own cache and nothing of the units' inputs,
     so :func:`restorer_backward` feeds each backward its upstream gradient,
@@ -339,8 +325,9 @@ def restorer_forward_cached(
         del offset_cache, gather_cache
 
     fv = conv("vres", "relu", conv("vmix", "relu", np.concatenate(slots, axis=0)))
-    fa = conv("auxa2", "relu", conv("auxa1", "relu", aux.codec_planes()))
-    fl = conv("auxl2", "relu", conv("auxl1", "relu", aux.structure_planes()))
+    structure = np.stack([np.hypot(*mv_planes) / MV_NORM, side.partition.sizes / SIZE_NORM])
+    fa = conv("auxa2", "relu", conv("auxa1", "relu", aux))
+    fl = conv("auxl2", "relu", conv("auxl1", "relu", structure))
     ma = attend("attn_a", fv, fa)
     ml = attend("attn_l", fv, fl)
     agg_layers = [model.layer("agg1", "relu"), model.layer("agg2", "relu")]
@@ -364,7 +351,7 @@ def restorer_forward_cached(
 def restorer_forward(
     window: list[Frame],
     side: SideInfo,
-    aux: AuxPriorPlanes,
+    aux: np.ndarray,
     model: RestorerModel,
 ) -> np.ndarray:
     """Restored frame as unrounded reals (candidate for back projection).
@@ -435,7 +422,7 @@ def restorer_backward(
 class TrainSample(NamedTuple):
     window: list[Frame]
     side: SideInfo
-    aux: AuxPriorPlanes
+    aux: np.ndarray  # codec planes of build_aux_planes
     target: Frame
 
 
@@ -481,31 +468,31 @@ def build_training_samples(
 
     With ``crop`` set, each frame contributes one sample per 16-aligned
     ``crop`` x ``crop`` tile; smaller tiles keep the training loop fast
-    without changing any of the restorer semantics.
+    without changing any of the restorer semantics.  A frame's codec planes
+    are built once and sliced per tile: a 16-aligned crop covers whole
+    leaves, so its planes equal that crop of the frame's.
     """
     if not (len(originals) == len(decoded) == len(sides)):
         raise ValueError("originals, decoded and side info must have equal lengths")
     samples = []
     for t in range(len(decoded)):
         window = padded_window(decoded, t, half_window)
+        aux = build_aux_planes(sides[t])
         if crop is None:
-            samples.append(
-                TrainSample(window, sides[t], build_aux_planes(sides[t]), originals[t])
-            )
+            samples.append(TrainSample(window, sides[t], aux, originals[t]))
             continue
         width, height = decoded[t].width, decoded[t].height
         if crop % 16 or crop > width or crop > height:
             raise ValueError("crop must be 16-aligned and fit inside the frame")
         for y0 in range(0, height - crop + 1, crop):
             for x0 in range(0, width - crop + 1, crop):
-                side_c = crop_side_info(sides[t], x0, y0, crop)
-                window_c = [
-                    Frame(f.pixels[y0 : y0 + crop, x0 : x0 + crop]) for f in window
-                ]
-                target_c = Frame(originals[t].pixels[y0 : y0 + crop, x0 : x0 + crop])
-                samples.append(
-                    TrainSample(window_c, side_c, build_aux_planes(side_c), target_c)
-                )
+                tile = (slice(y0, y0 + crop), slice(x0, x0 + crop))
+                samples.append(TrainSample(
+                    [Frame(f.pixels[tile]) for f in window],
+                    crop_side_info(sides[t], x0, y0, crop),
+                    aux[(slice(None), *tile)],
+                    Frame(originals[t].pixels[tile]),
+                ))
     return samples
 
 

@@ -27,7 +27,6 @@ from helpers import (
 )
 from mvcodec import fixtures
 from mvcodec.alignment import (
-    deformable_gather,
     deformable_gather_backward,
     deformable_gather_cached,
     predict_offsets,
@@ -44,7 +43,7 @@ from mvcodec.codec import (
     reconstruct_from_side_info,
 )
 from mvcodec.frames import load_sequence, psnr
-from mvcodec.nn import ConvLayer, conv_backward, conv_forward, conv_forward_cached, l1_loss, l1_loss_grad
+from mvcodec.nn import ConvLayer, conv_backward, conv_forward_cached, l1_loss, l1_loss_grad
 from mvcodec.restorer import (
     attention_map,
     build_aux_planes,
@@ -138,7 +137,7 @@ def test_criterion_4_gradient_correctness():
         for seed in seeds:
             layer, x, up = draw_until(seed, conv_case(activation), conv_case_clear)
             dx, dw, db = conv_backward(layer, up, conv_forward_cached(layer, x)[1])
-            obj = lambda: float((conv_forward(layer, x) * up).sum())
+            obj = lambda: float((conv_forward_cached(layer, x)[0] * up).sum())
             assert rel_error(dx, finite_diff(obj, x)) < GRAD_TOL
             assert rel_error(dw, finite_diff(obj, layer.weights)) < GRAD_TOL
             assert rel_error(db, finite_diff(obj, layer.bias)) < GRAD_TOL
@@ -177,7 +176,7 @@ def test_criterion_4_gradient_correctness():
         fmap, offsets, weights, up = draw_until(5000 + seed, gather_case, gather_case_clear)
         _, gather_cache = deformable_gather_cached(fmap, 3, offsets, weights)
         d_map, d_off, d_w = deformable_gather_backward(up, weights, gather_cache)
-        obj = lambda: float((deformable_gather(fmap, 3, offsets, weights) * up).sum())
+        obj = lambda: float((deformable_gather_cached(fmap, 3, offsets, weights)[0] * up).sum())
         assert rel_error(d_map, finite_diff(obj, fmap)) < GRAD_TOL
         assert rel_error(d_off, finite_diff(obj, offsets)) < GRAD_TOL
         assert rel_error(d_w, finite_diff(obj, weights)) < GRAD_TOL
@@ -189,7 +188,7 @@ def test_criterion_4_gradient_correctness():
 
         def obj():
             offs = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
-            return float((deformable_gather(feat_prev, 3, offs, gather_w) * up).sum())
+            return float((deformable_gather_cached(feat_prev, 3, offs, gather_w)[0] * up).sum())
 
         offs, offs_cache = predict_offsets(feat_t, feat_prev, motion, predictor)
         _, gather_cache = deformable_gather_cached(feat_prev, 3, offs, gather_w)
@@ -263,8 +262,8 @@ def test_criterion_8_reduction_identities(both_fixtures):
         fmap = rng.normal(size=shape)
         weights = rng.normal(size=(3, shape[0], 3, 3))
         offsets = np.zeros((18,) + shape[1:])
-        plain = conv_forward(ConvLayer(weights, np.zeros(3), "none"), fmap)
-        assert np.abs(deformable_gather(fmap, 3, offsets, weights) - plain).max() < 1e-12
+        plain = conv_forward_cached(ConvLayer(weights, np.zeros(3), "none"), fmap)[0]
+        assert np.abs(deformable_gather_cached(fmap, 3, offsets, weights)[0] - plain).max() < 1e-12
 
     # zero-weight restorer is the identity on decoded frames
     frames = both_fixtures["texture"]

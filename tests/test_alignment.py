@@ -16,7 +16,6 @@ from helpers import (
 )
 from mvcodec.alignment import (
     OffsetPredictor,
-    deformable_gather,
     deformable_gather_backward,
     deformable_gather_cached,
     kernel_grid,
@@ -27,7 +26,7 @@ from mvcodec.alignment import (
     warp_mv_backward,
 )
 from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence
-from mvcodec.nn import ConvLayer, conv_forward
+from mvcodec.nn import ConvLayer, conv_forward_cached
 
 
 class TestBilinearSample:
@@ -123,7 +122,7 @@ class TestDeformableGatherForward:
         fmap = rng.normal(size=(1, 6, 6))
         weights = np.zeros((1, 1, 3, 3))
         weights[0, 0, 1, 1] = 1.0
-        out = deformable_gather(fmap, 3, _zero_offsets(3, 6, 6), weights)
+        out = deformable_gather_cached(fmap, 3, _zero_offsets(3, 6, 6), weights)[0]
         np.testing.assert_allclose(out, fmap, atol=1e-12)
 
     def test_constant_offset_is_a_shift(self):
@@ -133,7 +132,7 @@ class TestDeformableGatherForward:
         weights[0, 0, 1, 1] = 1.0
         offsets = _zero_offsets(3, 5, 8)
         offsets[0::2] = 1.0  # every tap shifted one column right
-        out = deformable_gather(fmap, 3, offsets, weights)
+        out = deformable_gather_cached(fmap, 3, offsets, weights)[0]
         shifted = fmap[:, :, np.minimum(np.arange(8) + 1, 7)]
         np.testing.assert_allclose(out, shifted, atol=1e-12)
 
@@ -142,24 +141,25 @@ class TestDeformableGatherForward:
         for shape in ((1, 5, 5), (3, 8, 6), (2, 16, 16)):
             fmap = rng.normal(size=shape)
             weights = rng.normal(size=(2, shape[0], 3, 3))
-            out = deformable_gather(fmap, 3, _zero_offsets(3, *shape[1:]), weights)
+            out = deformable_gather_cached(fmap, 3, _zero_offsets(3, *shape[1:]), weights)[0]
             layer = ConvLayer(weights, np.zeros(2), "none")
-            np.testing.assert_allclose(out, conv_forward(layer, fmap), atol=1e-12)
+            np.testing.assert_allclose(out, conv_forward_cached(layer, fmap)[0], atol=1e-12)
 
     def test_matches_direct_summation_oracle(self):
         rng = np.random.default_rng(9)
         fmap = rng.normal(size=(1, 5, 5))
         offsets = rng.uniform(-1.5, 1.5, (18, 5, 5))
         weights = rng.normal(size=(2, 1, 3, 3))
-        out = deformable_gather(fmap, 3, offsets, weights)
+        out = deformable_gather_cached(fmap, 3, offsets, weights)[0]
         oracle = deformable_gather_direct(fmap, 3, offsets, weights)
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_shape_validation(self):
+        weights = np.zeros((1, 1, 3, 3))
         with pytest.raises(ValueError):
-            deformable_gather(np.zeros((1, 5, 5)), 3, np.zeros((4, 5, 5)), np.zeros((1, 1, 3, 3)))
+            deformable_gather_cached(np.zeros((1, 5, 5)), 3, np.zeros((4, 5, 5)), weights)
         with pytest.raises(ValueError):
-            deformable_gather(np.zeros((2, 5, 5)), 3, np.zeros((18, 5, 5)), np.zeros((1, 1, 3, 3)))
+            deformable_gather_cached(np.zeros((2, 5, 5)), 3, np.zeros((18, 5, 5)), weights)
 
 
 
@@ -172,7 +172,7 @@ class TestDeformableGatherGradients:
         d_map, d_off, d_w = deformable_gather_backward(upstream, weights, cache)
 
         def objective():
-            return float((deformable_gather(fmap, 3, offsets, weights) * upstream).sum())
+            return float((deformable_gather_cached(fmap, 3, offsets, weights)[0] * upstream).sum())
 
         assert rel_error(d_map, finite_diff(objective, fmap)) < GRAD_TOL
         assert rel_error(d_off, finite_diff(objective, offsets)) < GRAD_TOL
@@ -248,7 +248,7 @@ class TestPredictOffsets:
 
         def objective():
             offsets = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
-            out = deformable_gather(feat_prev, 3, offsets, gather_w)
+            out = deformable_gather_cached(feat_prev, 3, offsets, gather_w)[0]
             return float((out * upstream).sum())
 
         offsets, offset_cache = predict_offsets(feat_t, feat_prev, motion, predictor)

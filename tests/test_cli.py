@@ -22,6 +22,18 @@ def seq_dir(tmp_path_factory):
     return root, manifest, frames
 
 
+def _fail_replace_of(monkeypatch, target: str) -> None:
+    """Make ``os.replace`` fail for destinations named ``target``."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == target:
+            raise OSError("simulated write failure")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
 class TestEncode:
     def test_creates_deterministic_stream(self, seq_dir, tmp_path, capsys):
         _, manifest, _ = seq_dir
@@ -291,6 +303,7 @@ class TestUsage:
 
     @pytest.mark.parametrize("command, target", [
         ("encode", "out.mvc"), ("train", "m.mvdr"), ("train", "m.mvdr.loss.csv"),
+        ("extract", "side.json"), ("metrics", "report.json"), ("rdcurve", "rd.csv"),
     ])
     def test_failed_write_leaves_no_output(self, seq_dir, tmp_path, monkeypatch, command, target):
         # the last step of an atomic write fails for one output: that output
@@ -298,22 +311,44 @@ class TestUsage:
         _, manifest, _ = seq_dir
         dataset = tmp_path / "dataset.txt"
         dataset.write_text(str(manifest) + "\n")
-        real_replace = os.replace
-
-        def replace(src, dst):
-            if os.path.basename(dst) == target:
-                raise OSError("simulated write failure")
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace)
+        stream = tmp_path / "in.mvc"
+        assert main(["encode", str(manifest), "--qp", "32", "-o", str(stream)]) == 0
+        _fail_replace_of(monkeypatch, target)
         before = set(tmp_path.iterdir())
-        if command == "encode":
-            argv = ["encode", str(manifest), "--qp", "32", "-o", str(tmp_path / target)]
-        else:
-            argv = ["train", str(dataset), "--iters", "1", "-o", str(tmp_path / "m.mvdr")]
+        out = str(tmp_path / target)
+        argv = {
+            "encode": ["encode", str(manifest), "--qp", "32", "-o", out],
+            "train": ["train", str(dataset), "--iters", "1", "-o", str(tmp_path / "m.mvdr")],
+            "extract": ["extract", str(stream), "-o", out],
+            "metrics": ["metrics", "--reference", str(manifest), "--test", str(manifest), "-o", out],
+            "rdcurve": ["rdcurve", str(manifest), "--qps", "16,36", "-o", out],
+        }[command]
         assert main(argv) == 1
         assert not (tmp_path / target).exists()
         assert not any(p.name.endswith(".tmp") for p in set(tmp_path.iterdir()) - before)
+
+    @pytest.mark.parametrize("command", ["decode", "restore"])
+    def test_failed_manifest_write_leaves_no_sequence_that_loads(
+        self, seq_dir, tmp_path, monkeypatch, command
+    ):
+        # a longer sequence already sits in the output directory; rewriting it
+        # with fewer frames fails at the manifest, so neither the old manifest
+        # (over a mix of old and new frames) nor a shorter one may load
+        _, manifest, frames = seq_dir
+        short = write_sequence(tmp_path / "short", frames[:3])
+        stream = tmp_path / "short.mvc"
+        assert main(["encode", str(short), "--qp", "32", "-o", str(stream)]) == 0
+        model = tmp_path / "m.mvdr"
+        save_model(zero_restorer(), model)
+        out = tmp_path / "out"
+        write_sequence(out, frames)
+        _fail_replace_of(monkeypatch, "manifest.txt")
+        argv = [command, str(stream), "-o", str(out)]
+        if command == "restore":
+            argv += ["--model", str(model)]
+        assert main(argv) == 1
+        assert not (out / "manifest.txt").exists()
+        assert not any(p.name.endswith(".tmp") for p in out.iterdir())
 
     def test_repeated_invocations_are_byte_identical(self, seq_dir, tmp_path):
         _, manifest, _ = seq_dir

@@ -9,7 +9,6 @@ from mvcodec.nn import (
     adam_init,
     adam_step,
     conv_backward,
-    conv_forward,
     conv_forward_cached,
     l1_loss,
     l1_loss_grad,
@@ -21,31 +20,31 @@ from mvcodec.restorer import init_restorer
 class TestConvForward:
     def test_one_by_one_affine(self):
         layer = ConvLayer(np.full((1, 1, 1, 1), 2.0), np.array([1.0]), "none")
-        out = conv_forward(layer, np.full((1, 4, 4), 3.0))
+        out = conv_forward_cached(layer, np.full((1, 4, 4), 3.0))[0]
         assert (out == 7.0).all()
 
     def test_zero_weights_zero_bias(self):
         rng = np.random.default_rng(0)
         layer = ConvLayer(np.zeros((3, 2, 3, 3)), np.zeros(3), "none")
-        assert not conv_forward(layer, rng.normal(size=(2, 6, 6))).any()
+        assert not conv_forward_cached(layer, rng.normal(size=(2, 6, 6)))[0].any()
 
     def test_edge_padding_replicates(self):
         # averaging kernel at the corner sees the corner value nine times
         layer = ConvLayer(np.full((1, 1, 3, 3), 1.0 / 9.0), np.zeros(1), "none")
         x = np.zeros((1, 4, 4))
         x[0, 0, 0] = 9.0
-        out = conv_forward(layer, x)
+        out = conv_forward_cached(layer, x)[0]
         assert out[0, 0, 0] == pytest.approx(4.0)  # 4 clamped copies of the corner
 
     def test_activation_relu(self):
         layer = ConvLayer(np.full((1, 1, 1, 1), 1.0), np.array([-5.0]), "relu")
-        out = conv_forward(layer, np.array([[[1.0, 10.0]]]))
+        out = conv_forward_cached(layer, np.array([[[1.0, 10.0]]]))[0]
         assert out.tolist() == [[[0.0, 5.0]]]
 
     def test_channel_mismatch(self):
         layer = ConvLayer(np.zeros((1, 2, 3, 3)), np.zeros(1), "none")
         with pytest.raises(ValueError):
-            conv_forward(layer, np.zeros((3, 4, 4)))
+            conv_forward_cached(layer, np.zeros((3, 4, 4)))
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError):
@@ -75,7 +74,7 @@ class TestConvGradients:
         dx, dw, db = conv_backward(layer, upstream, conv_forward_cached(layer, x)[1])
 
         def objective():
-            return float((conv_forward(layer, x) * upstream).sum())
+            return float((conv_forward_cached(layer, x)[0] * upstream).sum())
 
         assert rel_error(dx, finite_diff(objective, x)) < GRAD_TOL
         assert rel_error(dw, finite_diff(objective, layer.weights)) < GRAD_TOL

@@ -83,9 +83,9 @@ class TestFuse:
         ones = np.ones((1, 6, 6))
         out = fuse(fv, fa, fl, ones, ones, agg)[0]
         x = np.concatenate([fv, fa, fl], axis=0)
-        from mvcodec.nn import conv_forward
+        from mvcodec.nn import conv_forward_cached
 
-        manual = conv_forward(agg[1], conv_forward(agg[0], x))
+        manual = conv_forward_cached(agg[1], conv_forward_cached(agg[0], x)[0])[0]
         assert np.array_equal(out, manual)
 
     def test_zero_attention_severs_gradients_exactly(self):
@@ -122,24 +122,51 @@ class TestFuse:
 
 class TestAuxPlanes:
     def test_planes_shapes_and_ranges(self, tiny_coded):
-        _, _, sides, _ = tiny_coded
+        _, decoded, sides, _ = tiny_coded
         aux = build_aux_planes(sides[1])
-        assert aux.codec_planes().shape == (3, 64, 64)
-        assert aux.structure_planes().shape == (2, 64, 64)
-        assert (aux.qp_plane == 36 / 51).all()
-        assert aux.leaf_size.min() >= 4 / 16 and aux.leaf_size.max() <= 1.0
-        assert (aux.prediction >= 0).all() and (aux.prediction <= 1).all()
+        assert aux.shape == (3, 64, 64)
+        prediction, _, qp_plane = aux
+        # the forward builds the structure planes; auxl1's cache holds them
+        # edge-padded by one pixel
+        model = init_restorer(seed=5)
+        window = padded_window(decoded, 1, model.half_window)
+        _, cache = restorer_forward_cached(window, sides[1], aux, model)
+        structure = cache["convs"]["auxl1"][2].xp[:, 1:-1, 1:-1]
+        assert structure.shape == (2, 64, 64)
+        leaf_size = structure[1]
+        assert (qp_plane == 36 / 51).all()
+        assert leaf_size.min() >= 4 / 16 and leaf_size.max() <= 1.0
+        assert (prediction >= 0).all() and (prediction <= 1).all()
 
     def test_residual_plane_matches_reconstruction(self, tiny_coded):
         _, decoded, sides, _ = tiny_coded
         side = sides[2]
-        aux = build_aux_planes(side)
+        prediction, residual, _ = build_aux_planes(side)
         # prediction + residual, rounded and clipped, is the decoded frame
-        recon = 255.0 * (aux.prediction + aux.residual)
+        recon = 255.0 * (prediction + residual)
         from mvcodec.transform import round_half_away
 
         rebuilt = np.clip(round_half_away(recon), 0, 255).astype(np.uint8)
         assert np.array_equal(rebuilt, decoded[2].pixels)
+
+    @pytest.mark.parametrize("qp", [16, 36, 44])
+    @pytest.mark.parametrize("kind", ["texture", "checker"])
+    def test_crop_planes_equal_the_crop_of_frame_planes(self, kind, qp):
+        make = {"texture": fixtures.translating_texture, "checker": fixtures.deforming_checker}
+        frames = make[kind](3)
+        decoded, sides = decode_sequence(encode_sequence(frames, CodecConfig(qp=qp)))
+        samples = iter(build_training_samples(frames, decoded, sides, half_window=1, crop=32))
+        for side in sides:
+            planes = build_aux_planes(side)
+            for y0 in (0, 32):
+                for x0 in (0, 32):
+                    tile = planes[:, y0 : y0 + 32, x0 : x0 + 32]
+                    assert np.array_equal(
+                        build_aux_planes(crop_side_info(side, x0, y0, 32)), tile
+                    )
+                    assert np.array_equal(next(samples).aux, tile)
+            crop = crop_side_info(side, 16, 16, 32)
+            assert np.array_equal(build_aux_planes(crop), planes[:, 16:48, 16:48])
 
 
 class TestRestorerForward:
@@ -346,6 +373,21 @@ class TestRestoreSequence:
         out = restore_sequence(decoded, sides, zero_restorer())
         for a, b in zip(out, decoded):
             assert np.array_equal(a.pixels, b.pixels)
+
+    def test_motion_is_rasterized_once_per_frame(self, tiny_coded, monkeypatch):
+        _, decoded, sides, _ = tiny_coded
+        from mvcodec import restorer
+
+        calls = []
+        real = restorer.rasterize_motion
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(restorer, "rasterize_motion", counted)
+        restore_sequence(decoded, sides, init_restorer(seed=4))
+        assert len(calls) == len(decoded)
 
     def test_both_projection_modes_produce_full_sequences(self, tiny_coded):
         _, decoded, sides, _ = tiny_coded
