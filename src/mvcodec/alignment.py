@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import MotionField, PartitionMap
+from .codec import MotionField, PartitionMap, motion_planes, source_index
 from .nn import ConvLayer, conv_backward, conv_forward_cached
 
 
@@ -60,23 +60,8 @@ def _bilinear_corners(px: np.ndarray, py: np.ndarray, h: int, w: int):
 # ---------------------------------------------------------------------------
 
 def rasterize_motion(partition: PartitionMap, motion: MotionField) -> np.ndarray:
-    """Dense (2, H, W) planes of per-pixel (dx, dy) from the covering leaf."""
-    planes = np.zeros((2, partition.height, partition.width), dtype=np.float64)
-    for leaf, vec in zip(partition.leaves, motion.vectors):
-        if not vec.intra:
-            planes[0, leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = vec.dx
-            planes[1, leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = vec.dy
-    return planes
-
-
-def _source_index(mv_planes: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Flat source index of every pixel, from the dense (2, H, W) motion planes."""
-    if mv_planes.shape != (2, h, w):
-        raise ValueError(f"motion planes {mv_planes.shape} do not match a {w}x{h} map")
-    dx, dy = mv_planes.astype(np.intp)
-    src_y = np.clip(np.arange(h)[:, None] - dy, 0, h - 1)
-    src_x = np.clip(np.arange(w)[None, :] - dx, 0, w - 1)
-    return (src_y * w + src_x).ravel()
+    """Dense (2, H, W) float planes of per-pixel (dx, dy) from the covering leaf."""
+    return motion_planes(partition, motion).astype(np.float64)
 
 
 def warp_mv(fmap: np.ndarray, mv_planes: np.ndarray) -> np.ndarray:
@@ -86,14 +71,14 @@ def warp_mv(fmap: np.ndarray, mv_planes: np.ndarray) -> np.ndarray:
     """
     fmap = _check_map(fmap)
     c, h, w = fmap.shape
-    return fmap.reshape(c, h * w)[:, _source_index(mv_planes, h, w)].reshape(c, h, w)
+    return fmap.reshape(c, h * w)[:, source_index(mv_planes, (h, w))].reshape(c, h, w)
 
 
 def warp_mv_backward(upstream: np.ndarray, mv_planes: np.ndarray) -> np.ndarray:
     """Adjoint of :func:`warp_mv` (scatter-add along the same index map)."""
     upstream = _check_map(upstream)
     c, h, w = upstream.shape
-    idx = (_source_index(mv_planes, h, w) + h * w * np.arange(c)[:, None]).ravel()
+    idx = (source_index(mv_planes, (h, w)) + h * w * np.arange(c)[:, None]).ravel()
     return np.bincount(idx, weights=upstream.ravel(), minlength=c * h * w).reshape(c, h, w)
 
 

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+# A ue prefix longer than this is malformed; the longest legal code is then
+# 2 * MAX_UE_ZEROS + 1 bits.
+MAX_UE_ZEROS = 64
+# Bytes a run read loads at a time.  It reloads once fewer bits than the
+# longest legal code remain, and 32 bytes leave at least 249 bits after the
+# bit offset, so a reload comes about every 120 bits of codes.
+_RUN_WINDOW_BYTES = 32
+
 
 class BitstreamError(Exception):
     """Raised when a bitstream is malformed or ends early."""
@@ -36,6 +44,22 @@ class BitWriter:
             self._out.append((self._acc >> self._nbits) & 0xFF)
         self._acc &= (1 << self._nbits) - 1
 
+    def write_codes(self, values, counts) -> None:
+        """Append ``values[i]`` in ``counts[i]`` bits, for every i in order.
+
+        Each value must fit in its count; a ue codeword of ``v`` is ``v + 1``
+        in ``2 * (v + 1).bit_length() - 1`` bits.  Whole bytes are flushed
+        once, after the last value.
+        """
+        acc, nbits = self._acc, self._nbits
+        for value, count in zip(values, counts):
+            acc = (acc << count) | value
+            nbits += count
+        spare = nbits & 7
+        self._out += (acc >> spare).to_bytes(nbits >> 3, "big")
+        self._acc = acc & ((1 << spare) - 1)
+        self._nbits = spare
+
     def write_ue(self, value: int) -> None:
         if value < 0:
             raise ValueError(f"ue value must be non-negative, got {value}")
@@ -57,43 +81,88 @@ class BitReader:
 
     def __init__(self, data: bytes, start: int = 0):
         self._data = data
-        self._byte = start
-        self._bit = 0
+        self._pos = 8 * start  # bit position
+        self._end = 8 * len(data)
 
     def padding_is_clean(self) -> bool:
         """True when only zero padding bits of the current byte remain."""
-        if self._bit == 0:
-            return True
-        mask = (1 << (8 - self._bit)) - 1
-        return (self._data[self._byte] & mask) == 0
+        spare = -self._pos & 7
+        return spare == 0 or self._data[self._pos >> 3] & ((1 << spare) - 1) == 0
 
     def bytes_consumed(self) -> int:
         """Bytes consumed, counting a partially read byte as consumed."""
-        return self._byte + (1 if self._bit else 0)
+        return (self._pos + 7) >> 3
 
     def read_bit(self) -> int:
-        if self._byte >= len(self._data):
+        pos = self._pos
+        if pos >= self._end:
             raise BitstreamError("truncated payload")
-        bit = (self._data[self._byte] >> (7 - self._bit)) & 1
-        self._bit += 1
-        if self._bit == 8:
-            self._bit = 0
-            self._byte += 1
-        return bit
+        self._pos = pos + 1
+        return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
     def read_bits(self, count: int) -> int:
-        value = 0
-        for _ in range(count):
-            value = (value << 1) | self.read_bit()
-        return value
+        window, avail = self._window(count)
+        if avail < count:
+            raise BitstreamError("truncated payload")
+        self._pos += count
+        return window >> (avail - count)
+
+    def _window(self, count: int) -> tuple[int, int]:
+        """The next ``avail`` bits as an int, ``avail >= count`` unless the
+        payload ends first."""
+        pos = self._pos
+        chunk = self._data[pos >> 3 : (pos + count + 7) >> 3]
+        avail = 8 * len(chunk) - (pos & 7)
+        return int.from_bytes(chunk, "big") & ((1 << avail) - 1), avail
 
     def read_ue(self) -> int:
-        zeros = 0
-        while self.read_bit() == 0:
-            zeros += 1
-            if zeros > 64:
-                raise BitstreamError("malformed exp-Golomb prefix")
-        return ((1 << zeros) | self.read_bits(zeros)) - 1
+        # the leading zeros are counted in one step from a window one bit
+        # longer than the longest legal prefix
+        window, avail = self._window(MAX_UE_ZEROS + 1)
+        zeros = avail - window.bit_length()
+        if zeros > MAX_UE_ZEROS:
+            raise BitstreamError("malformed exp-Golomb prefix")
+        if window == 0:
+            raise BitstreamError("truncated payload")
+        self._pos += zeros
+        return self.read_bits(zeros + 1) - 1
 
     def read_se(self) -> int:
         return unsigned_to_signed(self.read_ue())
+
+    def read_ue_run(self, limit: int) -> list[int]:
+        """ue values up to the first 0, or ``limit`` values when no 0 comes
+        first.  The 0 is consumed but not returned.
+
+        The payload is loaded a window of bytes at a time; each code's
+        leading zeros are counted in one step with ``int.bit_length``.
+        """
+        data, end = self._data, self._end
+        values: list[int] = []
+        # the window holds the ``avail`` bits that end at bit ``stop``; it is
+        # reloaded while it may hold less than the longest legal code
+        window = avail = 0
+        stop = self._pos
+        reload_at = 2 * MAX_UE_ZEROS
+        for _ in range(limit):
+            if avail <= reload_at:
+                pos = stop - avail
+                chunk = data[pos >> 3 : (pos >> 3) + _RUN_WINDOW_BYTES]
+                stop = 8 * ((pos >> 3) + len(chunk))
+                avail = stop - pos
+                window = int.from_bytes(chunk, "big") & ((1 << avail) - 1)
+                if stop >= end:
+                    reload_at = -1
+            zeros = avail - window.bit_length()
+            if zeros > MAX_UE_ZEROS:
+                raise BitstreamError("malformed exp-Golomb prefix")
+            avail -= zeros + zeros + 1
+            if avail < 0:
+                raise BitstreamError("truncated payload")
+            code = window >> avail
+            if code == 1:
+                break
+            window -= code << avail
+            values.append(code - 1)
+        self._pos = stop - avail
+        return values

@@ -10,6 +10,12 @@ macroblock row; intra leaves use DC prediction from decoded neighbors.
 Residuals go through the block DCT and flat quantizer of
 :mod:`mvcodec.transform` and an exp-Golomb bitstream.
 
+An inter frame is coded as array programs over the whole frame: every leaf
+of it is inter, so prediction, split decisions, transforms and level
+codewords need no reconstruction of the frame itself, and only the syntax
+walk goes leaf by leaf.  Intra frames, and on decode any frame with an
+intra leaf, are reconstructed leaf by leaf in coding order.
+
 Motion convention: a vector (dx, dy) means the block content moved right by
 dx and down by dy since the reference, so prediction samples the reference
 at (x - dx, y - dy) with clamp-to-edge.
@@ -18,7 +24,9 @@ at (x - dx, y - dy) with clamp-to-edge.
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +39,6 @@ from .transform import (
     dct2d,
     dequantize,
     idct2d,
-    inverse_zigzag,
     quantize,
     round_half_away,
     zigzag,
@@ -191,15 +198,37 @@ def _leaf_tiles(block: np.ndarray) -> np.ndarray:
     return tiles(block, min(block.shape[0], MAX_TRANSFORM))
 
 
-def transform_frame(plane: np.ndarray, partition: PartitionMap, fn) -> np.ndarray:
+def _coding_order(plane: np.ndarray, t: int) -> np.ndarray:
+    """``(n, t, t)`` copy of every t x t tile of a plane, in coding order.
+
+    Coding order is macroblock raster order, then quadrants top-left,
+    top-right, bottom-left, bottom-right down to the tile size; a leaf's
+    tiles are therefore consecutive, in the order the bitstream carries them.
+    """
+    h, w = plane.shape
+    depth = (MACROBLOCK // t).bit_length() - 1
+    quads = (2,) * depth
+    view = plane.reshape((h // MACROBLOCK, *quads, t, w // MACROBLOCK, *quads, t))
+    axes = [axis for level in range(depth + 2) for axis in (level, depth + 2 + level)]
+    return view.transpose(axes).reshape(-1, t, t)
+
+
+def _coded_tiles(plane: np.ndarray, sizes: np.ndarray, t: int) -> np.ndarray:
+    """The t x t tiles of a plane that are transform tiles, in coding order."""
+    leaf_sizes = _coding_order(sizes, t)[:, 0, 0]
+    return _coding_order(plane, t)[np.minimum(leaf_sizes, MAX_TRANSFORM) == t]
+
+
+def transform_frame(plane: np.ndarray, sizes: np.ndarray, fn) -> np.ndarray:
     """Apply ``dct2d`` or ``idct2d`` to every transform tile of a frame.
 
-    Leaves of 8 and 16 pixels are tiled by 8x8 transforms, and 4x4 leaves
-    only come from splitting an 8x8 block, so every 8x8 block of the frame
-    is either one 8x8 tile or four 4x4 tiles.  ``fn`` runs once per tile
-    size on the stacked tiles.
+    ``sizes`` is the uint8 plane of each pixel's leaf size
+    (``PartitionMap.sizes``).  Leaves of 8 and 16 pixels are tiled by 8x8
+    transforms, and 4x4 leaves only come from splitting an 8x8 block, so
+    every 8x8 block of the frame is either one 8x8 tile or four 4x4 tiles.
+    ``fn`` runs once per tile size on the stacked tiles.
     """
-    split = partition.sizes[::MAX_TRANSFORM, ::MAX_TRANSFORM] < MAX_TRANSFORM
+    split = sizes[::MAX_TRANSFORM, ::MAX_TRANSFORM] < MAX_TRANSFORM
     split_small = split.repeat(2, axis=0).repeat(2, axis=1)
     small = MAX_TRANSFORM // 2
     out = np.empty(plane.shape)
@@ -209,16 +238,31 @@ def transform_frame(plane: np.ndarray, partition: PartitionMap, fn) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Prediction primitives
+# Prediction and reconstruction
 # ---------------------------------------------------------------------------
 
-def _mc_block(
-    padded: np.ndarray, pad: int, x: int, y: int, size: int, dx: int, dy: int
-) -> np.ndarray:
-    """Motion-compensated block with clamp-to-edge, sliced from a reference
-    that ``np.pad(ref, pad, mode="edge")`` padded, where |dx|, |dy| <= pad."""
-    top, left = y - dy + pad, x - dx + pad
-    return padded[top : top + size, left : left + size]
+def source_index(motion: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Flat index of every pixel's motion-compensated source, clamped to edge.
+
+    ``motion`` holds the (dx, dy) planes of an ``shape`` frame as a
+    ``(2, H, W)`` array of whole pixels; pixel (x, y) reads (x - dx, y - dy)
+    with both coordinates clamped to the frame.
+    """
+    h, w = shape
+    if motion.shape != (2, h, w):
+        raise ValueError(f"motion planes {motion.shape} do not match a {w}x{h} map")
+    dx, dy = motion.astype(np.intp, copy=False)
+    index = np.arange(h)[:, None] - dy
+    np.clip(index, 0, h - 1, out=index)
+    index *= w
+    src_x = np.arange(w) - dx
+    index += np.clip(src_x, 0, w - 1, out=src_x)
+    return index.ravel()
+
+
+def _compensate(reference: np.ndarray, motion: np.ndarray) -> np.ndarray:
+    """Motion-compensated prediction plane: one gather of the reference."""
+    return reference.ravel()[source_index(motion, reference.shape)].reshape(reference.shape)
 
 
 def _dc_predict(recon: np.ndarray, x: int, y: int, size: int) -> int:
@@ -243,10 +287,10 @@ def motion_search(
     reference: Frame | np.ndarray,
     row: int,
     radius: int,
-) -> dict[int, list[list[list[int]]]]:
+) -> dict[int, np.ndarray]:
     """Exhaustive integer-pel SAD search over [-radius, radius]^2 of every
-    16/8/4 block of macroblock row ``row``: ``result[size][i][j]`` is the
-    ``[dx, dy]`` of the block at ``(j * size, 16 * row + i * size)``.
+    16/8/4 block of macroblock row ``row``: ``result[size][i, j]`` is the
+    ``(dx, dy)`` of the block at ``(j * size, 16 * row + i * size)``.
 
     Ties resolve to the smallest |dx|+|dy|, then smaller dy, then smaller dx.
     One pass over the displacements computes the row's 4x4 SADs; the 8x8
@@ -279,27 +323,27 @@ def motion_search(
             sad = np.add(sad[:, :, 0::2], sad[:, :, 1::2], dtype=np.int32)
             sad = sad[:, 0::2] + sad[:, 1::2]
         best = order[sad.argmin(axis=0)]
-        result[size] = np.stack([dxs[best], dys[best]], axis=-1).tolist()
+        result[size] = np.stack([dxs[best], dys[best]], axis=-1)
     return result
 
 
-def _reconstruct_block(pred: np.ndarray, levels: np.ndarray, qt: QuantTable) -> np.ndarray:
-    """Dequantize + inverse transform + prediction of one leaf, rounded and clipped."""
-    resid = np.empty(levels.shape)
-    _leaf_tiles(resid)[...] = idct2d(dequantize(_leaf_tiles(levels), qt))
-    recon = round_half_away(pred.astype(np.float64) + resid)
-    return np.clip(recon, 0, 255).astype(np.int32)
+def _residual(levels: np.ndarray, sizes: np.ndarray, qt: QuantTable) -> np.ndarray:
+    return transform_frame(dequantize(levels, qt), sizes, idct2d)
+
+
+def _reconstruct(pred, resid: np.ndarray) -> np.ndarray:
+    """Prediction plus residual, rounded half away from zero and clipped to 8 bits."""
+    return np.clip(round_half_away(pred + resid), 0, 255).astype(np.uint8)
 
 
 def residual_plane(side: SideInfo) -> np.ndarray:
     """Dequantized, inverse-transformed residual of a whole coded frame."""
-    return transform_frame(dequantize(side.levels, QuantTable(side.qp)), side.partition, idct2d)
+    return _residual(side.levels, side.partition.sizes, QuantTable(side.qp))
 
 
 def reconstruct_from_side_info(side: SideInfo) -> Frame:
     """Rebuild the decoded frame from side information alone."""
-    recon = round_half_away(side.prediction.as_float() + residual_plane(side))
-    return Frame(np.clip(recon, 0, 255).astype(np.uint8))
+    return Frame(_reconstruct(side.prediction.pixels, residual_plane(side)))
 
 
 # ---------------------------------------------------------------------------
@@ -311,28 +355,56 @@ def reconstruct_from_side_info(side: SideInfo) -> Frame:
 # the spare ue(0) codeword "1" is the end-of-block marker, emitted only when
 # nonzero coefficients end before the scan does.
 
-def _write_levels(writer: BitWriter, levels: np.ndarray) -> None:
-    zz = zigzag(levels)
-    nz = np.nonzero(zz)[0]
-    last = int(nz[-1]) if nz.size else -1
-    for v in zz[: last + 1]:
-        writer.write_ue(signed_to_unsigned(int(v)) + 1)
-    if last + 1 < zz.size:
-        writer.write_ue(0)
+# ue(v) of a level v is the unsigned code plus one; the largest legal v
+MAX_LEVEL_CODE = signed_to_unsigned(LEVEL_LIMIT) + 1
 
 
-def _read_levels(reader: BitReader, size: int) -> np.ndarray:
-    count = size * size
-    zz = np.zeros(count, dtype=np.int32)
-    for i in range(count):
-        code = reader.read_ue()
-        if code == 0:
-            break
-        value = unsigned_to_signed(code - 1)
-        if abs(value) > LEVEL_LIMIT:
+def _level_codewords(scans: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Codewords of zigzag-scanned tiles ``(n_tiles, n)``, tile after tile.
+
+    Returns ``(values, counts, ends)``: tile i's codewords are
+    ``values[ends[i]:ends[i + 1]]``, each written in ``counts[...]`` bits.
+    """
+    n_tiles, n = scans.shape
+    nonzero = scans != 0
+    # coefficients up to the last nonzero one are coded, then the EOB
+    # unless that reached the end of the scan
+    coded = n - np.argmax(nonzero[:, ::-1], axis=1)
+    coded[~nonzero.any(axis=1)] = 0
+    # ue(c) writes c + 1 in 2 * bit_length(c + 1) - 1 bits; the EOB is ue(0)
+    value = np.ones((n_tiles, n + 1), dtype=np.int64)
+    value[:, :n] += np.where(scans >= 0, 2 * scans, -2 * scans - 1) + 1
+    count = 2 * np.frexp(value)[1] - 1
+    used = np.arange(n + 1) < coded[:, None]
+    used[:, n] = coded < n
+    ends = np.zeros(n_tiles + 1, dtype=np.int64)
+    np.cumsum(used.sum(axis=1), out=ends[1:])
+    return value[used].tolist(), count[used].tolist(), ends.tolist()
+
+
+def _levels_from_runs(sizes: np.ndarray, runs: dict[int, list[list[int]]]) -> np.ndarray:
+    """Levels plane from the ue runs of every transform tile, in coding order.
+
+    ``runs[t]`` lists the codes of each t x t tile.  They fill a stack of
+    zigzag scans, which one scatter per tile size places in the plane.
+    """
+    h, w = sizes.shape
+    index = np.arange(h * w, dtype=np.int32).reshape(h, w)
+    levels = np.zeros(h * w, dtype=np.int32)
+    for t, tile_runs in runs.items():
+        codes = list(chain.from_iterable(tile_runs))
+        worst = max(codes, default=0)
+        if worst > MAX_LEVEL_CODE:
+            value = unsigned_to_signed(worst - 1)
             raise BitstreamError(f"coefficient level {value} overflows signed 16 bits")
-        zz[i] = value
-    return inverse_zigzag(zz, size)
+        lengths = np.fromiter(map(len, tile_runs), dtype=np.intp, count=len(tile_runs))
+        unsigned = np.fromiter(codes, dtype=np.int32, count=len(codes)) - 1
+        scans = np.zeros((lengths.size, t * t), dtype=np.int32)
+        scans[np.arange(t * t) < lengths[:, None]] = np.where(
+            unsigned % 2, -(unsigned + 1) // 2, unsigned // 2
+        )
+        levels[zigzag(_coded_tiles(index, sizes, t))] = scans
+    return levels.reshape(h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +445,135 @@ def parse_header(data: bytes) -> StreamHeader:
 
 
 # ---------------------------------------------------------------------------
+# Quadtree walk
+# ---------------------------------------------------------------------------
+
+def _quadtree(width: int, height: int, split) -> Iterator[tuple[int, int, int]]:
+    """Every leaf ``(x, y, size)`` of a frame's macroblock quadtrees, in
+    coding order.
+
+    ``split(x, y, size)`` decides each block larger than 4x4 when the walk
+    reaches it, after every leaf before it was yielded, so a decoder can
+    read a split flag and an encoder can write one or reconstruct first.
+    """
+    for my in range(0, height, MACROBLOCK):
+        for mx in range(0, width, MACROBLOCK):
+            stack = [(mx, my, MACROBLOCK)]
+            while stack:
+                x, y, size = stack.pop()
+                if size > 4 and split(x, y, size):
+                    half = size // 2
+                    # pushed in reverse, so the top-left quadrant comes first
+                    stack += [
+                        (x + half, y + half, half),
+                        (x, y + half, half),
+                        (x + half, y, half),
+                        (x, y, half),
+                    ]
+                else:
+                    yield x, y, size
+
+
+# ---------------------------------------------------------------------------
 # Encoding
 # ---------------------------------------------------------------------------
+
+def _code_intra_frame(
+    cur: np.ndarray, config: CodecConfig, qt: QuantTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf sizes, levels and reconstruction of an intra frame.
+
+    Leaf by leaf in coding order, because DC prediction reads the
+    reconstruction of the leaves before it.
+    """
+    height, width = cur.shape
+    sizes = np.empty((height, width), dtype=np.uint8)
+    levels = np.empty((height, width), dtype=np.int32)
+    recon = np.zeros((height, width), dtype=np.uint8)
+
+    def residual(x: int, y: int, size: int) -> tuple[int, np.ndarray]:
+        pred = _dc_predict(recon, x, y, size)
+        return pred, cur[y : y + size, x : x + size] - pred
+
+    def split(x: int, y: int, size: int) -> bool:
+        return float(np.abs(residual(x, y, size)[1]).mean()) > config.split_threshold
+
+    for x, y, size in _quadtree(width, height, split):
+        pred, resid = residual(x, y, size)
+        block = levels[y : y + size, x : x + size]
+        _leaf_tiles(block)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), qt)
+        leaf_resid = np.empty((size, size))
+        _leaf_tiles(leaf_resid)[...] = idct2d(dequantize(_leaf_tiles(block), qt))
+        recon[y : y + size, x : x + size] = _reconstruct(pred, leaf_resid)
+        sizes[y : y + size, x : x + size] = size
+    return sizes, levels, recon
+
+
+def _code_inter_frame(
+    cur: np.ndarray, ref: np.ndarray, config: CodecConfig, qt: QuantTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """Leaf sizes, levels, reconstruction and per-size vectors of an inter frame.
+
+    Every leaf of an inter frame is inter, and a block's vector, prediction
+    and split decision read only ``cur``, ``ref`` and the block, never the
+    frame being reconstructed.  So each size is predicted over the whole
+    frame at once, the splits are masks, and one transform, quantization
+    and inverse cover the frame.
+    """
+    height, width = cur.shape
+    rows = [motion_search(cur, ref, r, config.search_radius) for r in range(height // MACROBLOCK)]
+    vectors = {size: np.concatenate([row[size] for row in rows]) for size in LEAF_SIZES}
+    sizes = np.full((height, width), MACROBLOCK, dtype=np.uint8)
+    split = np.ones((height // MACROBLOCK, width // MACROBLOCK), dtype=bool)
+    for size in LEAF_SIZES:
+        motion = vectors[size].transpose(2, 0, 1).repeat(size, axis=1).repeat(size, axis=2)
+        block_pred = _compensate(ref, motion)
+        # blocks split further are predicted again at the next size
+        pred = block_pred if size == MACROBLOCK else np.where(sizes == size, block_pred, pred)
+        if size > 4:
+            # the mean of an integer block is its exact sum over its count
+            mean = tiles(np.abs(cur - block_pred), size).mean(axis=(2, 3))
+            split &= mean > config.split_threshold
+            sizes[split.repeat(size, axis=0).repeat(size, axis=1)] = size // 2
+            split = split.repeat(2, axis=0).repeat(2, axis=1)
+    levels = quantize(transform_frame((cur - pred).astype(np.float64), sizes, dct2d), qt)
+    recon = _reconstruct(pred, _residual(levels, sizes, qt))
+    return sizes, levels, recon, vectors
+
+
+def _write_frame(
+    writer: BitWriter,
+    sizes: np.ndarray,
+    levels: np.ndarray,
+    vectors: dict[int, np.ndarray] | None,
+) -> None:
+    """Write a frame's syntax: per macroblock, its quadtree of split flags,
+    and per leaf the intra flag, an inter leaf's vector and the level
+    codewords of its transform tiles.  ``vectors`` is None for an intra
+    frame."""
+    height, width = sizes.shape
+    leaf_size = sizes[::4, ::4].tolist()
+    mv = None if vectors is None else {size: v.tolist() for size, v in vectors.items()}
+    codes = {t: _level_codewords(zigzag(_coded_tiles(levels, sizes, t))) for t in (8, 4)}
+    next_tile = {8: 0, 4: 0}
+
+    def split(x: int, y: int, size: int) -> bool:
+        flag = leaf_size[y // 4][x // 4] < size
+        writer.write_bit(int(flag))
+        return flag
+
+    for x, y, size in _quadtree(width, height, split):
+        writer.write_bit(1 if mv is None else 0)
+        if mv is not None:
+            dx, dy = mv[size][y // size][x // size]
+            writer.write_se(dx)
+            writer.write_se(dy)
+        t = min(size, MAX_TRANSFORM)
+        values, counts, ends = codes[t]
+        first = next_tile[t]
+        next_tile[t] = last = first + (size // t) ** 2
+        writer.write_codes(values[ends[first] : ends[last]], counts[ends[first] : ends[last]])
+
 
 def encode_with_reconstruction(
     frames: list[Frame], config: CodecConfig
@@ -387,7 +586,6 @@ def encode_with_reconstruction(
         if f.width != width or f.height != height:
             raise ValueError("all frames must share dimensions")
     qt = QuantTable(config.qp)
-    radius = config.search_radius
     writer = BitWriter()
     recons: list[Frame] = []
 
@@ -395,46 +593,13 @@ def encode_with_reconstruction(
         intra = t == 0 or (config.intra_period > 0 and t % config.intra_period == 0)
         writer.write_bit(1 if intra else 0)
         cur = frame.pixels.astype(np.int32)
-        ref = None if intra else recons[-1]
-        padded = None if intra else np.pad(ref.pixels.astype(np.int32), radius, mode="edge")
-        recon = np.zeros((height, width), dtype=np.int32)
-
-        def code_block(x: int, y: int, size: int) -> None:
-            if intra:
-                pred = np.full((size, size), _dc_predict(recon, x, y, size), dtype=np.int32)
-            else:
-                dx, dy = vectors[size][y % MACROBLOCK // size][x // size]
-                pred = _mc_block(padded, radius, x, y, size, dx, dy)
-            resid = cur[y : y + size, x : x + size] - pred
-            if size > 4:
-                do_split = float(np.abs(resid).mean()) > config.split_threshold
-                writer.write_bit(1 if do_split else 0)
-                if do_split:
-                    half = size // 2
-                    code_block(x, y, half)
-                    code_block(x + half, y, half)
-                    code_block(x, y + half, half)
-                    code_block(x + half, y + half, half)
-                    return
-            writer.write_bit(1 if intra else 0)
-            if not intra:
-                writer.write_se(dx)
-                writer.write_se(dy)
-            levels = np.empty((size, size), dtype=np.int32)
-            _leaf_tiles(levels)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), qt)
-            for row in _leaf_tiles(levels):
-                for tile in row:
-                    _write_levels(writer, tile)
-            recon[y : y + size, x : x + size] = _reconstruct_block(pred, levels, qt)
-
-        for my in range(0, height, MACROBLOCK):
-            if not intra:
-                # a block's best vector depends only on cur, ref and the block,
-                # so one search per row serves every split decision in it
-                vectors = motion_search(cur, ref, my // MACROBLOCK, radius)
-            for mx in range(0, width, MACROBLOCK):
-                code_block(mx, my, MACROBLOCK)
-        recons.append(Frame(recon.astype(np.uint8)))
+        if intra:
+            sizes, levels, recon = _code_intra_frame(cur, config, qt)
+            vectors = None
+        else:
+            sizes, levels, recon, vectors = _code_inter_frame(cur, recons[-1].pixels, config, qt)
+        _write_frame(writer, sizes, levels, vectors)
+        recons.append(Frame(recon))
 
     header = _pack_header(width, height, len(frames), config)
     return header + writer.getvalue(), recons
@@ -449,8 +614,67 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> bytes:
 # Decoding
 # ---------------------------------------------------------------------------
 
+def _parse_frame(
+    reader: BitReader, header: StreamHeader, intra_frame: bool
+) -> tuple[list[Leaf], list[LeafMotion], dict[int, list[list[int]]]]:
+    """Read one frame's syntax: leaves and vectors in coding order, and the
+    ue run of every transform tile, keyed by tile size."""
+    leaves: list[Leaf] = []
+    vectors: list[LeafMotion] = []
+    runs: dict[int, list[list[int]]] = {8: [], 4: []}
+    radius = header.search_radius
+    for x, y, size in _quadtree(header.width, header.height, lambda x, y, size: reader.read_bit()):
+        if reader.read_bit():
+            vectors.append(LeafMotion(intra=True))
+        else:
+            if intra_frame:
+                raise BitstreamError("inter leaf in an intra frame")
+            dx = reader.read_se()
+            dy = reader.read_se()
+            if abs(dx) > radius or abs(dy) > radius:
+                raise BitstreamError(f"motion vector ({dx},{dy}) exceeds search radius")
+            vectors.append(LeafMotion(intra=False, dx=dx, dy=dy))
+        leaves.append(Leaf(x, y, size))
+        t = min(size, MAX_TRANSFORM)
+        for _ in range((size // t) ** 2):
+            runs[t].append(reader.read_ue_run(t * t))
+    return leaves, vectors, runs
+
+
+def motion_planes(partition: PartitionMap, motion: MotionField) -> np.ndarray:
+    """Dense (2, H, W) integer planes of per-pixel (dx, dy) from the covering
+    leaf; intra leaves read (0, 0).
+
+    Leaves of one size are placed on that size's block grid with one scatter,
+    and the grids are merged on the 4x4 cell grid before the upsampling to
+    pixels.
+    """
+    h, w = partition.height, partition.width
+    cell_sizes = partition.sizes[::4, ::4]
+    cells = np.zeros((2, h // 4, w // 4), dtype=np.intp)
+    for size in LEAF_SIZES:
+        placed = [
+            (leaf.y // size, leaf.x // size, vec.dx, vec.dy)
+            for leaf, vec in zip(partition.leaves, motion.vectors)
+            if leaf.size == size and not vec.intra
+        ]
+        if placed:
+            row, col, dx, dy = np.array(placed).T
+            grid = np.zeros((2, h // size, w // size), dtype=np.intp)
+            grid[:, row, col] = dx, dy
+            up = size // 4
+            np.copyto(cells, grid.repeat(up, axis=1).repeat(up, axis=2), where=cell_sizes == size)
+    return cells.repeat(4, axis=1).repeat(4, axis=2)
+
+
 def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
-    """Decode a bitstream into frames plus per-frame side information."""
+    """Decode a bitstream into frames plus per-frame side information.
+
+    Each frame's syntax is parsed first.  A frame of inter leaves only is
+    then rebuilt at once: one motion-compensation gather plus the frame's
+    residual.  A frame with an intra leaf is rebuilt leaf by leaf, because
+    DC prediction reads the leaves decoded before it.
+    """
     header = parse_header(data)
     qt = QuantTable(header.qp)
     reader = BitReader(data, HEADER_SIZE)
@@ -463,57 +687,34 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
         intra_frame = reader.read_bit() == 1
         if prev is None and not intra_frame:
             raise BitstreamError(f"frame {t} is inter but has no reference")
-        padded = None if intra_frame else np.pad(prev, header.search_radius, mode="edge")
-        recon = np.zeros((height, width), dtype=np.int32)
-        pred_frame = np.zeros((height, width), dtype=np.int32)
-        levels = np.zeros((height, width), dtype=np.int32)
-        leaves: list[Leaf] = []
-        vectors: list[LeafMotion] = []
+        leaves, vectors, runs = _parse_frame(reader, header, intra_frame)
+        partition = PartitionMap(width, height, tuple(leaves))
+        motion = MotionField(tuple(vectors))
+        mc = None if intra_frame else _compensate(prev, motion_planes(partition, motion))
+        levels = _levels_from_runs(partition.sizes, runs)
+        resid = _residual(levels, partition.sizes, qt)
+        if any(v.intra for v in vectors):
+            pred = np.empty((height, width), dtype=np.uint8)
+            recon = np.empty((height, width), dtype=np.uint8)
+            for leaf, vec in zip(leaves, vectors):
+                block = np.s_[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
+                if vec.intra:
+                    pred[block] = _dc_predict(recon, leaf.x, leaf.y, leaf.size)
+                else:
+                    pred[block] = mc[block]
+                recon[block] = _reconstruct(pred[block], resid[block])
+        else:
+            pred = mc
+            recon = _reconstruct(pred, resid)
 
-        def decode_block(x: int, y: int, size: int) -> None:
-            if size > 4 and reader.read_bit():
-                half = size // 2
-                decode_block(x, y, half)
-                decode_block(x + half, y, half)
-                decode_block(x, y + half, half)
-                decode_block(x + half, y + half, half)
-                return
-            intra_leaf = reader.read_bit() == 1
-            if intra_leaf:
-                vec = LeafMotion(intra=True)
-                pred = np.full((size, size), _dc_predict(recon, x, y, size), dtype=np.int32)
-            else:
-                if padded is None:
-                    raise BitstreamError("inter leaf in an intra frame")
-                dx = reader.read_se()
-                dy = reader.read_se()
-                if abs(dx) > header.search_radius or abs(dy) > header.search_radius:
-                    raise BitstreamError(
-                        f"motion vector ({dx},{dy}) exceeds search radius"
-                    )
-                vec = LeafMotion(intra=False, dx=dx, dy=dy)
-                pred = _mc_block(padded, header.search_radius, x, y, size, dx, dy)
-            block = levels[y : y + size, x : x + size]
-            for row in _leaf_tiles(block):
-                for tile in row:
-                    tile[...] = _read_levels(reader, tile.shape[0])
-            pred_frame[y : y + size, x : x + size] = pred
-            recon[y : y + size, x : x + size] = _reconstruct_block(pred, block, qt)
-            leaves.append(Leaf(x, y, size))
-            vectors.append(vec)
-
-        for my in range(0, height, MACROBLOCK):
-            for mx in range(0, width, MACROBLOCK):
-                decode_block(mx, my, MACROBLOCK)
-
-        frames.append(Frame(recon.astype(np.uint8)))
+        frames.append(Frame(recon))
         sides.append(
             SideInfo(
                 frame_index=t,
                 qp=header.qp,
-                partition=PartitionMap(width, height, tuple(leaves)),
-                motion=MotionField(tuple(vectors)),
-                prediction=Frame(pred_frame.astype(np.uint8)),
+                partition=partition,
+                motion=motion,
+                prediction=Frame(pred),
                 levels=levels,
             )
         )

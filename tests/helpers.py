@@ -13,10 +13,19 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mvcodec.alignment import kernel_grid
-from mvcodec.bitio import BitstreamError, signed_to_unsigned, unsigned_to_signed
+from mvcodec.bitio import BitstreamError, BitWriter, signed_to_unsigned, unsigned_to_signed
+from mvcodec.codec import _pack_header, motion_search
 from mvcodec.fixtures import _texture
 from mvcodec.frames import Frame
-from mvcodec.transform import QuantTable, dequantize, idct2d, round_half_away
+from mvcodec.transform import (
+    QuantTable,
+    dct2d,
+    dequantize,
+    idct2d,
+    quantize,
+    round_half_away,
+    zigzag,
+)
 
 FD_STEP = 1e-5
 GRAD_TOL = 1e-4
@@ -146,16 +155,7 @@ def predict_frame(intra_frame: bool, reference, motion, partition, decoded) -> F
     for leaf, vec in zip(partition.leaves, motion.vectors):
         x, y, size = leaf.x, leaf.y, leaf.size
         if vec.intra:
-            neighbors = []
-            if x > 0:
-                neighbors.append(dec[y : y + size, x - 1])
-            if y > 0:
-                neighbors.append(dec[y - 1, x : x + size])
-            if neighbors:
-                mean = np.concatenate(neighbors).sum() / (size * len(neighbors))
-                value = int(round_half_away(mean))
-            else:
-                value = 128
+            value = dc_value(dec, x, y, size)
         else:
             if reference is None:
                 raise ValueError("inter leaf needs a reference frame")
@@ -182,6 +182,96 @@ def preclip_reconstruction(side) -> np.ndarray:
                     dequantize(side.levels[y : y + tile, x : x + tile], qt)
                 )
     return out
+
+
+def dc_value(recon: np.ndarray, x: int, y: int, size: int) -> int:
+    """Rounded mean of the decoded left-column and top-row neighbors, or 128."""
+    neighbors = []
+    if x > 0:
+        neighbors.append(recon[y : y + size, x - 1])
+    if y > 0:
+        neighbors.append(recon[y - 1, x : x + size])
+    if not neighbors:
+        return 128
+    return int(round_half_away(np.concatenate(neighbors).sum() / (size * len(neighbors))))
+
+
+def write_scan(writer: BitWriter, scan: list[int]) -> None:
+    """Level syntax of one transform tile from its zigzag scan: ue(code + 1)
+    per level up to the last nonzero one, then ue(0) unless that ended the
+    scan."""
+    last = max((i for i, v in enumerate(scan) if v), default=-1)
+    for v in scan[: last + 1]:
+        writer.write_ue(signed_to_unsigned(v) + 1)
+    if last + 1 < len(scan):
+        writer.write_ue(0)
+
+
+def encode_per_leaf(frames: list[Frame], config) -> tuple[bytes, list[Frame]]:
+    """The closed-loop encoder written leaf by leaf, with every leaf predicted,
+    split-tested, transformed, coded and reconstructed on its own.
+
+    Inter blocks copy an edge-padded reference at (x - dx, y - dy) with the
+    vector the row's motion search found for their size; each level of each
+    transform tile is written with its own ``write_ue``.  The codec's
+    frame-level inter path must produce the same bytes and reconstructions.
+    """
+    width, height = frames[0].width, frames[0].height
+    qt = QuantTable(config.qp)
+    radius = config.search_radius
+    writer = BitWriter()
+    recons: list[Frame] = []
+
+    for t, frame in enumerate(frames):
+        intra = t == 0 or (config.intra_period > 0 and t % config.intra_period == 0)
+        writer.write_bit(1 if intra else 0)
+        cur = frame.pixels.astype(np.int32)
+        padded = None if intra else np.pad(recons[-1].pixels.astype(np.int32), radius, mode="edge")
+        recon = np.zeros((height, width), dtype=np.int32)
+        vectors = None
+
+        def code_block(x: int, y: int, size: int) -> None:
+            if intra:
+                pred = np.full((size, size), dc_value(recon, x, y, size), dtype=np.int32)
+            else:
+                dx, dy = vectors[size][y % 16 // size][x // size]
+                top, left = y - dy + radius, x - dx + radius
+                pred = padded[top : top + size, left : left + size]
+            resid = cur[y : y + size, x : x + size] - pred
+            if size > 4:
+                do_split = float(np.abs(resid).mean()) > config.split_threshold
+                writer.write_bit(1 if do_split else 0)
+                if do_split:
+                    half = size // 2
+                    code_block(x, y, half)
+                    code_block(x + half, y, half)
+                    code_block(x, y + half, half)
+                    code_block(x + half, y + half, half)
+                    return
+            writer.write_bit(1 if intra else 0)
+            if not intra:
+                writer.write_se(dx)
+                writer.write_se(dy)
+            tile = min(size, 8)
+            coded = np.empty((size, size))
+            for ty in range(0, size, tile):
+                for tx in range(0, size, tile):
+                    part = np.s_[ty : ty + tile, tx : tx + tile]
+                    levels = quantize(dct2d(resid[part].astype(np.float64)), qt)
+                    write_scan(writer, zigzag(levels).tolist())
+                    coded[part] = idct2d(dequantize(levels, qt))
+            rebuilt = np.clip(round_half_away(pred.astype(np.float64) + coded), 0, 255)
+            recon[y : y + size, x : x + size] = rebuilt
+
+        for my in range(0, height, 16):
+            if not intra:
+                found = motion_search(cur, recons[-1], my // 16, radius)
+                vectors = {size: v.tolist() for size, v in found.items()}
+            for mx in range(0, width, 16):
+                code_block(mx, my, 16)
+        recons.append(Frame(recon.astype(np.uint8)))
+
+    return _pack_header(width, height, len(frames), config) + writer.getvalue(), recons
 
 
 def dct2d_direct(block: np.ndarray) -> np.ndarray:

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from helpers import global_shift_pair, motion_search_direct, predict_frame
+from helpers import (
+    encode_per_leaf,
+    global_shift_pair,
+    motion_search_direct,
+    predict_frame,
+    preclip_reconstruction,
+    write_scan,
+)
 from mvcodec import fixtures
-from mvcodec.bitio import BitstreamError
+from mvcodec.bitio import BitstreamError, BitWriter
+from mvcodec.cli import main
 from mvcodec.codec import (
     HEADER_SIZE,
     CodecConfig,
@@ -12,6 +20,7 @@ from mvcodec.codec import (
     MotionField,
     PartitionMap,
     SideInfo,
+    _pack_header,
     decode_sequence,
     encode_sequence,
     encode_with_reconstruction,
@@ -24,7 +33,9 @@ from mvcodec.codec import (
     transform_frame,
 )
 from mvcodec.frames import Frame, psnr
-from mvcodec.transform import dct2d, idct2d
+from mvcodec.transform import dct2d, idct2d, round_half_away, zigzag
+
+CLIPS = {"texture": fixtures.translating_texture, "checker": fixtures.deforming_checker}
 
 
 def _const(value, size=64):
@@ -154,7 +165,7 @@ class TestTransformFrame:
                 for y in range(leaf.y, leaf.y + leaf.size, t):
                     for x in range(leaf.x, leaf.x + leaf.size, t):
                         expected[y : y + t, x : x + t] = fn(plane[y : y + t, x : x + t])
-            assert np.array_equal(transform_frame(plane, side.partition, fn), expected)
+            assert np.array_equal(transform_frame(plane, side.partition.sizes, fn), expected)
 
     def test_tiles_is_a_raster_view(self):
         plane = np.arange(16 * 32).reshape(16, 32)
@@ -346,3 +357,164 @@ class TestSyntaxRoundTrip:
             CodecConfig(qp=10, search_radius=-1)
         with pytest.raises(ValueError):
             CodecConfig(qp=10, split_threshold=-0.5)
+
+
+class TestEncoderOracle:
+    @pytest.mark.parametrize("intra_period", [0, 2])
+    @pytest.mark.parametrize("qp", [0, 24, 51])
+    @pytest.mark.parametrize("radius", [0, 8, 40])
+    @pytest.mark.parametrize("tau", [0.0, 6.0, 6553.5])
+    @pytest.mark.parametrize("clip", sorted(CLIPS))
+    def test_matches_per_leaf_encoder(self, clip, tau, radius, qp, intra_period):
+        # tau 0 splits every block down to 4x4 and 6 mixes sizes; no mean
+        # |residual| exceeds 255, so the largest tau the header holds splits none
+        frames = CLIPS[clip](4, size=32)
+        config = CodecConfig(
+            qp=qp, search_radius=radius, split_threshold=tau, intra_period=intra_period
+        )
+        data, recons = encode_with_reconstruction(frames, config)
+        expected_data, expected_recons = encode_per_leaf(frames, config)
+        assert data == expected_data
+        for got, expected in zip(recons, expected_recons, strict=True):
+            assert np.array_equal(got.pixels, expected.pixels)
+
+
+class TestDecoderRobustness:
+    RADIUS = 4
+
+    def _stream(self, inter_leaves, rng, level=None):
+        """Two 32x32 frames: an intra frame of 16x16 leaves, then an inter
+        frame whose leaves (x, y, size, vector or None for intra) are given
+        in coding order.  Returns the stream and the inter frame's tile scans."""
+        writer = BitWriter()
+        scans = {}
+
+        def leaf(x, y, size, vector):
+            writer.write_bit(1 if vector is None else 0)
+            if vector is not None:
+                writer.write_se(vector[0])
+                writer.write_se(vector[1])
+            t = min(size, 8)
+            for ty in range(y, y + size, t):
+                for tx in range(x, x + size, t):
+                    scan = [0] * (t * t)
+                    for i in range(int(rng.integers(0, 5))):
+                        scan[int(rng.integers(0, t * t))] = int(rng.integers(-6, 7))
+                    if level is not None:
+                        scan[0] = level
+                    scans[tx, ty, t] = scan
+                    write_scan(writer, scan)
+
+        writer.write_bit(1)
+        for y in (0, 16):
+            for x in (0, 16):
+                writer.write_bit(0)
+                leaf(x, y, 16, None)
+        scans.clear()
+        writer.write_bit(0)
+        pending = list(inter_leaves)
+        for my in (0, 16):
+            for mx in (0, 16):
+                # split flags follow from the leaf sizes of each macroblock
+                def block(x, y, size):
+                    if size > 4:
+                        first = pending[0]
+                        split = first[2] < size
+                        writer.write_bit(int(split))
+                        if split:
+                            half = size // 2
+                            for qy, qx in ((0, 0), (0, half), (half, 0), (half, half)):
+                                block(x + qx, y + qy, half)
+                            return
+                    lx, ly, lsize, vector = pending.pop(0)
+                    assert (lx, ly, lsize) == (x, y, size)
+                    leaf(x, y, size, vector)
+
+                block(mx, my, 16)
+        config = CodecConfig(qp=20, search_radius=self.RADIUS)
+        return _pack_header(32, 32, 2, config) + writer.getvalue(), scans
+
+    MIXED = [
+        (0, 0, 16, None),
+        (16, 0, 8, (2, -1)),
+        (24, 0, 4, None),
+        (28, 0, 4, (-4, 4)),
+        (24, 4, 4, (1, 0)),
+        (28, 4, 4, None),
+        (16, 8, 8, None),
+        (24, 8, 8, (0, 3)),
+        (0, 16, 16, (-3, 2)),
+        (16, 16, 16, None),
+    ]
+
+    def test_intra_leaves_in_an_inter_frame(self):
+        data, scans = self._stream(self.MIXED, np.random.default_rng(8))
+        decoded, sides = decode_sequence(data)
+        side = sides[1]
+        got = [
+            (leaf.x, leaf.y, leaf.size, None if vec.intra else (vec.dx, vec.dy))
+            for leaf, vec in zip(side.partition.leaves, side.motion.vectors)
+        ]
+        assert got == self.MIXED
+        for (x, y, t), scan in scans.items():
+            assert zigzag(side.levels[y : y + t, x : x + t]).tolist() == scan
+        pred = predict_frame(False, decoded[0], side.motion, side.partition, decoded[1])
+        assert np.array_equal(pred.pixels, side.prediction.pixels)
+        rebuilt = np.clip(round_half_away(preclip_reconstruction(side)), 0, 255)
+        assert np.array_equal(rebuilt, decoded[1].pixels)
+
+    def test_all_inter_frame_matches_the_oracles(self):
+        leaves = [(x, y, 16, (x // 16 - 1, 2 - y // 8)) for y in (0, 16) for x in (0, 16)]
+        data, _ = self._stream(leaves, np.random.default_rng(9))
+        decoded, sides = decode_sequence(data)
+        side = sides[1]
+        pred = predict_frame(False, decoded[0], side.motion, side.partition, decoded[1])
+        assert np.array_equal(pred.pixels, side.prediction.pixels)
+        rebuilt = np.clip(round_half_away(preclip_reconstruction(side)), 0, 255)
+        assert np.array_equal(rebuilt, decoded[1].pixels)
+
+    def test_vector_beyond_the_header_radius_is_rejected(self):
+        leaves = list(self.MIXED)
+        leaves[-2] = (0, 16, 16, (self.RADIUS + 1, 0))
+        data, _ = self._stream(leaves, np.random.default_rng(8))
+        with pytest.raises(BitstreamError, match="exceeds search radius"):
+            decode_sequence(data)
+
+    @pytest.mark.parametrize("level", [-32768, 32768])
+    def test_level_beyond_16_bits_is_rejected(self, level):
+        data, _ = self._stream(self.MIXED, np.random.default_rng(8), level=level)
+        with pytest.raises(BitstreamError, match="overflows signed 16 bits"):
+            decode_sequence(data)
+
+    def test_largest_levels_decode(self):
+        for level in (-32767, 32767):
+            data, scans = self._stream(self.MIXED, np.random.default_rng(8), level=level)
+            _, sides = decode_sequence(data)
+            assert sides[0].levels[0, 0] == level
+
+    @pytest.mark.parametrize("clip", sorted(CLIPS))
+    def test_mutated_and_truncated_streams_raise_only_bitstream_errors(self, clip, tmp_path):
+        data = encode_sequence(CLIPS[clip](4, size=32), CodecConfig(qp=24))
+        rng = np.random.default_rng(17)
+        truncated = [data[:n] for n in sorted(rng.choice(len(data), 16, replace=False))]
+        mutated = []
+        for i in range(64):
+            case = bytearray(data)
+            at = int(rng.integers(len(data)))
+            # half single-bit flips, half whole-byte replacements
+            case[at] = case[at] ^ (1 << int(rng.integers(8))) if i % 2 else int(rng.integers(256))
+            mutated.append(bytes(case))
+        stream = tmp_path / "case.mvc"
+        rejected = 0
+        for case in truncated + mutated:
+            try:
+                decode_sequence(case)
+                failed = False
+            except BitstreamError:
+                failed = True
+            assert failed or case in mutated, "a truncated stream decoded"
+            rejected += failed
+            stream.write_bytes(case)
+            code = main(["decode", str(stream), "-o", str(tmp_path / "out")])
+            assert code == (2 if failed else 0)
+        assert rejected > len(truncated)
