@@ -16,8 +16,6 @@ from .frames import Frame, FrameSequenceManifest, load_sequence, psnr, ssim, wri
 from .transform import QuantTable, coeff_bounds, dct2d, dequantize, idct2d, quantize
 from .codec import (
     CodecConfig,
-    PartitionMap,
-    MotionField,
     SideInfo,
     decode_sequence,
     encode_sequence,
@@ -51,8 +49,6 @@ __all__ = [
     "dequantize",
     "coeff_bounds",
     "CodecConfig",
-    "PartitionMap",
-    "MotionField",
     "SideInfo",
     "encode_sequence",
     "decode_sequence",

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .codec import MotionField, PartitionMap, motion_planes, source_index
+from .codec import SideInfo, source_index
 from .nn import ConvLayer, conv_backward, conv_forward_cached
 
 
@@ -59,9 +59,9 @@ def _bilinear_corners(px: np.ndarray, py: np.ndarray, h: int, w: int):
 # Motion rasterization and MV-guided warping
 # ---------------------------------------------------------------------------
 
-def rasterize_motion(partition: PartitionMap, motion: MotionField) -> np.ndarray:
+def rasterize_motion(side: SideInfo) -> np.ndarray:
     """Dense (2, H, W) float planes of per-pixel (dx, dy) from the covering leaf."""
-    return motion_planes(partition, motion).astype(np.float64)
+    return side.motion.astype(np.float64)
 
 
 def warp_mv(fmap: np.ndarray, mv_planes: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ def candidate_residual_coeffs(candidate: Frame | np.ndarray, side: SideInfo) -> 
     sit in place, matching the layout of ``SideInfo.levels``.
     """
     resid = _as_candidate(candidate, side) - side.prediction.as_float()
-    return transform_frame(resid, side.partition.sizes, dct2d)
+    return transform_frame(resid, side.sizes, dct2d)
 
 
 def clamp_to_bounds(coeffs: np.ndarray, bounds: CoeffBounds) -> np.ndarray:
@@ -84,7 +84,7 @@ def _project(candidate: Frame | np.ndarray, side: SideInfo):
     arr = _as_candidate(candidate, side)
     coeffs = candidate_residual_coeffs(arr, side)
     delta = clamp_to_bounds(coeffs, frame_bounds(side)) - coeffs
-    return arr, delta, arr + transform_frame(delta, side.partition.sizes, idct2d)
+    return arr, delta, arr + transform_frame(delta, side.sizes, idct2d)
 
 
 def back_project(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:

@@ -13,8 +13,9 @@ Residuals go through the block DCT and flat quantizer of
 An inter frame is coded as array programs over the whole frame: every leaf
 of it is inter, so prediction, split decisions, transforms and level
 codewords need no reconstruction of the frame itself, and only the syntax
-walk goes leaf by leaf.  Intra frames, and on decode any frame with an
-intra leaf, are reconstructed leaf by leaf in coding order.
+walk goes leaf by leaf.  Intra frames are coded leaf by leaf in coding order.
+The decoder rebuilds every frame at once and then redoes its intra leaves in
+coding order.
 
 Motion convention: a vector (dx, dy) means the block content moved right by
 dx and down by dy since the reference, so prediction samples the reference
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,8 +59,7 @@ LEAF_SIZES = (16, 8, 4)
 # Data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     """One partition leaf: origin in pixels plus side length."""
 
     x: int
@@ -66,62 +67,15 @@ class Leaf:
     size: int
 
 
-@dataclass(frozen=True)
-class LeafMotion:
-    """Motion of one leaf; intra leaves have no vector."""
-
-    intra: bool
-    dx: int = 0
-    dy: int = 0
-
-
-@dataclass(frozen=True)
-class PartitionMap:
-    """Quadtree tiling of the macroblock grid, leaves in coding order.
-
-    Coding order is macroblock raster order with quadrants visited
-    top-left, top-right, bottom-left, bottom-right; that order guarantees a
-    leaf's top row and left column are decoded before the leaf itself.
-    ``sizes`` is the read-only (height, width) uint8 plane of each pixel's
-    leaf size, painted once while the tiling is validated.
-    """
-
-    width: int
-    height: int
-    leaves: tuple[Leaf, ...]
-    sizes: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.width % MACROBLOCK or self.height % MACROBLOCK:
-            raise ValueError("partition dimensions must be multiples of 16")
-        sizes = np.zeros((self.height, self.width), dtype=np.uint8)
-        for leaf in self.leaves:
-            if leaf.size not in LEAF_SIZES:
-                raise ValueError(f"illegal leaf size {leaf.size}")
-            if leaf.x % leaf.size or leaf.y % leaf.size:
-                raise ValueError(f"leaf origin ({leaf.x},{leaf.y}) not aligned to {leaf.size}")
-            if leaf.x + leaf.size > self.width or leaf.y + leaf.size > self.height:
-                raise ValueError("leaf extends outside the frame")
-            patch = sizes[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
-            if patch.any():
-                raise ValueError(f"leaf at ({leaf.x},{leaf.y}) overlaps another leaf")
-            patch[:] = leaf.size
-        if not sizes.all():
-            raise ValueError("leaves do not tile the frame")
-        sizes.flags.writeable = False
-        object.__setattr__(self, "sizes", sizes)
-
-
-@dataclass(frozen=True)
-class MotionField:
-    """Per-leaf motion, parallel to ``PartitionMap.leaves``."""
-
-    vectors: tuple[LeafMotion, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SideInfo:
-    """Decoder-visible priors of one coded frame.
+    """Decoder-visible priors of one coded frame, as read-only frame planes.
+
+    ``sizes`` (uint8) is each pixel's leaf size, ``motion`` the integer
+    ``(2, H, W)`` (dx, dy) of each pixel's leaf, (0, 0) on intra leaves, and
+    ``intra`` (bool) whether that leaf is intra.  The leaves tile the frame as
+    macroblock quadtrees, every s x s leaf on the s-aligned grid;
+    :meth:`leaves` lists them in coding order.
 
     ``levels`` is one frame-sized int32 plane holding every transform tile's
     quantized levels in place, tiled as :func:`transform_frame` tiles the
@@ -132,17 +86,39 @@ class SideInfo:
 
     frame_index: int
     qp: int
-    partition: PartitionMap
-    motion: MotionField
+    sizes: np.ndarray
+    motion: np.ndarray
+    intra: np.ndarray
     prediction: Frame
     levels: np.ndarray
 
     def __post_init__(self):
-        shape = (self.partition.height, self.partition.width)
-        if np.shape(self.levels) != shape:
-            raise ValueError(f"levels plane must be {shape}, got {np.shape(self.levels)}")
-        if len(self.motion.vectors) != len(self.partition.leaves):
-            raise ValueError("need exactly one motion entry per partition leaf")
+        shape = self.prediction.pixels.shape
+        for name, want in (
+            ("sizes", shape), ("motion", (2, *shape)), ("intra", shape), ("levels", shape)
+        ):
+            plane = np.asarray(getattr(self, name)).view()
+            if plane.shape != want:
+                raise ValueError(f"{name} plane must be {want}, got {plane.shape}")
+            plane.flags.writeable = False
+            object.__setattr__(self, name, plane)
+        # every s-pixel leaf is one aligned s x s tile, and the leaves cover the frame
+        covered = 0
+        for size in LEAF_SIZES:
+            cover = tiles(self.sizes == size, size)
+            whole = cover.all(axis=(2, 3))
+            if (cover.any(axis=(2, 3)) != whole).any():
+                raise ValueError(f"{size}-pixel leaves are not aligned {size}x{size} tiles")
+            covered += int(whole.sum()) * size * size
+        if covered != self.sizes.size:
+            raise ValueError(f"leaf sizes must be one of {LEAF_SIZES}")
+
+    def leaves(self) -> Iterator[Leaf]:
+        """Every leaf of the frame, in coding order."""
+        cells = self.sizes[::4, ::4].tolist()
+        height, width = self.sizes.shape
+        walk = _quadtree(width, height, lambda x, y, size: cells[y // 4][x // 4] < size)
+        return map(Leaf._make, walk)
 
 
 @dataclass(frozen=True)
@@ -193,6 +169,11 @@ def tiles(plane: np.ndarray, t: int) -> np.ndarray:
     return plane.reshape(h // t, t, w // t, t).swapaxes(1, 2)
 
 
+def _upsample(cells: np.ndarray, k: int) -> np.ndarray:
+    """Every entry of the last two axes repeated into a k x k block."""
+    return cells.repeat(k, axis=-2).repeat(k, axis=-1)
+
+
 def _leaf_tiles(block: np.ndarray) -> np.ndarray:
     """Transform tiles of one leaf: 8x8 tiles, or the whole leaf when smaller."""
     return tiles(block, min(block.shape[0], MAX_TRANSFORM))
@@ -223,13 +204,13 @@ def transform_frame(plane: np.ndarray, sizes: np.ndarray, fn) -> np.ndarray:
     """Apply ``dct2d`` or ``idct2d`` to every transform tile of a frame.
 
     ``sizes`` is the uint8 plane of each pixel's leaf size
-    (``PartitionMap.sizes``).  Leaves of 8 and 16 pixels are tiled by 8x8
+    (``SideInfo.sizes``).  Leaves of 8 and 16 pixels are tiled by 8x8
     transforms, and 4x4 leaves only come from splitting an 8x8 block, so
     every 8x8 block of the frame is either one 8x8 tile or four 4x4 tiles.
     ``fn`` runs once per tile size on the stacked tiles.
     """
     split = sizes[::MAX_TRANSFORM, ::MAX_TRANSFORM] < MAX_TRANSFORM
-    split_small = split.repeat(2, axis=0).repeat(2, axis=1)
+    split_small = _upsample(split, 2)
     small = MAX_TRANSFORM // 2
     out = np.empty(plane.shape)
     tiles(out, MAX_TRANSFORM)[~split] = fn(tiles(plane, MAX_TRANSFORM)[~split])
@@ -338,12 +319,7 @@ def _reconstruct(pred, resid: np.ndarray) -> np.ndarray:
 
 def residual_plane(side: SideInfo) -> np.ndarray:
     """Dequantized, inverse-transformed residual of a whole coded frame."""
-    return _residual(side.levels, side.partition.sizes, QuantTable(side.qp))
-
-
-def reconstruct_from_side_info(side: SideInfo) -> Frame:
-    """Rebuild the decoded frame from side information alone."""
-    return Frame(_reconstruct(side.prediction.pixels, residual_plane(side)))
+    return _residual(side.levels, side.sizes, QuantTable(side.qp))
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +502,15 @@ def _code_inter_frame(
     sizes = np.full((height, width), MACROBLOCK, dtype=np.uint8)
     split = np.ones((height // MACROBLOCK, width // MACROBLOCK), dtype=bool)
     for size in LEAF_SIZES:
-        motion = vectors[size].transpose(2, 0, 1).repeat(size, axis=1).repeat(size, axis=2)
-        block_pred = _compensate(ref, motion)
+        block_pred = _compensate(ref, _upsample(vectors[size].transpose(2, 0, 1), size))
         # blocks split further are predicted again at the next size
         pred = block_pred if size == MACROBLOCK else np.where(sizes == size, block_pred, pred)
         if size > 4:
             # the mean of an integer block is its exact sum over its count
             mean = tiles(np.abs(cur - block_pred), size).mean(axis=(2, 3))
             split &= mean > config.split_threshold
-            sizes[split.repeat(size, axis=0).repeat(size, axis=1)] = size // 2
-            split = split.repeat(2, axis=0).repeat(2, axis=1)
+            sizes[_upsample(split, size)] = size // 2
+            split = _upsample(split, 2)
     levels = quantize(transform_frame((cur - pred).astype(np.float64), sizes, dct2d), qt)
     recon = _reconstruct(pred, _residual(levels, sizes, qt))
     return sizes, levels, recon, vectors
@@ -616,16 +591,16 @@ def encode_sequence(frames: list[Frame], config: CodecConfig) -> bytes:
 
 def _parse_frame(
     reader: BitReader, header: StreamHeader, intra_frame: bool
-) -> tuple[list[Leaf], list[LeafMotion], dict[int, list[list[int]]]]:
-    """Read one frame's syntax: leaves and vectors in coding order, and the
-    ue run of every transform tile, keyed by tile size."""
-    leaves: list[Leaf] = []
-    vectors: list[LeafMotion] = []
+) -> tuple[np.ndarray, dict[int, list[list[int]]]]:
+    """Read one frame's syntax: an ``(n, 6)`` array of every leaf's x, y,
+    size, intra flag, dx and dy in coding order, and the ue run of every
+    transform tile, keyed by tile size."""
+    leaves: list[tuple[int, ...]] = []
     runs: dict[int, list[list[int]]] = {8: [], 4: []}
     radius = header.search_radius
     for x, y, size in _quadtree(header.width, header.height, lambda x, y, size: reader.read_bit()):
         if reader.read_bit():
-            vectors.append(LeafMotion(intra=True))
+            leaves.append((x, y, size, 1, 0, 0))
         else:
             if intra_frame:
                 raise BitstreamError("inter leaf in an intra frame")
@@ -633,47 +608,36 @@ def _parse_frame(
             dy = reader.read_se()
             if abs(dx) > radius or abs(dy) > radius:
                 raise BitstreamError(f"motion vector ({dx},{dy}) exceeds search radius")
-            vectors.append(LeafMotion(intra=False, dx=dx, dy=dy))
-        leaves.append(Leaf(x, y, size))
+            leaves.append((x, y, size, 0, dx, dy))
         t = min(size, MAX_TRANSFORM)
         for _ in range((size // t) ** 2):
             runs[t].append(reader.read_ue_run(t * t))
-    return leaves, vectors, runs
+    return np.array(leaves), runs
 
 
-def motion_planes(partition: PartitionMap, motion: MotionField) -> np.ndarray:
-    """Dense (2, H, W) integer planes of per-pixel (dx, dy) from the covering
-    leaf; intra leaves read (0, 0).
-
-    Leaves of one size are placed on that size's block grid with one scatter,
-    and the grids are merged on the 4x4 cell grid before the upsampling to
-    pixels.
-    """
-    h, w = partition.height, partition.width
-    cell_sizes = partition.sizes[::4, ::4]
-    cells = np.zeros((2, h // 4, w // 4), dtype=np.intp)
+def _leaf_cells(leaves: np.ndarray, height: int, width: int) -> np.ndarray:
+    """``(4, H / 4, W / 4)`` int16 planes of each 4x4 cell's leaf size, intra
+    flag, dx and dy, from the parsed leaves: one scatter per leaf size."""
+    cells = np.empty((4, height // 4, width // 4), dtype=np.int16)
     for size in LEAF_SIZES:
-        placed = [
-            (leaf.y // size, leaf.x // size, vec.dx, vec.dy)
-            for leaf, vec in zip(partition.leaves, motion.vectors)
-            if leaf.size == size and not vec.intra
-        ]
-        if placed:
-            row, col, dx, dy = np.array(placed).T
-            grid = np.zeros((2, h // size, w // size), dtype=np.intp)
-            grid[:, row, col] = dx, dy
-            up = size // 4
-            np.copyto(cells, grid.repeat(up, axis=1).repeat(up, axis=2), where=cell_sizes == size)
-    return cells.repeat(4, axis=1).repeat(4, axis=2)
+        of_size = leaves[leaves[:, 2] == size]
+        k = np.arange(size // 4)
+        rows = (of_size[:, 1] // 4)[:, None, None] + k[:, None]
+        cols = (of_size[:, 0] // 4)[:, None, None] + k
+        cells[:, rows, cols] = of_size[:, 2:].T[:, :, None, None]
+    return cells
 
 
 def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
     """Decode a bitstream into frames plus per-frame side information.
 
-    Each frame's syntax is parsed first.  A frame of inter leaves only is
-    then rebuilt at once: one motion-compensation gather plus the frame's
-    residual.  A frame with an intra leaf is rebuilt leaf by leaf, because
-    DC prediction reads the leaves decoded before it.
+    Each frame's syntax is parsed first, and its planes are built from what
+    was parsed.  The whole frame is then rebuilt at once from its
+    motion-compensated prediction (zeros in an intra frame) plus its
+    residual, and every intra leaf is redone in coding order with DC
+    prediction from the running reconstruction.  That is exact: an intra
+    leaf reads only its top row and left column, which belong to earlier
+    leaves, and inter leaves never read the frame being decoded.
     """
     header = parse_header(data)
     qt = QuantTable(header.qp)
@@ -687,33 +651,29 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
         intra_frame = reader.read_bit() == 1
         if prev is None and not intra_frame:
             raise BitstreamError(f"frame {t} is inter but has no reference")
-        leaves, vectors, runs = _parse_frame(reader, header, intra_frame)
-        partition = PartitionMap(width, height, tuple(leaves))
-        motion = MotionField(tuple(vectors))
-        mc = None if intra_frame else _compensate(prev, motion_planes(partition, motion))
-        levels = _levels_from_runs(partition.sizes, runs)
-        resid = _residual(levels, partition.sizes, qt)
-        if any(v.intra for v in vectors):
-            pred = np.empty((height, width), dtype=np.uint8)
-            recon = np.empty((height, width), dtype=np.uint8)
-            for leaf, vec in zip(leaves, vectors):
-                block = np.s_[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
-                if vec.intra:
-                    pred[block] = _dc_predict(recon, leaf.x, leaf.y, leaf.size)
-                else:
-                    pred[block] = mc[block]
-                recon[block] = _reconstruct(pred[block], resid[block])
-        else:
-            pred = mc
-            recon = _reconstruct(pred, resid)
+        leaves, runs = _parse_frame(reader, header, intra_frame)
+        cells = _leaf_cells(leaves, height, width)
+        sizes = _upsample(cells[0].astype(np.uint8), 4)
+        motion = _upsample(cells[2:], 4)
+        levels = _levels_from_runs(sizes, runs)
+        resid = _residual(levels, sizes, qt)
+        pred = (
+            np.zeros((height, width), dtype=np.uint8) if intra_frame else _compensate(prev, motion)
+        )
+        recon = _reconstruct(pred, resid)
+        for x, y, size in leaves[leaves[:, 3] == 1, :3].tolist():
+            block = np.s_[y : y + size, x : x + size]
+            pred[block] = _dc_predict(recon, x, y, size)
+            recon[block] = _reconstruct(pred[block], resid[block])
 
         frames.append(Frame(recon))
         sides.append(
             SideInfo(
                 frame_index=t,
                 qp=header.qp,
-                partition=partition,
+                sizes=sizes,
                 motion=motion,
+                intra=_upsample(cells[1] != 0, 4),
                 prediction=Frame(pred),
                 levels=levels,
             )
@@ -742,16 +702,18 @@ def side_info_to_json(sides: list[SideInfo]) -> dict:
     out = []
     for side in sides:
         leaves = []
-        for leaf, vec in zip(side.partition.leaves, side.motion.vectors):
-            block = side.levels[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size]
+        for x, y, size in side.leaves():
+            intra = bool(side.intra[y, x])
             leaves.append(
                 {
-                    "x": leaf.x,
-                    "y": leaf.y,
-                    "size": leaf.size,
-                    "intra": vec.intra,
-                    "mv": None if vec.intra else [vec.dx, vec.dy],
-                    "levels": zigzag(_leaf_tiles(block)).ravel().tolist(),
+                    "x": x,
+                    "y": y,
+                    "size": size,
+                    "intra": intra,
+                    "mv": None if intra else side.motion[:, y, x].tolist(),
+                    "levels": zigzag(_leaf_tiles(side.levels[y : y + size, x : x + size]))
+                    .ravel()
+                    .tolist(),
                 }
             )
         out.append({"qp": side.qp, "leaves": leaves})

@@ -39,7 +39,7 @@ from .alignment import (
     warp_mv,
     warp_mv_backward,
 )
-from .codec import Leaf, MotionField, PartitionMap, SideInfo, residual_plane
+from .codec import SideInfo, residual_plane
 from .frames import Frame, write_atomic
 from .nn import (
     ConvCache,
@@ -82,7 +82,7 @@ def build_aux_planes(side: SideInfo) -> np.ndarray:
     return np.stack([
         side.prediction.as_float() / PIXEL_NORM,
         residual_plane(side) / PIXEL_NORM,
-        np.full(side.partition.sizes.shape, side.qp / QP_NORM),
+        np.full(side.sizes.shape, side.qp / QP_NORM),
     ])
 
 
@@ -238,14 +238,6 @@ def init_restorer(
     return RestorerModel(half_window, channels, kernel_size, offset_hidden, attn_kernel, params)
 
 
-def zero_restorer(**kwargs) -> RestorerModel:
-    """All-zero parameters: the identity restorer."""
-    model = init_restorer(**kwargs)
-    for p in model.params.values():
-        p[:] = 0.0
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
@@ -306,7 +298,7 @@ def restorer_forward_cached(
         conv("feat", "relu", (f.as_float() / PIXEL_NORM)[None], key=f"feat{j}")
         for j, f in enumerate(window)
     ]
-    mv_planes = rasterize_motion(side.partition, side.motion)
+    mv_planes = rasterize_motion(side)
     predictor = model.offset_predictor()
     gather_w = model.params["gather.w"]
     neighbors = []
@@ -325,7 +317,7 @@ def restorer_forward_cached(
         del offset_cache, gather_cache
 
     fv = conv("vres", "relu", conv("vmix", "relu", np.concatenate(slots, axis=0)))
-    structure = np.stack([np.hypot(*mv_planes) / MV_NORM, side.partition.sizes / SIZE_NORM])
+    structure = np.stack([np.hypot(*mv_planes) / MV_NORM, side.sizes / SIZE_NORM])
     fa = conv("auxa2", "relu", conv("auxa1", "relu", aux))
     fl = conv("auxl2", "relu", conv("auxl1", "relu", structure))
     ma = attend("attn_a", fv, fa)
@@ -435,23 +427,21 @@ def padded_window(frames: list[Frame], center: int, half: int) -> list[Frame]:
 def crop_side_info(side: SideInfo, x0: int, y0: int, size: int) -> SideInfo:
     """Side information restricted to a macroblock-aligned square crop.
 
-    Partition leaves never straddle macroblock boundaries, so a 16-aligned
-    crop keeps every covered leaf intact and all invariants hold.
+    Partition leaves never straddle macroblock boundaries, so the planes of a
+    16-aligned crop inside the frame are a valid tiling of whole leaves.
     """
+    height, width = side.sizes.shape
     if x0 % 16 or y0 % 16 or size % 16:
         raise ValueError("crops must be 16-aligned")
-    leaves = []
-    vectors = []
-    for leaf, vec in zip(side.partition.leaves, side.motion.vectors):
-        if x0 <= leaf.x < x0 + size and y0 <= leaf.y < y0 + size:
-            leaves.append(Leaf(leaf.x - x0, leaf.y - y0, leaf.size))
-            vectors.append(vec)
+    if not (0 <= x0 and x0 + size <= width and 0 <= y0 and y0 + size <= height):
+        raise ValueError("crop must fit inside the frame")
     window = (slice(y0, y0 + size), slice(x0, x0 + size))
     return SideInfo(
         frame_index=side.frame_index,
         qp=side.qp,
-        partition=PartitionMap(size, size, tuple(leaves)),
-        motion=MotionField(tuple(vectors)),
+        sizes=side.sizes[window],
+        motion=side.motion[(slice(None), *window)],
+        intra=side.intra[window],
         prediction=Frame(side.prediction.pixels[window]),
         levels=side.levels[window],
     )
@@ -594,7 +584,8 @@ def save_model(model: RestorerModel, path) -> None:
 
 
 def load_model(path) -> RestorerModel:
-    """Read a model file; any malformed content raises ``ValueError``."""
+    """Read a model file; any malformed content, a non-finite parameter
+    included, raises ``ValueError``."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
@@ -640,6 +631,8 @@ def load_model(path) -> RestorerModel:
             if len(raw) != 8 * count:
                 raise ValueError(f"model file truncated in parameter {name!r}")
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+            if not np.isfinite(params[name]).all():
+                raise ValueError(f"model parameter {name!r} is not finite")
         if fh.read(1):
             raise ValueError("trailing bytes after model parameters")
     return RestorerModel(params=params, **arch)

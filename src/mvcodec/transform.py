@@ -160,12 +160,3 @@ def zigzag(block: np.ndarray) -> np.ndarray:
     """Flatten a square block, or each block of a ``(..., n, n)`` stack, in zigzag order."""
     rows, cols = zigzag_indices(block.shape[-1])
     return np.asarray(block)[..., rows, cols]
-
-
-def inverse_zigzag(seq: np.ndarray, size: int) -> np.ndarray:
-    """Rebuild a square block from its zigzag flattening."""
-    seq = np.asarray(seq)
-    rows, cols = zigzag_indices(size)
-    block = np.empty((size, size), dtype=seq.dtype)
-    block[rows, cols] = seq
-    return block

@@ -14,9 +14,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from mvcodec.alignment import kernel_grid
 from mvcodec.bitio import BitstreamError, BitWriter, signed_to_unsigned, unsigned_to_signed
-from mvcodec.codec import _pack_header, motion_search
+from mvcodec.codec import SideInfo, _pack_header, _reconstruct, motion_search, residual_plane
 from mvcodec.fixtures import _texture
 from mvcodec.frames import Frame
+from mvcodec.restorer import RestorerModel, init_restorer
 from mvcodec.transform import (
     QuantTable,
     dct2d,
@@ -25,6 +26,7 @@ from mvcodec.transform import (
     quantize,
     round_half_away,
     zigzag,
+    zigzag_indices,
 )
 
 FD_STEP = 1e-5
@@ -138,32 +140,71 @@ def motion_search_direct(current, reference, leaf, radius: int) -> tuple[int, in
     return int(dxs.ravel()[best]), int(dys.ravel()[best])
 
 
-def predict_frame(intra_frame: bool, reference, motion, partition, decoded) -> Frame:
+def side_of(sizes, intra, motion=(0, 0)) -> SideInfo:
+    """Side info of a leaf-size plane with one intra flag (a bool or an
+    (H, W) plane) and one (dx, dy) for every pixel, zero prediction and levels."""
+    sizes = np.asarray(sizes, dtype=np.uint8)
+    shape = sizes.shape
+    return SideInfo(
+        frame_index=0,
+        qp=0,
+        sizes=sizes,
+        motion=np.broadcast_to(np.reshape(motion, (2, 1, 1)), (2, *shape)),
+        intra=np.broadcast_to(intra, shape),
+        prediction=Frame(np.zeros(shape, dtype=np.uint8)),
+        levels=np.zeros(shape, dtype=np.int32),
+    )
+
+
+def predict_frame(intra_frame: bool, reference, side, decoded) -> Frame:
     """Assemble the prediction frame of a coded frame, leaf by leaf.
 
-    Inter leaves copy the reference at (x - dx, y - dy) through clipped
-    index vectors; intra leaves take the rounded mean of the decoded
+    Each leaf of ``side.leaves()`` reads its intra flag and vector at its
+    origin.  Inter leaves copy the reference at (x - dx, y - dy) through
+    clipped index vectors; intra leaves take the rounded mean of the decoded
     left-column and top-row neighbors, or 128 without any.  Leaves never
     change once reconstructed, so the finished ``decoded`` frame gives the
     same neighbor values the in-progress decoder state did.
     """
-    if intra_frame and not all(v.intra for v in motion.vectors):
+    if intra_frame and not side.intra.all():
         raise ValueError("intra frames must have every leaf flagged intra")
     dec = decoded.pixels.astype(np.int32)
     pred = np.zeros_like(dec)
     h, w = dec.shape
-    for leaf, vec in zip(partition.leaves, motion.vectors):
-        x, y, size = leaf.x, leaf.y, leaf.size
-        if vec.intra:
+    for x, y, size in side.leaves():
+        if side.intra[y, x]:
             value = dc_value(dec, x, y, size)
         else:
             if reference is None:
                 raise ValueError("inter leaf needs a reference frame")
-            ys = np.clip(np.arange(y - vec.dy, y - vec.dy + size), 0, h - 1)
-            xs = np.clip(np.arange(x - vec.dx, x - vec.dx + size), 0, w - 1)
+            dx, dy = side.motion[:, y, x].tolist()
+            ys = np.clip(np.arange(y - dy, y - dy + size), 0, h - 1)
+            xs = np.clip(np.arange(x - dx, x - dx + size), 0, w - 1)
             value = reference.pixels[np.ix_(ys, xs)]
         pred[y : y + size, x : x + size] = value
     return Frame(pred.astype(np.uint8))
+
+
+def reconstruct_from_side_info(side) -> Frame:
+    """Rebuild the decoded frame from side information alone."""
+    return Frame(_reconstruct(side.prediction.pixels, residual_plane(side)))
+
+
+def zero_restorer(**kwargs) -> RestorerModel:
+    """All-zero parameters: the identity restorer."""
+    model = init_restorer(**kwargs)
+    for p in model.params.values():
+        p[:] = 0.0
+    return model
+
+
+def inverse_zigzag(seq: np.ndarray, size: int) -> np.ndarray:
+    """Rebuild a square block from its zigzag flattening."""
+    seq = np.asarray(seq)
+    rows, cols = zigzag_indices(size)
+    block = np.empty((size, size), dtype=seq.dtype)
+    block[rows, cols] = seq
+    return block
 
 
 def preclip_reconstruction(side) -> np.ndarray:
@@ -174,7 +215,7 @@ def preclip_reconstruction(side) -> np.ndarray:
     """
     qt = QuantTable(side.qp)
     out = side.prediction.as_float()
-    for leaf in side.partition.leaves:
+    for leaf in side.leaves():
         tile = min(leaf.size, 8)
         for y in range(leaf.y, leaf.y + leaf.size, tile):
             for x in range(leaf.x, leaf.x + leaf.size, tile):

@@ -23,7 +23,9 @@ from helpers import (
     predictor_case,
     predictor_case_clear,
     preclip_reconstruction,
+    reconstruct_from_side_info,
     rel_error,
+    zero_restorer,
 )
 from mvcodec import fixtures
 from mvcodec.alignment import (
@@ -40,7 +42,6 @@ from mvcodec.codec import (
     decode_sequence,
     encode_sequence,
     encode_with_reconstruction,
-    reconstruct_from_side_info,
 )
 from mvcodec.frames import load_sequence, psnr
 from mvcodec.nn import ConvLayer, conv_backward, conv_forward_cached, l1_loss, l1_loss_grad
@@ -51,7 +52,6 @@ from mvcodec.restorer import (
     fuse_backward,
     padded_window,
     restorer_forward,
-    zero_restorer,
 )
 
 

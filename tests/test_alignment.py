@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,22 +78,19 @@ class TestWarp:
         _, _, side = coded_pair
         rng = np.random.default_rng(3)
         fmap = rng.normal(size=(2, 64, 64))
-        zero = rasterize_motion(side.partition, side.motion) * 0
-        from mvcodec.codec import LeafMotion, MotionField
-
-        motion0 = MotionField(tuple(LeafMotion(intra=False) for _ in side.partition.leaves))
-        assert np.array_equal(warp_mv(fmap, rasterize_motion(side.partition, motion0)), fmap)
+        still = dataclasses.replace(side, motion=np.zeros_like(side.motion))
+        assert np.array_equal(warp_mv(fmap, rasterize_motion(still)), fmap)
 
     def test_global_shift_aligns_interior(self, coded_pair):
         ref, cur, side = coded_pair
-        warped = warp_mv(ref.as_float()[None], rasterize_motion(side.partition, side.motion))
+        warped = warp_mv(ref.as_float()[None], rasterize_motion(side))
         interior = (slice(8, 56), slice(8, 56))
         assert np.array_equal(warped[0][interior], cur.as_float()[interior])
 
     def test_constant_map_unchanged(self, coded_pair):
         _, _, side = coded_pair
         fmap = np.full((1, 64, 64), 3.25)
-        assert np.array_equal(warp_mv(fmap, rasterize_motion(side.partition, side.motion)), fmap)
+        assert np.array_equal(warp_mv(fmap, rasterize_motion(side)), fmap)
 
     def test_backward_is_adjoint(self, coded_pair):
         # <warp(x), y> == <x, warp_backward(y)> for random x, y
@@ -99,13 +98,13 @@ class TestWarp:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 64, 64))
         y = rng.normal(size=(2, 64, 64))
-        lhs = float((warp_mv(x, rasterize_motion(side.partition, side.motion)) * y).sum())
-        rhs = float((x * warp_mv_backward(y, rasterize_motion(side.partition, side.motion))).sum())
+        lhs = float((warp_mv(x, rasterize_motion(side)) * y).sum())
+        rhs = float((x * warp_mv_backward(y, rasterize_motion(side))).sum())
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_rasterize_motion_planes(self, coded_pair):
         _, _, side = coded_pair
-        planes = rasterize_motion(side.partition, side.motion)
+        planes = rasterize_motion(side)
         assert planes.shape == (2, 64, 64)
         interior = (slice(8, 56), slice(8, 56))
         assert (planes[0][interior] == 2).all()

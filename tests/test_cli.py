@@ -6,12 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import global_shift_pair
+from helpers import global_shift_pair, zero_restorer
 from mvcodec import fixtures
 from mvcodec.cli import main
 from mvcodec.codec import decode_sequence
 from mvcodec.frames import Frame, load_sequence, write_sequence
-from mvcodec.restorer import ARCH_FIELDS, load_model, model_schedule, save_model, zero_restorer
+from mvcodec.restorer import ARCH_FIELDS, init_restorer, load_model, model_schedule, save_model
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +101,7 @@ class TestExtract:
         _, sides = decode_sequence(stream.read_bytes())
         assert len(doc["frames"]) == len(sides)
         for fr, side in zip(doc["frames"], sides):
-            assert len(fr["leaves"]) == len(side.partition.leaves)
+            assert len(fr["leaves"]) == len(list(side.leaves()))
         assert sorted(pred_dir.glob("pred_*.pgm"))
 
     def test_global_shift_motion_in_dump(self, tmp_path):
@@ -207,6 +207,61 @@ class TestRestore:
         rc = main(["restore", str(stream), "--model", str(model_path), "-o", str(tmp_path / "r")])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_model_is_exit_2_and_writes_no_sequence(
+        self, seq_dir, tmp_path, capsys, value
+    ):
+        _, manifest, _ = seq_dir
+        stream = tmp_path / "s.mvc"
+        main(["encode", str(manifest), "--qp", "36", "-o", str(stream)])
+        model = init_restorer(seed=1)
+        model.params["rec2.b"][:] = value
+        model_path = tmp_path / "bad.mvdr"
+        save_model(model, model_path)
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert main(["restore", str(stream), "--model", str(model_path), "-o", str(out)]) == 2
+        assert "'rec2.b' is not finite" in capsys.readouterr().err
+        assert not (out / "manifest.txt").exists()
+
+    def test_mutated_and_truncated_models_load_or_are_exit_2(self, tmp_path):
+        manifest = write_sequence(tmp_path / "seq", fixtures.translating_texture(2, size=32))
+        stream = tmp_path / "s.mvc"
+        assert main(["encode", str(manifest), "--qp", "36", "-o", str(stream)]) == 0
+        model_path = tmp_path / "m.mvdr"
+        save_model(init_restorer(seed=3), model_path)
+        data = model_path.read_bytes()
+        params_at = 10 + struct.unpack("<HI", data[4:10])[1]
+        floats = (len(data) - params_at) // 8
+        rng = np.random.default_rng(23)
+        truncated = [data[:n] for n in sorted(rng.choice(len(data), 16, replace=False))]
+        mutated = []
+        for i in range(72):
+            case = bytearray(data)
+            if i % 3 == 2:
+                # the exponent of one parameter set to all ones: a NaN or an infinity
+                at = params_at + 8 * int(rng.integers(floats)) + 6
+                case[at : at + 2] = bytes([0xF8 if i % 2 else 0xF0, 0xFF if i % 4 == 1 else 0x7F])
+            else:
+                # a random byte of the magic, preamble and JSON header, or of the file
+                case[int(rng.integers(params_at if i % 3 else len(data)))] = int(rng.integers(256))
+            mutated.append(bytes(case))
+        out = tmp_path / "r"
+        rejected = 0
+        for case in truncated + mutated:
+            model_path.write_bytes(case)
+            try:
+                load_model(model_path)
+            except ValueError:
+                rejected += 1
+            else:
+                assert case in mutated, "a truncated model loaded"
+                continue
+            argv = ["restore", str(stream), "--model", str(model_path), "-o", str(out)]
+            assert main(argv) == 2
+            assert not (out / "manifest.txt").exists()
+        assert rejected >= len(truncated) + 24
 
 
 class TestMetrics:

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,27 +10,25 @@ from helpers import (
     motion_search_direct,
     predict_frame,
     preclip_reconstruction,
+    reconstruct_from_side_info,
+    side_of,
     write_scan,
 )
 from mvcodec import fixtures
-from mvcodec.bitio import BitstreamError, BitWriter
+from mvcodec.bitio import BitReader, BitstreamError, BitWriter
 from mvcodec.cli import main
 from mvcodec.codec import (
     HEADER_SIZE,
     CodecConfig,
     Leaf,
-    LeafMotion,
-    MotionField,
-    PartitionMap,
-    SideInfo,
     _pack_header,
+    _parse_frame,
     decode_sequence,
     encode_sequence,
     encode_with_reconstruction,
     extract_side_info,
     motion_search,
     parse_header,
-    reconstruct_from_side_info,
     side_info_to_json,
     tiles,
     transform_frame,
@@ -91,59 +92,80 @@ class TestMotionSearch:
 
 
 class TestPartitionMapInvariants:
-    def test_overlap_rejected(self):
-        leaves = tuple(
-            [Leaf(0, 0, 16)]
-            + [Leaf(x, y, 16) for y in (0, 16) for x in (0, 16) if (x, y) != (0, 0)]
-        )
-        with pytest.raises(ValueError, match="tile|overlap"):
-            PartitionMap(32, 32, leaves + (Leaf(0, 0, 8),))
+    """The ``sizes`` plane is the partition map: side info accepts only a
+    plane that tiles the frame with aligned 16, 8 and 4 pixel leaves."""
 
     def test_misaligned_leaf_rejected(self):
+        sizes = np.full((16, 16), 4, np.uint8)
+        sizes[0:8, 4:12] = 8
         with pytest.raises(ValueError, match="aligned"):
-            PartitionMap(16, 16, (Leaf(4, 0, 8), Leaf(8, 0, 8), Leaf(0, 8, 16)))
+            side_of(sizes, intra=True)
 
     def test_hole_rejected(self):
-        with pytest.raises(ValueError, match="tile"):
-            PartitionMap(32, 16, (Leaf(0, 0, 16),))
+        sizes = np.full((16, 32), 16, np.uint8)
+        sizes[:, 16:] = 0
+        with pytest.raises(ValueError, match="leaf sizes"):
+            side_of(sizes, intra=True)
+
+    @pytest.mark.parametrize("value", [2, 32, 255])
+    def test_size_outside_the_leaf_sizes_rejected(self, value):
+        sizes = np.full((32, 32), 16, np.uint8)
+        sizes[16:] = value
+        with pytest.raises(ValueError, match="leaf sizes"):
+            side_of(sizes, intra=True)
+
+    def test_wrong_shaped_motion_or_intra_plane_rejected(self):
+        side = side_of(np.full((32, 32), 16), intra=False)
+        for motion in (np.zeros((2, 32, 16), np.int16), np.zeros((32, 32), np.int16),
+                       np.zeros((3, 32, 32), np.int16)):
+            with pytest.raises(ValueError, match="motion plane"):
+                dataclasses.replace(side, motion=motion)
+        for intra in (np.zeros((16, 32), bool), np.zeros((1, 32, 32), bool)):
+            with pytest.raises(ValueError, match="intra plane"):
+                dataclasses.replace(side, intra=intra)
+
+    def test_mixed_tiling_accepted_and_planes_read_only(self):
+        sizes = np.full((32, 32), 16, np.uint8)
+        sizes[:16, 16:] = 8
+        sizes[:8, 24:] = 4
+        side = side_of(sizes, intra=False, motion=(1, -2))
+        assert list(side.leaves())[:6] == [
+            Leaf(0, 0, 16), Leaf(16, 0, 8), Leaf(24, 0, 4), Leaf(28, 0, 4),
+            Leaf(24, 4, 4), Leaf(28, 4, 4),
+        ]
+        for plane in (side.sizes, side.motion, side.intra, side.levels):
+            assert not plane.flags.writeable
 
 
 class TestPredictFrame:
     def test_intra_first_leaf_is_128(self):
-        part = PartitionMap(64, 64, tuple(
-            Leaf(x, y, 16) for y in range(0, 64, 16) for x in range(0, 64, 16)))
-        motion = MotionField(tuple(LeafMotion(intra=True) for _ in part.leaves))
-        pred = predict_frame(True, None, motion, part, _const(50))
+        side = side_of(np.full((64, 64), 16), intra=True)
+        pred = predict_frame(True, None, side, _const(50))
         assert (pred.pixels[:16, :16] == 128).all()
 
     def test_intra_uses_decoded_neighbor_mean(self):
-        part = PartitionMap(64, 64, tuple(
-            Leaf(x, y, 16) for y in range(0, 64, 16) for x in range(0, 64, 16)))
-        motion = MotionField(tuple(LeafMotion(intra=True) for _ in part.leaves))
-        pred = predict_frame(True, None, motion, part, _const(50))
+        side = side_of(np.full((64, 64), 16), intra=True)
+        pred = predict_frame(True, None, side, _const(50))
         # every non-first leaf sees decoded neighbors that are all 50
         assert (pred.pixels[16:, :] == 50).all() and (pred.pixels[:, 16:] == 50).all()
 
     def test_inter_zero_mv_copies_reference(self, texture_frames):
         ref = texture_frames[0]
-        part = PartitionMap(64, 64, tuple(
-            Leaf(x, y, 16) for y in range(0, 64, 16) for x in range(0, 64, 16)))
-        motion = MotionField(tuple(LeafMotion(intra=False) for _ in part.leaves))
-        pred = predict_frame(False, ref, motion, part, _const(0))
+        side = side_of(np.full((64, 64), 16), intra=False)
+        pred = predict_frame(False, ref, side, _const(0))
         assert np.array_equal(pred.pixels, ref.pixels)
 
     def test_inter_needs_reference(self):
-        part = PartitionMap(16, 16, (Leaf(0, 0, 16),))
-        motion = MotionField((LeafMotion(intra=False, dx=1, dy=0),))
+        side = side_of(np.full((16, 16), 16), intra=False, motion=(1, 0))
         with pytest.raises(ValueError, match="reference"):
-            predict_frame(False, None, motion, part, _const(0, 16))
+            predict_frame(False, None, side, _const(0, 16))
 
     def test_matches_decoder_prediction(self, coded_texture_qp24):
         _, _, decoded, sides = coded_texture_qp24
         for t, side in enumerate(sides):
             ref = decoded[t - 1] if t > 0 else None
-            intra = all(v.intra for v in side.motion.vectors)
-            again = predict_frame(intra, ref, side.motion, side.partition, decoded[t])
+            intra = bool(side.intra.all())
+            again = predict_frame(intra, ref, side, decoded[t])
             assert np.array_equal(again.pixels, side.prediction.pixels)
 
 
@@ -155,17 +177,17 @@ class TestTransformFrame:
 
     def test_matches_per_tile_transforms(self, mixed_side):
         side = mixed_side
-        assert {leaf.size for leaf in side.partition.leaves} == {16, 8, 4}
+        assert {leaf.size for leaf in side.leaves()} == {16, 8, 4}
         rng = np.random.default_rng(12)
         plane = rng.uniform(-255, 255, side.levels.shape)
         for fn in (dct2d, idct2d):
             expected = np.empty_like(plane)
-            for leaf in side.partition.leaves:
+            for leaf in side.leaves():
                 t = min(leaf.size, 8)
                 for y in range(leaf.y, leaf.y + leaf.size, t):
                     for x in range(leaf.x, leaf.x + leaf.size, t):
                         expected[y : y + t, x : x + t] = fn(plane[y : y + t, x : x + t])
-            assert np.array_equal(transform_frame(plane, side.partition.sizes, fn), expected)
+            assert np.array_equal(transform_frame(plane, side.sizes, fn), expected)
 
     def test_tiles_is_a_raster_view(self):
         plane = np.arange(16 * 32).reshape(16, 32)
@@ -176,29 +198,22 @@ class TestTransformFrame:
         assert (plane[0:8, 8:16] == -1).all()
 
     def test_sizes_plane_is_painted_leaf_sizes(self, mixed_side):
-        part = mixed_side.partition
-        expected = np.zeros((part.height, part.width), np.uint8)
-        for leaf in part.leaves:
+        side = mixed_side
+        expected = np.zeros(side.sizes.shape, np.uint8)
+        for leaf in side.leaves():
             expected[leaf.y : leaf.y + leaf.size, leaf.x : leaf.x + leaf.size] = leaf.size
         assert set(np.unique(expected)) == {4, 8, 16}
-        assert part.sizes.dtype == np.uint8
-        assert np.array_equal(part.sizes, expected)
-        assert not part.sizes.flags.writeable
+        assert side.sizes.dtype == np.uint8
+        assert np.array_equal(side.sizes, expected)
+        assert not side.sizes.flags.writeable
         with pytest.raises(ValueError):
-            part.sizes[0, 0] = 4
+            side.sizes[0, 0] = 4
 
     def test_side_info_rejects_levels_plane_of_wrong_shape(self, mixed_side):
         side = mixed_side
         for levels in (side.levels[:-1], side.levels.T[:, :16], np.zeros(4, np.int32)):
             with pytest.raises(ValueError, match="levels plane"):
-                SideInfo(
-                    frame_index=side.frame_index,
-                    qp=side.qp,
-                    partition=side.partition,
-                    motion=side.motion,
-                    prediction=side.prediction,
-                    levels=levels,
-                )
+                dataclasses.replace(side, levels=levels)
 
 
 class TestEncodeDecode:
@@ -266,12 +281,11 @@ class TestEncodeDecode:
         decoded, sides = decode_sequence(data)
         for t, (recon, frame, side) in enumerate(zip(recons, decoded, sides)):
             assert np.array_equal(recon.pixels, frame.pixels)
-            vectors = [(v.dx, v.dy) for v in side.motion.vectors if not v.intra]
-            assert all(abs(dx) <= radius and abs(dy) <= radius for dx, dy in vectors)
+            assert np.abs(side.motion).max() <= radius
             ref = decoded[t - 1] if t > 0 else None
-            again = predict_frame(t == 0, ref, side.motion, side.partition, frame)
+            again = predict_frame(t == 0, ref, side, frame)
             assert np.array_equal(again.pixels, side.prediction.pixels)
-        found = {(v.dx, v.dy) for side in sides for v in side.motion.vectors if not v.intra}
+        found = {tuple(v) for side in sides for v in side.motion[:, ~side.intra].T.tolist()}
         if radius == 0:
             assert found == {(0, 0)}
         else:
@@ -282,7 +296,7 @@ class TestEncodeDecode:
         sides = extract_side_info(data)
         for t, side in enumerate(sides):
             expect_intra = t % 2 == 0
-            assert all(v.intra == expect_intra for v in side.motion.vectors)
+            assert (side.intra == expect_intra).all()
 
 
 class TestSideInfo:
@@ -297,10 +311,9 @@ class TestSideInfo:
         extracted = extract_side_info(data)
         assert len(extracted) == len(sides)
         for a, b in zip(extracted, sides):
-            assert a.partition == b.partition
-            assert a.motion == b.motion
+            for name in ("sizes", "motion", "intra", "levels"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
             assert np.array_equal(a.prediction.pixels, b.prediction.pixels)
-            assert np.array_equal(a.levels, b.levels)
 
     def test_qp_field_matches_config(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
@@ -308,21 +321,21 @@ class TestSideInfo:
 
     def test_intra_frame_flags(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
-        assert all(v.intra for v in sides[0].motion.vectors)
-        assert all(not v.intra for v in sides[1].motion.vectors)
+        assert sides[0].intra.all()
+        assert not sides[1].intra.any()
 
     def test_motion_field_of_global_shift(self):
         ref, cur = global_shift_pair(shift=(2, 3))
         data = encode_sequence([ref, cur], CodecConfig(qp=8))
         sides = extract_side_info(data)
         interior = [
-            (leaf, vec)
-            for leaf, vec in zip(sides[1].partition.leaves, sides[1].motion.vectors)
+            leaf
+            for leaf in sides[1].leaves()
             if 8 <= leaf.x and leaf.x + leaf.size <= 56 and 8 <= leaf.y and leaf.y + leaf.size <= 56
         ]
         assert interior
-        for leaf, vec in interior:
-            assert (vec.dx, vec.dy) == (2, 3), f"leaf {leaf}"
+        for leaf in interior:
+            assert sides[1].motion[:, leaf.y, leaf.x].tolist() == [2, 3], f"leaf {leaf}"
 
     def test_json_dump_schema(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
@@ -330,7 +343,7 @@ class TestSideInfo:
         assert len(doc["frames"]) == len(sides)
         for fr, side in zip(doc["frames"], sides):
             assert fr["qp"] == side.qp
-            assert len(fr["leaves"]) == len(side.partition.leaves)
+            assert len(fr["leaves"]) == len(list(side.leaves()))
             for leaf in fr["leaves"]:
                 assert set(leaf) == {"x", "y", "size", "intra", "mv", "levels"}
                 assert len(leaf["levels"]) == leaf["size"] ** 2
@@ -339,6 +352,24 @@ class TestSideInfo:
                 else:
                     dx, dy = leaf["mv"]
                     assert abs(dx) <= 8 and abs(dy) <= 8
+
+
+    @pytest.mark.parametrize("clip", sorted(CLIPS))
+    def test_leaves_follow_the_parsed_leaf_order(self, clip):
+        # re-parse every frame's syntax and compare leaf for leaf, with the
+        # intra flag and vector each leaf's planes carry
+        data = encode_sequence(CLIPS[clip](4), CodecConfig(qp=24, intra_period=3))
+        header = parse_header(data)
+        reader = BitReader(data, HEADER_SIZE)
+        sides = extract_side_info(data)
+        for side in sides:
+            parsed, _ = _parse_frame(reader, header, reader.read_bit() == 1)
+            planes = [
+                (x, y, size, int(side.intra[y, x]), *side.motion[:, y, x].tolist())
+                for x, y, size in side.leaves()
+            ]
+            assert planes == [tuple(leaf) for leaf in parsed.tolist()]
+        assert {bool(side.intra.all()) for side in sides} == {True, False}
 
 
 class TestSyntaxRoundTrip:
@@ -452,13 +483,13 @@ class TestDecoderRobustness:
         decoded, sides = decode_sequence(data)
         side = sides[1]
         got = [
-            (leaf.x, leaf.y, leaf.size, None if vec.intra else (vec.dx, vec.dy))
-            for leaf, vec in zip(side.partition.leaves, side.motion.vectors)
+            (x, y, size, None if side.intra[y, x] else tuple(side.motion[:, y, x].tolist()))
+            for x, y, size in side.leaves()
         ]
         assert got == self.MIXED
         for (x, y, t), scan in scans.items():
             assert zigzag(side.levels[y : y + t, x : x + t]).tolist() == scan
-        pred = predict_frame(False, decoded[0], side.motion, side.partition, decoded[1])
+        pred = predict_frame(False, decoded[0], side, decoded[1])
         assert np.array_equal(pred.pixels, side.prediction.pixels)
         rebuilt = np.clip(round_half_away(preclip_reconstruction(side)), 0, 255)
         assert np.array_equal(rebuilt, decoded[1].pixels)
@@ -468,7 +499,7 @@ class TestDecoderRobustness:
         data, _ = self._stream(leaves, np.random.default_rng(9))
         decoded, sides = decode_sequence(data)
         side = sides[1]
-        pred = predict_frame(False, decoded[0], side.motion, side.partition, decoded[1])
+        pred = predict_frame(False, decoded[0], side, decoded[1])
         assert np.array_equal(pred.pixels, side.prediction.pixels)
         rebuilt = np.clip(round_half_away(preclip_reconstruction(side)), 0, 255)
         assert np.array_equal(rebuilt, decoded[1].pixels)
@@ -479,6 +510,20 @@ class TestDecoderRobustness:
         data, _ = self._stream(leaves, np.random.default_rng(8))
         with pytest.raises(BitstreamError, match="exceeds search radius"):
             decode_sequence(data)
+
+    @pytest.mark.parametrize("payload", [b"\x00", b"\x80", b"\xff"])
+    def test_huge_header_with_a_short_payload_fails_before_allocating(self, payload):
+        # 65520x65520 is the largest frame the header can declare; the parse
+        # runs out of bits long before any frame-sized plane is needed
+        data = _pack_header(65520, 65520, 1, CodecConfig(qp=20)) + payload
+        tracemalloc.start()
+        try:
+            with pytest.raises(BitstreamError):
+                decode_sequence(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("level", [-32768, 32768])
     def test_level_beyond_16_bits_is_rejected(self, level):

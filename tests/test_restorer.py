@@ -1,9 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import GRAD_TOL, draw_until, finite_diff, fuse_case, fuse_case_clear, rel_error
+from helpers import (
+    GRAD_TOL,
+    draw_until,
+    finite_diff,
+    fuse_case,
+    fuse_case_clear,
+    reconstruct_from_side_info,
+    rel_error,
+    zero_restorer,
+)
 from mvcodec import fixtures
-from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence, reconstruct_from_side_info
+from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence
 from mvcodec.frames import Frame
 from mvcodec.nn import ConvLayer, TrainConfig, l1_loss
 from mvcodec.restorer import (
@@ -23,7 +34,6 @@ from mvcodec.restorer import (
     restorer_forward_cached,
     save_model,
     train_restorer,
-    zero_restorer,
 )
 
 
@@ -360,6 +370,32 @@ class TestCrops:
         with pytest.raises(ValueError):
             crop_side_info(sides[0], 8, 0, 32)
 
+    def test_crop_planes_are_slices_of_the_frame_planes(self, tiny_coded):
+        _, _, sides, _ = tiny_coded
+        # one side whose intra and motion planes vary everywhere, so a crop
+        # that slices any plane in the wrong place shows
+        rng = np.random.default_rng(4)
+        mixed = dataclasses.replace(
+            sides[2],
+            intra=rng.random(sides[2].intra.shape) < 0.5,
+            motion=rng.integers(-8, 9, sides[2].motion.shape, dtype=np.int16),
+        )
+        for side in [*sides, mixed]:
+            for x0, y0 in ((0, 0), (32, 0), (16, 16), (32, 32)):
+                crop = crop_side_info(side, x0, y0, 32)
+                window = np.s_[y0 : y0 + 32, x0 : x0 + 32]
+                assert np.array_equal(crop.sizes, side.sizes[window])
+                assert np.array_equal(crop.motion, side.motion[(slice(None), *window)])
+                assert np.array_equal(crop.intra, side.intra[window])
+                assert np.array_equal(crop.levels, side.levels[window])
+                assert np.array_equal(crop.prediction.pixels, side.prediction.pixels[window])
+
+    def test_crop_outside_the_frame_rejected(self, tiny_coded):
+        _, _, sides, _ = tiny_coded
+        for x0, y0 in ((48, 0), (0, 48), (-16, 0)):
+            with pytest.raises(ValueError, match="inside the frame"):
+                crop_side_info(sides[1], x0, y0, 32)
+
     def test_build_with_crop_multiplies_samples(self, tiny_coded):
         frames, decoded, sides, samples = tiny_coded
         cropped = build_training_samples(frames, decoded, sides, half_window=2, crop=32)
@@ -424,6 +460,16 @@ class TestModelIO:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 16])
         with pytest.raises(ValueError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rec2.b", "gather.w"])
+    def test_non_finite_parameter_rejected(self, tmp_path, name, value):
+        model = init_restorer(seed=2)
+        model.params[name].flat[-1] = value
+        path = tmp_path / "m.mvdr"
+        save_model(model, path)
+        with pytest.raises(ValueError, match=f"parameter '{name}' is not finite"):
             load_model(path)
 
     def test_save_is_deterministic(self, tmp_path):

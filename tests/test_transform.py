@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import dct2d_direct
+from helpers import dct2d_direct, inverse_zigzag
 from mvcodec.transform import (
     QuantTable,
     coeff_bounds,
     dct2d,
     dequantize,
     idct2d,
-    inverse_zigzag,
     quant_step,
     quantize,
     round_half_away,
