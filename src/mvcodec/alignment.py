@@ -190,11 +190,13 @@ def deformable_gather_backward(
     d_sampled = (wr.T @ up).reshape(c, taps * h * w)
 
     # input gradient: scatter the four corner weights of every tap, one
-    # bincount over every channel's flat index
-    idx = (index.ravel() + h * w * np.arange(c)[:, None]).ravel()
-    d_map = np.bincount(
-        idx, weights=(corner_w * d_sampled[:, None]).ravel(), minlength=c * h * w
-    )
+    # bincount per channel over the shared corner index
+    flat_index = index.ravel()
+    weighted = np.empty_like(corner_w)
+    d_map = np.empty((c, h * w))
+    for ch in range(c):
+        np.multiply(corner_w, d_sampled[ch], out=weighted)
+        d_map[ch] = np.bincount(flat_index, weights=weighted.ravel(), minlength=h * w)
 
     # coordinate gradients from the upstream-weighted corner values, zero
     # where the clamp saturates

@@ -1,14 +1,22 @@
 """Convolution layers with clamp padding, L1 loss, and a deterministic Adam.
 
-Feature maps are float64 arrays shaped (channels, height, width).  The conv
-edge-pads its input and then picks one of two GEMM forms from the layer's
-shape.  A layer with fewer output than input channels runs kn2row: one
-``(k*k*out, in) @ (in, Hp*Wp)`` product over the padded map, then k*k shifted
-adds of its rows (Vasudevan et al. 2017), so no ``in*k*k``-row column buffer
-is built.  Every other layer runs im2col + GEMM, which is cheaper when the
-shifted adds would outweigh the columns.  :func:`conv_backward` reads only
-the upstream gradient, the layer and the cache that :func:`conv_forward_cached`
-returned.
+Feature maps are float64 arrays shaped (channels, height, width).  Every conv
+runs on one flat layout: the input is edge-padded into rows of stride
+``Wp = w + k - 1``, so tap ``(i, j)`` of output pixel ``(y, x)`` reads flat
+element ``y * Wp + x + i * Wp + j`` and each tap is one contiguous slice at
+offset ``i * Wp + j``.  :func:`_correlate` picks a GEMM form from the
+layer's shape.  With fewer output than input channels it runs kn2row: one
+``(k*k*out, in)`` product over the padded rows, then k*k shifted adds of its
+rows (Vasudevan et al. 2017), so no ``in*k*k``-row column buffer is built.
+Otherwise it copies the k*k tap slices into columns and runs one GEMM, which
+is cheaper when the shifted adds would outweigh the columns.
+
+:func:`conv_backward` reads only the upstream gradient, the layer and the
+cache that :func:`conv_forward_cached` returned, and takes the smaller side
+too.  Its input gradient is the full correlation of the zero-padded upstream
+gradient with the flipped, transposed kernel (:func:`_correlate` again),
+folded back from the padded border.  Its weight gradient is one GEMM per tap
+on the padded rows, so it builds no column buffer either.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 ACTIVATIONS = ("none", "relu", "sigmoid")
 
@@ -48,11 +56,12 @@ class ConvLayer:
 class ConvCache:
     """All that :func:`conv_backward` reads of its forward.
 
-    ``xp`` is the edge-padded input; the backward builds its im2col columns
-    from it, whichever form the forward ran.  ``z`` is the pre-activation.
+    ``flat`` is the edge-padded input on rows of stride ``w + k - 1`` (see
+    :func:`_edge_pad`); the backward correlates its tap slices with the
+    upstream gradient for the weight gradient.  ``z`` is the pre-activation.
     """
 
-    xp: np.ndarray  # (in_ch, h + k - 1, w + k - 1)
+    flat: np.ndarray  # (in_ch, (h + k - 1) * (w + k - 1) + k - 1)
     z: np.ndarray  # (out_ch, h, w)
 
 
@@ -76,17 +85,35 @@ def _check_input(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(C*k*k, out_h*out_w) columns of every k x k window, rows in (c,i,j) order."""
-    win = sliding_window_view(x, (k, k), axis=(1, 2))  # (C, oh, ow, k, k)
-    c, oh, ow = win.shape[:3]
-    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, oh * ow)
-
-
 def _edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """Clamp-to-edge padding of ``x`` as flat rows of stride ``w + 2 * pad``.
+
+    The ``2 * pad`` zeros after the last row keep every tap's ``h``-row slice
+    inside the buffer.
+    """
+    c, h, w = x.shape
     if pad == 0:
-        return x
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+        return x.reshape(c, h * w)
+    size = (h + 2 * pad) * (w + 2 * pad)
+    flat = np.empty((c, size + 2 * pad))
+    flat[:, size:] = 0.0
+    xp = flat[:, :size].reshape(c, h + 2 * pad, w + 2 * pad)
+    xp[:, pad:-pad, pad:-pad] = x
+    xp[:, pad:-pad, :pad] = x[:, :, :1]
+    xp[:, pad:-pad, -pad:] = x[:, :, -1:]
+    xp[:, :pad] = xp[:, pad : pad + 1]
+    xp[:, -pad:] = xp[:, -pad - 1 : -pad]
+    return flat
+
+
+def _zero_pad(x: np.ndarray, pad: int, stride: int, slack: int) -> np.ndarray:
+    """``x`` at row ``pad``, column ``pad`` of zero rows of ``stride``, as a
+    flat ``(c, (h + 2 * pad) * stride + slack)`` buffer."""
+    c, h, w = x.shape
+    rows = h + 2 * pad
+    flat = np.zeros((c, rows * stride + slack))
+    flat[:, : rows * stride].reshape(c, rows, stride)[:, pad : pad + h, pad : pad + w] = x
+    return flat
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
@@ -97,43 +124,57 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return z
 
 
-def _kn2row(weights: np.ndarray, xp: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Cross-correlation of the padded map as one GEMM plus k*k shifted adds.
+def _columns(flat: np.ndarray, k: int, stride: int, span: int) -> np.ndarray:
+    """``(c * k * k, span)`` columns of a map on rows of ``stride``, rows in
+    ``(c, i, j)`` order: row ``(c, i, j)`` is ``flat[c]`` from ``i * stride + j``.
 
-    Row ``(i, j, o)`` of the product holds every padded pixel's contribution
-    to output channel ``o`` through tap ``(i, j)``.  On rows of stride Wp,
-    output pixel ``(y, x)`` reads that row at flat ``(y + i) * Wp + x + j``,
-    so each tap is one contiguous slice added at offset ``i * Wp + j``.
+    One copy of a read-only ``(c, k, k, span)`` view of the tap slices.
     """
-    out_ch, in_ch, k, _ = weights.shape
-    _, hp, wp = xp.shape
-    prod = weights.transpose(2, 3, 0, 1).reshape(k * k * out_ch, in_ch) @ xp.reshape(in_ch, -1)
-    prod = prod.reshape(k, k, out_ch, hp * wp)
-    span = (h - 1) * wp + w  # last output pixel + 1, on the padded row stride
-    acc = np.zeros((out_ch, h * wp))
+    c, size = flat.shape
+    if (k - 1) * (stride + 1) + span > size:
+        raise ValueError(f"{k}x{k} taps of span {span} on stride {stride} overrun {size}")
+    step = flat.strides[1]
+    taps = as_strided(
+        flat, (c, k, k, span), (flat.strides[0], stride * step, step, step), writeable=False
+    )
+    return taps.reshape(c * k * k, span)
+
+
+def _correlate(
+    weights: np.ndarray, flat: np.ndarray, k: int, stride: int, span: int
+) -> np.ndarray:
+    """Cross-correlation of a map laid on rows of ``stride`` with ``weights``.
+
+    Returns ``(out, span)``: element ``p`` sums every tap ``(i, j)`` of
+    ``weights`` (out, in, k, k) against ``flat[:, p + i * stride + j]``.
+    kn2row (one GEMM plus k*k shifted adds) when out < in, else columns.
+    """
+    out_ch, in_ch = weights.shape[:2]
+    if out_ch >= in_ch:
+        return weights.reshape(out_ch, -1) @ _columns(flat, k, stride, span)
+    # row (i, j, o) of the product holds every element's contribution to
+    # output channel o through tap (i, j)
+    prod = weights.transpose(2, 3, 0, 1).reshape(k * k * out_ch, in_ch) @ flat
+    prod = prod.reshape(k, k, out_ch, -1)
+    acc = np.zeros((out_ch, span))
     for i in range(k):
         for j in range(k):
-            start = i * wp + j
-            acc[:, :span] += prod[i, j, :, start : start + span]
-    return acc.reshape(out_ch, h, wp)[:, :, :w]
+            start = i * stride + j
+            acc += prod[i, j, :, start : start + span]
+    return acc
 
 
 def conv_forward_cached(layer: ConvLayer, x: np.ndarray) -> tuple[np.ndarray, ConvCache]:
     """Output feature map (same spatial size as the input) and the
-    padded-input/pre-activation cache :func:`conv_backward` reads.
-
-    kn2row when the layer has fewer output than input channels, else im2col.
-    """
+    padded-input/pre-activation cache :func:`conv_backward` reads."""
     x = _check_input(layer, x)
-    out_ch, in_ch, k, _ = layer.weights.shape
+    out_ch, _, k, _ = layer.weights.shape
     _, h, w = x.shape
-    xp = _edge_pad(x, k // 2)
-    if out_ch < in_ch:
-        z = _kn2row(layer.weights, xp, h, w) + layer.bias[:, None, None]
-    else:
-        z = (layer.weights.reshape(out_ch, -1) @ _im2col(xp, k)).reshape(out_ch, h, w)
-        z += layer.bias[:, None, None]
-    return _activate(z, layer.activation), ConvCache(xp=xp, z=z)
+    stride = w + k - 1
+    flat = _edge_pad(x, k // 2)
+    z = _correlate(layer.weights, flat, k, stride, h * stride).reshape(out_ch, h, stride)
+    z = z[:, :, :w] + layer.bias[:, None, None]
+    return _activate(z, layer.activation), ConvCache(flat=flat, z=z)
 
 
 def conv_backward(
@@ -141,11 +182,10 @@ def conv_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (d_input, d_weights, d_bias) of the forward that returned ``cache``."""
     upstream = np.asarray(upstream, dtype=np.float64)
-    k = layer.kernel_size
+    out_ch, in_ch, k, _ = layer.weights.shape
     pad = k // 2
-    in_ch = layer.weights.shape[1]
     z = cache.z
-    out_ch, h, w = z.shape
+    _, h, w = z.shape
     if upstream.shape != z.shape:
         raise ValueError(f"upstream shape {upstream.shape} does not match output {z.shape}")
     if layer.activation == "relu":
@@ -155,16 +195,28 @@ def conv_backward(
         dz = upstream * s * (1.0 - s)
     else:
         dz = upstream
+    d_bias = dz.reshape(out_ch, h * w).sum(axis=1)
 
-    dz_mat = dz.reshape(out_ch, h * w)
-    d_weights = (dz_mat @ _im2col(cache.xp, k).T).reshape(layer.weights.shape)
-    d_bias = dz_mat.sum(axis=1)
+    # weight gradient: dz on the padded input's row stride (zero in the
+    # k - 1 border columns of each row) against each tap's input slice
+    stride = w + k - 1
+    span = h * stride
+    dz_rows = _zero_pad(dz, 0, stride, 0)
+    d_weights = np.empty(layer.weights.shape)
+    for i in range(k):
+        for j in range(k):
+            start = i * stride + j
+            d_weights[:, :, i, j] = dz_rows @ cache.flat[:, start : start + span].T
 
-    # gradient w.r.t. the padded input: full correlation with the flipped kernel
-    dz_full = np.pad(dz, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
-    cols_up = _im2col(dz_full, k)
-    w_flip = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_ch, -1)
-    g_padded = (w_flip @ cols_up).reshape(in_ch, h + 2 * pad, w + 2 * pad)
+    # gradient w.r.t. the padded input: full correlation of dz, zero-padded
+    # by k - 1, with the flipped and transposed kernel
+    full = w + 2 * (k - 1)
+    dz_full = _zero_pad(dz, k - 1, full, k - 1)
+    w_flip = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    g_padded = _correlate(w_flip, dz_full, k, full, (h + 2 * pad) * full)
+    g_padded = g_padded.reshape(in_ch, h + 2 * pad, full)[:, :, : w + 2 * pad]
+    if pad == 0:
+        return g_padded, d_weights, d_bias
     # fold the replicated border back onto the edge pixels: one bincount over
     # every channel's clamped flat index
     iy = np.clip(np.arange(h + 2 * pad) - pad, 0, h - 1)

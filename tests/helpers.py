@@ -17,6 +17,7 @@ from mvcodec.bitio import BitstreamError, BitWriter, signed_to_unsigned, unsigne
 from mvcodec.codec import SideInfo, _pack_header, _reconstruct, motion_search, residual_plane
 from mvcodec.fixtures import _texture
 from mvcodec.frames import Frame
+from mvcodec.nn import sigmoid
 from mvcodec.restorer import RestorerModel, init_restorer
 from mvcodec.transform import (
     QuantTable,
@@ -372,6 +373,79 @@ def deformable_gather_direct(
                         acc += weights[o, c, ky, kx] * bilinear_sample(fmap, sx, sy, c)
                 out[o, y, x] = acc
     return out
+
+
+def im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """(C*k*k, out_h*out_w) columns of every k x k window, rows in (c,i,j) order."""
+    win = sliding_window_view(x, (k, k), axis=(1, 2))  # (C, oh, ow, k, k)
+    c, oh, ow = win.shape[:3]
+    return win.transpose(0, 3, 4, 1, 2).reshape(c * k * k, oh * ow)
+
+
+def padded_input(layer, cache) -> np.ndarray:
+    """The edge-padded input a conv forward cached, as an ``(in, h + k - 1,
+    w + k - 1)`` view of the cache's flat rows."""
+    d = layer.kernel_size - 1
+    _, h, w = cache.z.shape
+    return cache.flat[:, : (h + d) * (w + d)].reshape(-1, h + d, w + d)
+
+
+def conv_forward_im2col(layer, x: np.ndarray) -> np.ndarray:
+    """Pre-activation of a clamp-padded conv as one im2col GEMM."""
+    out_ch, _, k, _ = layer.weights.shape
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (k // 2,) * 2, (k // 2,) * 2), mode="edge")
+    z = (layer.weights.reshape(out_ch, -1) @ im2col(xp, k)).reshape(out_ch, h, w)
+    return z + layer.bias[:, None, None]
+
+
+def conv_backward_im2col(layer, upstream: np.ndarray, x: np.ndarray):
+    """(d_input, d_weights, d_bias) of a clamp-padded conv from im2col columns.
+
+    The weight gradient correlates the upstream gradient with the padded
+    input's columns; the input gradient is the full correlation of the
+    zero-padded upstream gradient with the flipped kernel, with the padded
+    border folded back onto the edge pixels.
+    """
+    out_ch, in_ch, k, _ = layer.weights.shape
+    _, h, w = x.shape
+    pad = k // 2
+    z = conv_forward_im2col(layer, x)
+    if layer.activation == "relu":
+        dz = upstream * (z > 0.0)
+    elif layer.activation == "sigmoid":
+        s = sigmoid(z)
+        dz = upstream * s * (1.0 - s)
+    else:
+        dz = upstream
+    dz_mat = dz.reshape(out_ch, h * w)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+    d_weights = (dz_mat @ im2col(xp, k).T).reshape(layer.weights.shape)
+    dz_full = np.pad(dz, ((0, 0), (k - 1, k - 1), (k - 1, k - 1)))
+    w_flip = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(in_ch, -1)
+    g_padded = (w_flip @ im2col(dz_full, k)).reshape(in_ch, h + 2 * pad, w + 2 * pad)
+    d_input = np.zeros((in_ch, h, w))
+    for y in range(h + 2 * pad):
+        for x_ in range(w + 2 * pad):
+            sy = min(max(y - pad, 0), h - 1)
+            sx = min(max(x_ - pad, 0), w - 1)
+            d_input[:, sy, sx] += g_padded[:, y, x_]
+    return d_input, d_weights, dz_mat.sum(axis=1)
+
+
+def gather_scatter_one_bincount(
+    index: np.ndarray, corner_w: np.ndarray, d_sampled: np.ndarray, h: int, w: int
+) -> np.ndarray:
+    """(c, h, w) input gradient of the deformable gather as one bincount.
+
+    ``index``/``corner_w`` are the gather cache's ``(4, taps*h*w)`` corners and
+    ``d_sampled`` the ``(c, taps*h*w)`` gradient of the bilinear samples; every
+    channel's index and weights are copied into one flat scatter.
+    """
+    c = d_sampled.shape[0]
+    idx = (index.ravel() + h * w * np.arange(c)[:, None]).ravel()
+    weights = (corner_w * d_sampled[:, None]).ravel()
+    return np.bincount(idx, weights=weights, minlength=c * h * w).reshape(c, h, w)
 
 
 def global_shift_pair(

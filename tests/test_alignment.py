@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     finite_diff,
     gather_case,
     gather_case_clear,
+    gather_scatter_one_bincount,
     global_shift_pair,
     predictor_case,
     predictor_case_clear,
@@ -208,6 +210,39 @@ class TestDeformableGatherGradients:
         _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
         _, d_off, _ = deformable_gather_backward(upstream, weights, cache)
         assert not d_off[0::2].any()
+
+    @pytest.mark.parametrize("c, h, w", [(2, 5, 6), (8, 12, 9), (1, 1, 7)])
+    def test_map_gradient_equals_one_bincount_scatter(self, c, h, w):
+        rng = np.random.default_rng(c * 100 + h * 10 + w)
+        fmap = rng.normal(size=(c, h, w))
+        offsets = rng.normal(scale=2.0, size=(18, h, w))
+        weights = rng.normal(size=(3, c, 3, 3))
+        upstream = rng.normal(size=(3, h, w))
+        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        d_map = deformable_gather_backward(upstream, weights, cache)[0]
+        d_sampled = (weights.reshape(3, c * 9).T @ upstream.reshape(3, h * w)).reshape(c, -1)
+        oracle = gather_scatter_one_bincount(cache.index, cache.corner_w, d_sampled, h, w)
+        assert np.array_equal(d_map, oracle)
+
+    def test_backward_copies_no_per_channel_corner_arrays(self):
+        # a scatter that copies the (4, taps * h * w) corner index and weights
+        # for every channel holds at least one (c, 4 * taps * h * w) float64
+        # array; the per-channel scatter stays below that
+        c, h, w = 8, 32, 32
+        rng = np.random.default_rng(5)
+        fmap = rng.normal(size=(c, h, w))
+        offsets = rng.normal(scale=2.0, size=(18, h, w))
+        weights = rng.normal(size=(c, c, 3, 3))
+        upstream = rng.normal(size=(c, h, w))
+        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        deformable_gather_backward(upstream, weights, cache)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            deformable_gather_backward(upstream, weights, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < c * 4 * 9 * h * w * 8
 
     def test_upstream_must_match_cached_output(self):
         rng = np.random.default_rng(33)

@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import GRAD_TOL, conv_case, conv_case_clear, draw_until, finite_diff, rel_error
+from helpers import (
+    GRAD_TOL,
+    conv_backward_im2col,
+    conv_case,
+    conv_case_clear,
+    conv_forward_im2col,
+    draw_until,
+    finite_diff,
+    rel_error,
+)
 from mvcodec.nn import (
     ConvLayer,
-    _im2col,
     TrainConfig,
     adam_init,
     adam_step,
@@ -88,10 +98,57 @@ class TestConvGradients:
         rng = np.random.default_rng(in_ch * 100 + out_ch * 10 + k)
         layer = ConvLayer(rng.normal(size=(out_ch, in_ch, k, k)), rng.normal(size=out_ch), "none")
         x = rng.normal(size=(in_ch, 19, 24))
-        cols = _im2col(np.pad(x, ((0, 0), (k // 2,) * 2, (k // 2,) * 2), mode="edge"), k)
-        oracle = (layer.weights.reshape(out_ch, -1) @ cols).reshape(out_ch, 19, 24)
-        oracle += layer.bias[:, None, None]
+        oracle = conv_forward_im2col(layer, x)
         np.testing.assert_allclose(conv_forward_cached(layer, x)[0], oracle, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
+    @pytest.mark.parametrize(
+        "shape, size",
+        # (out, in, k), (h, w): the forward runs kn2row when out < in, the
+        # input gradient's correlation (transposed kernel) when out > in,
+        # and the rest take columns
+        [
+            ((1, 16, 7), (13, 9)),
+            ((8, 40, 3), (9, 14)),
+            ((18, 8, 3), (11, 7)),
+            ((8, 1, 3), (6, 10)),
+            ((3, 5, 1), (7, 4)),
+            ((5, 3, 1), (4, 7)),
+            ((2, 2, 5), (1, 6)),
+        ],
+        ids=["1x16x7", "8x40x3", "18x8x3", "8x1x3", "k1-out<in", "k1-out>in", "one-row"],
+    )
+    def test_backward_matches_im2col_oracle(self, activation, shape, size):
+        out_ch, in_ch, k = shape
+        rng = np.random.default_rng(out_ch * 1000 + in_ch * 10 + k)
+        layer = ConvLayer(
+            rng.normal(size=(out_ch, in_ch, k, k)), rng.normal(size=out_ch), activation
+        )
+        x = rng.normal(size=(in_ch, *size))
+        upstream = rng.normal(size=(out_ch, *size))
+        got = conv_backward(layer, upstream, conv_forward_cached(layer, x)[1])
+        for name, g, want in zip(("d_input", "d_weights", "d_bias"), got,
+                                 conv_backward_im2col(layer, upstream, x)):
+            assert g.shape == want.shape, name
+            np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_backward_builds_no_input_column_buffer(self):
+        # 1x16x7 at 32x32: im2col columns of the padded input would be one
+        # (16 * 7 * 7) x (32 * 32) float64 buffer; the per-tap weight GEMMs
+        # and the one-channel side of the input correlation stay below it
+        rng = np.random.default_rng(3)
+        layer = ConvLayer(rng.normal(size=(1, 16, 7, 7)), rng.normal(size=1), "sigmoid")
+        x = rng.normal(size=(16, 32, 32))
+        upstream = rng.normal(size=(1, 32, 32))
+        _, cache = conv_forward_cached(layer, x)
+        conv_backward(layer, upstream, cache)  # warm up numpy's caches
+        tracemalloc.start()
+        try:
+            conv_backward(layer, upstream, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 7 * 7 * 32 * 32 * 8
 
     def test_upstream_must_match_cached_output(self):
         rng = np.random.default_rng(77)

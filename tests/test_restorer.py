@@ -9,6 +9,7 @@ from helpers import (
     finite_diff,
     fuse_case,
     fuse_case_clear,
+    padded_input,
     reconstruct_from_side_info,
     rel_error,
     zero_restorer,
@@ -141,7 +142,8 @@ class TestAuxPlanes:
         model = init_restorer(seed=5)
         window = padded_window(decoded, 1, model.half_window)
         _, cache = restorer_forward_cached(window, sides[1], aux, model)
-        structure = cache["convs"]["auxl1"][2].xp[:, 1:-1, 1:-1]
+        _, layer, conv_cache = cache["convs"]["auxl1"]
+        structure = padded_input(layer, conv_cache)[:, 1:-1, 1:-1]
         assert structure.shape == (2, 64, 64)
         leaf_size = structure[1]
         assert (qp_plane == 36 / 51).all()
