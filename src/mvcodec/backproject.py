@@ -30,7 +30,7 @@ from .transform import (
     dct2d,
     dequantize,
     idct2d,
-    round_half_away,
+    round_to_uint8,
 )
 
 
@@ -95,7 +95,7 @@ def back_project(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:
 def back_project_frame(candidate: Frame | np.ndarray, side: SideInfo) -> Frame:
     """Projection followed by the final rounding and clip to [0, 255]."""
     arr = back_project(candidate, side)
-    return Frame(np.clip(round_half_away(arr), 0, 255).astype(np.uint8))
+    return Frame(round_to_uint8(arr))
 
 
 def projection_report(

@@ -100,32 +100,10 @@ class BitReader:
         self._pos = pos + 1
         return (self._data[pos >> 3] >> (7 - (pos & 7))) & 1
 
-    def read_bits(self, count: int) -> int:
-        window, avail = self._window(count)
-        if avail < count:
-            raise BitstreamError("truncated payload")
-        self._pos += count
-        return window >> (avail - count)
-
-    def _window(self, count: int) -> tuple[int, int]:
-        """The next ``avail`` bits as an int, ``avail >= count`` unless the
-        payload ends first."""
-        pos = self._pos
-        chunk = self._data[pos >> 3 : (pos + count + 7) >> 3]
-        avail = 8 * len(chunk) - (pos & 7)
-        return int.from_bytes(chunk, "big") & ((1 << avail) - 1), avail
-
     def read_ue(self) -> int:
-        # the leading zeros are counted in one step from a window one bit
-        # longer than the longest legal prefix
-        window, avail = self._window(MAX_UE_ZEROS + 1)
-        zeros = avail - window.bit_length()
-        if zeros > MAX_UE_ZEROS:
-            raise BitstreamError("malformed exp-Golomb prefix")
-        if window == 0:
-            raise BitstreamError("truncated payload")
-        self._pos += zeros
-        return self.read_bits(zeros + 1) - 1
+        # a run stops at ue(0) and consumes it, so a run of one is one code
+        run = self.read_ue_run(1)
+        return run[0] if run else 0
 
     def read_se(self) -> int:
         return unsigned_to_signed(self.read_ue())
@@ -134,8 +112,12 @@ class BitReader:
         """ue values up to the first 0, or ``limit`` values when no 0 comes
         first.  The 0 is consumed but not returned.
 
-        The payload is loaded a window of bytes at a time; each code's
-        leading zeros are counted in one step with ``int.bit_length``.
+        This is the one exp-Golomb code reader: ``read_ue`` and ``read_se``
+        are runs of one.  The payload is loaded a window of bytes at a time;
+        each code's leading zeros are counted in one step with
+        ``int.bit_length``.  A prefix of more than ``MAX_UE_ZEROS`` zeros
+        raises "malformed exp-Golomb prefix", and a code that runs past the
+        payload raises "truncated payload".
         """
         data, end = self._data, self._end
         values: list[int] = []

@@ -28,7 +28,6 @@ from .frames import (
     psnr,
     ssim,
     write_atomic,
-    write_pgm,
     write_sequence,
 )
 from .restorer import (
@@ -89,10 +88,7 @@ def cmd_extract(args) -> int:
     doc = side_info_to_json(sides)
     write_atomic(args.output, (json.dumps(doc, indent=1) + "\n").encode("ascii"))
     if args.pred_dir:
-        pred_dir = Path(args.pred_dir)
-        pred_dir.mkdir(parents=True, exist_ok=True)
-        for side in sides:
-            write_pgm(pred_dir / f"pred_{side.frame_index:04d}.pgm", side.prediction)
+        write_sequence(args.pred_dir, [side.prediction for side in sides])
     print(f"side info for {len(sides)} frames -> {args.output}")
     return 0
 
@@ -214,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="dump side information from a bitstream")
     p.add_argument("input", help=".mvc bitstream")
     p.add_argument("-o", "--output", required=True, help="side-info JSON path")
-    p.add_argument("--pred-dir", help="also dump prediction frames as PGM here")
+    p.add_argument("--pred-dir", help="also write the prediction frames here as a PGM sequence")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("restore", help="decode and run the trained restorer")

@@ -43,6 +43,7 @@ from .transform import (
     idct2d,
     quantize,
     round_half_away,
+    round_to_uint8,
     zigzag,
 )
 
@@ -312,11 +313,6 @@ def _residual(levels: np.ndarray, sizes: np.ndarray, qt: QuantTable) -> np.ndarr
     return transform_frame(dequantize(levels, qt), sizes, idct2d)
 
 
-def _reconstruct(pred, resid: np.ndarray) -> np.ndarray:
-    """Prediction plus residual, rounded half away from zero and clipped to 8 bits."""
-    return np.clip(round_half_away(pred + resid), 0, 255).astype(np.uint8)
-
-
 def residual_plane(side: SideInfo) -> np.ndarray:
     """Dequantized, inverse-transformed residual of a whole coded frame."""
     return _residual(side.levels, side.sizes, QuantTable(side.qp))
@@ -480,7 +476,7 @@ def _code_intra_frame(
         _leaf_tiles(block)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), qt)
         leaf_resid = np.empty((size, size))
         _leaf_tiles(leaf_resid)[...] = idct2d(dequantize(_leaf_tiles(block), qt))
-        recon[y : y + size, x : x + size] = _reconstruct(pred, leaf_resid)
+        recon[y : y + size, x : x + size] = round_to_uint8(pred + leaf_resid)
         sizes[y : y + size, x : x + size] = size
     return sizes, levels, recon
 
@@ -512,7 +508,7 @@ def _code_inter_frame(
             sizes[_upsample(split, size)] = size // 2
             split = _upsample(split, 2)
     levels = quantize(transform_frame((cur - pred).astype(np.float64), sizes, dct2d), qt)
-    recon = _reconstruct(pred, _residual(levels, sizes, qt))
+    recon = round_to_uint8(pred + _residual(levels, sizes, qt))
     return sizes, levels, recon, vectors
 
 
@@ -660,11 +656,11 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
         pred = (
             np.zeros((height, width), dtype=np.uint8) if intra_frame else _compensate(prev, motion)
         )
-        recon = _reconstruct(pred, resid)
+        recon = round_to_uint8(pred + resid)
         for x, y, size in leaves[leaves[:, 3] == 1, :3].tolist():
             block = np.s_[y : y + size, x : x + size]
             pred[block] = _dc_predict(recon, x, y, size)
-            recon[block] = _reconstruct(pred[block], resid[block])
+            recon[block] = round_to_uint8(pred[block] + resid[block])
 
         frames.append(Frame(recon))
         sides.append(

@@ -39,6 +39,7 @@ from .alignment import (
     warp_mv,
     warp_mv_backward,
 )
+from .backproject import back_project_frame
 from .codec import SideInfo, residual_plane
 from .frames import Frame, write_atomic
 from .nn import (
@@ -52,6 +53,7 @@ from .nn import (
     l1_loss,
     l1_loss_grad,
 )
+from .transform import round_to_uint8
 
 MODEL_MAGIC = b"MVDR"
 MODEL_VERSION = 1
@@ -332,7 +334,6 @@ def restorer_forward_cached(
     return out, {
         "mv_planes": mv_planes,
         "convs": convs,
-        "feats": feats,
         "neighbors": neighbors,
         "predictor": predictor,
         "agg_layers": agg_layers,
@@ -387,7 +388,7 @@ def restorer_backward(
     d_stacked = conv_back("vmix", conv_back("vres", d_fv))
 
     gather_w = model.params["gather.w"]
-    d_feats = [np.zeros_like(f) for f in cache["feats"]]
+    d_feats = [np.zeros_like(d_stacked[:c]) for _ in range(model.window)]
     d_feats[n] += d_stacked[n * c : (n + 1) * c]
     for j, offset_cache, gather_cache in cache["neighbors"]:
         d_warped, d_offsets, dw_gather = deformable_gather_backward(
@@ -545,9 +546,6 @@ def restore_sequence(
     back_projection: bool = True,
 ) -> list[Frame]:
     """Restore every frame of a decoded sequence (sliding padded window)."""
-    from .backproject import back_project_frame
-    from .transform import round_half_away
-
     if len(decoded) != len(sides):
         raise ValueError("decoded frames and side info must have equal lengths")
     restored = []
@@ -558,9 +556,7 @@ def restore_sequence(
         if back_projection:
             restored.append(back_project_frame(candidate, side))
         else:
-            restored.append(
-                Frame(np.clip(round_half_away(candidate), 0, 255).astype(np.uint8))
-            )
+            restored.append(Frame(round_to_uint8(candidate)))
     return restored
 
 

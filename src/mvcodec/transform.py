@@ -58,6 +58,11 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
+def round_to_uint8(x: np.ndarray) -> np.ndarray:
+    """8-bit samples: rounded half away from zero, clipped to [0, 255]."""
+    return np.clip(round_half_away(x), 0, 255).astype(np.uint8)
+
+
 @lru_cache(maxsize=None)
 def _dct_basis(size: int) -> np.ndarray:
     n = np.arange(size)

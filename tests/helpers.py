@@ -13,8 +13,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from mvcodec.alignment import kernel_grid
-from mvcodec.bitio import BitstreamError, BitWriter, signed_to_unsigned, unsigned_to_signed
-from mvcodec.codec import SideInfo, _pack_header, _reconstruct, motion_search, residual_plane
+from mvcodec.bitio import (
+    BitReader,
+    BitstreamError,
+    BitWriter,
+    signed_to_unsigned,
+    unsigned_to_signed,
+)
+from mvcodec.codec import SideInfo, _pack_header, motion_search, residual_plane
 from mvcodec.fixtures import _texture
 from mvcodec.frames import Frame
 from mvcodec.nn import sigmoid
@@ -26,6 +32,7 @@ from mvcodec.transform import (
     idct2d,
     quantize,
     round_half_away,
+    round_to_uint8,
     zigzag,
     zigzag_indices,
 )
@@ -115,6 +122,14 @@ def se_golomb_decode(bits: str, pos: int = 0) -> tuple[int, int]:
     return unsigned_to_signed(code), pos
 
 
+def read_bits(reader: BitReader, count: int) -> int:
+    """The next ``count`` bits of ``reader`` MSB-first, one ``read_bit`` at a time."""
+    value = 0
+    for _ in range(count):
+        value = (value << 1) | reader.read_bit()
+    return value
+
+
 def motion_search_direct(current, reference, leaf, radius: int) -> tuple[int, int]:
     """Exhaustive integer-pel SAD search of one leaf over [-radius, radius]^2.
 
@@ -188,7 +203,7 @@ def predict_frame(intra_frame: bool, reference, side, decoded) -> Frame:
 
 def reconstruct_from_side_info(side) -> Frame:
     """Rebuild the decoded frame from side information alone."""
-    return Frame(_reconstruct(side.prediction.pixels, residual_plane(side)))
+    return Frame(round_to_uint8(side.prediction.pixels + residual_plane(side)))
 
 
 def zero_restorer(**kwargs) -> RestorerModel:

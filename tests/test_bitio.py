@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import se_golomb, se_golomb_decode, ue_golomb, ue_golomb_decode
+from helpers import read_bits, se_golomb, se_golomb_decode, ue_golomb, ue_golomb_decode
 from mvcodec.bitio import (
     BitReader,
     BitstreamError,
@@ -107,7 +107,7 @@ class TestBitReaderWindow:
     def test_ue_codes_at_every_start_offset(self, offset):
         bits = "1" * offset + "".join(ue_golomb(v) for v in VALUES)
         reader = BitReader(_pack(bits))
-        assert reader.read_bits(offset) == 2**offset - 1
+        assert read_bits(reader, offset) == 2**offset - 1
         pos = offset
         for v in VALUES:
             expected, pos = ue_golomb_decode(bits, pos)
@@ -120,7 +120,7 @@ class TestBitReaderWindow:
         values = [3, 65535, 2**62, 1, 0, 9, 0, 4, 2**33]
         bits = "0" * offset + "".join(ue_golomb(v) for v in values)
         reader = BitReader(_pack(bits))
-        reader.read_bits(offset)
+        read_bits(reader, offset)
         assert reader.read_ue_run(16) == [3, 65535, 2**62, 1]
         assert reader.read_ue_run(16) == [9]
         assert reader.read_ue_run(2) == [4, 2**33]
@@ -140,11 +140,11 @@ class TestBitReaderWindow:
         for shift in range(0, 130, 13):
             bits = "1" * shift + "".join(ue_golomb(v) for v in values)
             reader = BitReader(_pack(bits))
-            reader.read_bits(shift)
+            read_bits(reader, shift)
             got = reader.read_ue_run(len(values))
             assert got == values
             reader = BitReader(_pack(bits))
-            reader.read_bits(shift)
+            read_bits(reader, shift)
             assert [reader.read_ue() for _ in values] == values
 
     def test_longest_legal_level_code(self):
@@ -173,7 +173,7 @@ class TestBitReaderWindow:
         data = _pack("1" * offset + "0" * 100 + "1")
         for read in (lambda r: r.read_ue(), lambda r: r.read_ue_run(64)):
             reader = BitReader(data)
-            reader.read_bits(offset)
+            read_bits(reader, offset)
             with pytest.raises(BitstreamError, match="malformed"):
                 read(reader)
 
@@ -203,7 +203,7 @@ class TestBitReaderWindow:
                 assert run.read_ue_run(1) == ([expected] if expected else [])
 
     def test_empty_payload_is_truncated(self):
-        for read in (BitReader.read_ue, lambda r: r.read_ue_run(4), lambda r: r.read_bits(3)):
+        for read in (BitReader.read_ue, lambda r: r.read_ue_run(4), lambda r: read_bits(r, 3)):
             with pytest.raises(BitstreamError, match="truncated"):
                 read(BitReader(b""))
         assert BitReader(b"").read_ue_run(0) == []
@@ -211,15 +211,15 @@ class TestBitReaderWindow:
     @pytest.mark.parametrize("offset", range(8))
     def test_padding_and_bytes_consumed_at_each_offset(self, offset):
         reader = BitReader(_pack("1" * offset))
-        reader.read_bits(offset)
+        read_bits(reader, offset)
         assert reader.padding_is_clean()
         assert reader.bytes_consumed() == (offset + 7) // 8
         dirty = BitReader(_pack("1" * offset + "1"))
-        dirty.read_bits(offset)
+        read_bits(dirty, offset)
         assert dirty.padding_is_clean() == (offset == 0)
         # a start offset counts whole bytes before the payload
         shifted = BitReader(b"\xff\xff" + _pack("0" * offset + "1"), start=2)
-        shifted.read_bits(offset)
+        read_bits(shifted, offset)
         assert shifted.bytes_consumed() == 2 + (offset + 7) // 8
         assert shifted.padding_is_clean() == (offset == 0)
         assert shifted.read_bit() == 1

@@ -60,6 +60,36 @@ class TestEncode:
     def test_missing_manifest_is_exit_1(self, tmp_path):
         assert main(["encode", str(tmp_path / "nope.txt"), "--qp", "20", "-o", str(tmp_path / "x.mvc")]) == 1
 
+    def test_mutated_and_truncated_pgm_and_manifest_are_exit_0_1_or_2(self, tmp_path, capsys):
+        manifest = write_sequence(tmp_path / "seq", fixtures.translating_texture(2, size=32))
+        frame = manifest.parent / "frame_0000.pgm"
+        originals = {manifest: manifest.read_bytes(), frame: frame.read_bytes()}
+        pgm_header = len(b"P5\n32 32\n255\n")
+        # header-like bytes make the mutations reach past the first token
+        alphabet = b"0123456789 \t\n#-+.P5"
+        rng = np.random.default_rng(29)
+        out = tmp_path / "s.mvc"
+        codes = set()
+        for i in range(400):
+            for path, data in originals.items():
+                path.write_bytes(data)
+            path = manifest if i % 2 else frame
+            case = bytearray(originals[path])
+            head = len(case) if path == manifest else pgm_header
+            if i % 4 < 2:
+                # a cut inside the header, or anywhere in the file
+                case = case[: int(rng.integers(head if i % 8 < 4 else len(case)))]
+            else:
+                for _ in range(int(rng.integers(1, 4))):
+                    pool = alphabet if rng.integers(2) else range(256)
+                    case[int(rng.integers(head))] = pool[int(rng.integers(len(pool)))]
+            path.write_bytes(bytes(case))
+            code = main(["encode", str(manifest), "--qp", "36", "-o", str(out)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in capsys.readouterr().err
+            codes.add(code)
+        assert codes == {0, 1, 2}
+
 
 class TestDecode:
     def test_round_trip_constant_frames_qp0(self, tmp_path):
@@ -102,7 +132,10 @@ class TestExtract:
         assert len(doc["frames"]) == len(sides)
         for fr, side in zip(doc["frames"], sides):
             assert len(fr["leaves"]) == len(list(side.leaves()))
-        assert sorted(pred_dir.glob("pred_*.pgm"))
+        preds = load_sequence(pred_dir / "manifest.txt")
+        assert len(preds) == len(sides)
+        for pred, side in zip(preds, sides):
+            assert np.array_equal(pred.pixels, side.prediction.pixels)
 
     def test_global_shift_motion_in_dump(self, tmp_path):
         ref, cur = global_shift_pair(shift=(2, 3))

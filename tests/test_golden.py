@@ -1,8 +1,9 @@
 """Golden SHA-256 digests of the codec's bitstream, decoded frames, side-info
-dump and back projection.
+dump and back projection, and of the restorer's model file.
 
-Any refactor of the encoder, the decoder or the transform layer must keep
-these byte-identical.  Regenerate only for a deliberate format change.
+Any refactor of the encoder, the decoder, the transform layer or the model
+writer must keep these byte-identical.  Regenerate only for a deliberate
+format change.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 from mvcodec import fixtures
 from mvcodec.backproject import back_project_frame
 from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence, side_info_to_json
+from mvcodec.restorer import init_restorer, save_model
 
 CLIPS = {
     "texture": lambda: fixtures.translating_texture(4),
@@ -149,3 +151,17 @@ def test_back_projection_matches_golden_digest(clips, clip, qp):
         candidate = frame.as_float() + rng.uniform(-30, 30, frame.pixels.shape)
         digest.update(back_project_frame(candidate, side).pixels.tobytes())
     assert digest.hexdigest() == GOLDEN_PROJECTED[clip, qp]
+
+
+# seed -> digest of the file save_model(init_restorer(seed=seed)) writes
+GOLDEN_MODEL = {
+    1: "13d426be3abd9aa058256b17edac018be3b02c20af5f0f5ded7848360a9b8e01",
+    7: "1f90ca7a5d84e7d84f622c1e67c6e3f1d27ff00ecab99c91e34d3a1c138db968",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_MODEL))
+def test_model_file_matches_golden_digest(tmp_path, seed):
+    path = tmp_path / "model.mvdr"
+    save_model(init_restorer(seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL[seed]
