@@ -40,11 +40,20 @@ from .restorer import (
     train_restorer,
 )
 
-def _pair_metrics(reference: list[Frame], test: list[Frame]) -> dict:
+def _check_pairable(reference: list[Frame], test: list[Frame]) -> None:
     if len(reference) != len(test):
         raise ValueError(
             f"frame count mismatch: {len(reference)} reference vs {len(test)} test"
         )
+    if reference and (reference[0].width, reference[0].height) != (test[0].width, test[0].height):
+        raise ValueError(
+            f"frame size mismatch: {reference[0].width}x{reference[0].height} reference "
+            f"vs {test[0].width}x{test[0].height} test"
+        )
+
+
+def _pair_metrics(reference: list[Frame], test: list[Frame]) -> dict:
+    _check_pairable(reference, test)
     psnrs = [psnr(r, t) for r, t in zip(reference, test)]
     ssims = [ssim(r, t) for r, t in zip(reference, test)]
     return {
@@ -96,13 +105,16 @@ def cmd_extract(args) -> int:
 def cmd_restore(args) -> int:
     decoded, sides = decode_sequence(Path(args.input).read_bytes())
     model = load_model(args.model)
+    # a reference that cannot be compared fails before anything is written
+    reference = load_sequence(args.reference) if args.reference else None
+    if reference is not None:
+        _check_pairable(reference, decoded)
     restored = restore_sequence(
         decoded, sides, model, back_projection=not args.no_backprojection
     )
     manifest = write_sequence(args.output, restored)
     print(f"restored {len(restored)} frames -> {manifest}")
-    if args.reference:
-        reference = load_sequence(args.reference)
+    if reference is not None:
         report = {
             "decoded": _pair_metrics(reference, decoded),
             "restored": _pair_metrics(reference, restored),

@@ -253,6 +253,18 @@ def _check_window(window: list[Frame], side: SideInfo, model: RestorerModel) -> 
             raise ValueError("window frames must match the coded frame dimensions")
 
 
+def _first_equal(window: list[Frame]) -> list[int]:
+    """Index of the first window frame holding the same pixels as each frame.
+
+    Training crops of one frame are separate :class:`Frame` objects, so the
+    pixels are compared as well as the objects.
+    """
+    return [
+        next(i for i, g in enumerate(window) if g is f or np.array_equal(g.pixels, f.pixels))
+        for f in window
+    ]
+
+
 def restorer_forward_cached(
     window: list[Frame],
     side: SideInfo,
@@ -272,6 +284,15 @@ def restorer_forward_cached(
     ``(param name, ConvLayer, ConvCache)`` for every conv outside the offset
     predictor and the fusion block; ``cache["neighbors"]`` holds one
     ``(j, offset cache, gather cache)`` per neighbour frame.
+
+    Each distinct window frame is worked on once.  At a sequence edge the
+    window repeats its first or last frame, and equal pixels give
+    bitwise-equal results: a frame equal to an earlier one shares its
+    ``feat`` conv, and a neighbour equal to an earlier neighbour shares its
+    warp, offsets and gather.  Repeats are recorded under their own keys
+    with the shared caches (``feat{j}``, and ``(j, ...)`` with the earlier
+    neighbour's pair); every backward only reads its cache, so
+    :func:`restorer_backward` treats a repeat like any other entry.
 
     :func:`restorer_forward` runs this same composition with ``_record``
     false: the conv registry and the neighbour list then stay empty, so each
@@ -296,17 +317,29 @@ def restorer_forward_cached(
             convs[name] = (name, layer, cc)
         return m
 
-    feats = [
-        conv("feat", "relu", (f.as_float() / PIXEL_NORM)[None], key=f"feat{j}")
-        for j, f in enumerate(window)
-    ]
+    first = _first_equal(window)
+    feats = []
+    for j, f in enumerate(window):
+        if first[j] < j:
+            feats.append(feats[first[j]])
+            if _record:
+                convs[f"feat{j}"] = convs[f"feat{first[j]}"]
+        else:
+            feats.append(conv("feat", "relu", (f.as_float() / PIXEL_NORM)[None], key=f"feat{j}"))
     mv_planes = rasterize_motion(side)
     predictor = model.offset_predictor()
     gather_w = model.params["gather.w"]
-    neighbors = []
+    recorded: dict[int, tuple] = {}  # neighbour -> (offset cache, gather cache)
+    aligned: dict[int, int] = {}  # first equal frame -> the neighbour aligning it
     slots = list(feats)
     for j in range(model.window):
         if j == n:
+            continue
+        i = aligned.setdefault(first[j], j)
+        if i < j:
+            slots[j] = slots[i]
+            if _record:
+                recorded[j] = recorded[i]
             continue
         warped = warp_mv(feats[j], mv_planes)
         offsets, offset_cache = predict_offsets(feats[n], warped, mv_planes, predictor)
@@ -314,7 +347,7 @@ def restorer_forward_cached(
             warped, model.kernel_size, offsets, gather_w
         )
         if _record:
-            neighbors.append((j, offset_cache, gather_cache))
+            recorded[j] = (offset_cache, gather_cache)
         # unrecorded caches die here, before the next neighbour builds its own
         del offset_cache, gather_cache
 
@@ -334,7 +367,7 @@ def restorer_forward_cached(
     return out, {
         "mv_planes": mv_planes,
         "convs": convs,
-        "neighbors": neighbors,
+        "neighbors": [(j, *caches) for j, caches in recorded.items()],
         "predictor": predictor,
         "agg_layers": agg_layers,
         "fuse": fuse_cache,

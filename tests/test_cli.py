@@ -186,6 +186,28 @@ class TestRestore:
             report["decoded"]["mean_psnr"]
         )
 
+    @pytest.mark.parametrize("case, code", [("missing", 1), ("short", 2), ("smaller", 2)])
+    def test_bad_reference_fails_before_writing(self, seq_dir, tmp_path, capsys, case, code):
+        _, manifest, frames = seq_dir
+        stream = tmp_path / "s.mvc"
+        main(["encode", str(manifest), "--qp", "36", "-o", str(stream)])
+        model_path = tmp_path / "zero.mvdr"
+        save_model(zero_restorer(), model_path)
+        reference = {
+            "missing": tmp_path / "absent" / "manifest.txt",
+            "short": write_sequence(tmp_path / "short", frames[:3]),
+            "smaller": write_sequence(
+                tmp_path / "smaller", [Frame(f.pixels[:32, :32]) for f in frames]
+            ),
+        }[case]
+        out = tmp_path / "r"
+        capsys.readouterr()
+        argv = ["restore", str(stream), "--model", str(model_path),
+                "--reference", str(reference), "-o", str(out)]
+        assert main(argv) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "manifest.txt").exists()
+
     def test_missing_model_flag_is_usage_error(self, seq_dir, tmp_path):
         _, manifest, _ = seq_dir
         stream = tmp_path / "s.mvc"

@@ -1,8 +1,9 @@
 """Golden SHA-256 digests of the codec's bitstream, decoded frames, side-info
-dump and back projection, and of the restorer's model file.
+dump and back projection, and of the restorer's model file, restored frames
+and training run.
 
-Any refactor of the encoder, the decoder, the transform layer or the model
-writer must keep these byte-identical.  Regenerate only for a deliberate
+Any refactor of the encoder, the decoder, the transform layer, the restorer
+or the model writer must keep these byte-identical.  Regenerate only for a deliberate
 format change.
 """
 
@@ -15,7 +16,14 @@ import pytest
 from mvcodec import fixtures
 from mvcodec.backproject import back_project_frame
 from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence, side_info_to_json
-from mvcodec.restorer import init_restorer, save_model
+from mvcodec.nn import TrainConfig
+from mvcodec.restorer import (
+    build_training_samples,
+    init_restorer,
+    restore_sequence,
+    save_model,
+    train_restorer,
+)
 
 CLIPS = {
     "texture": lambda: fixtures.translating_texture(4),
@@ -165,3 +173,54 @@ def test_model_file_matches_golden_digest(tmp_path, seed):
     path = tmp_path / "model.mvdr"
     save_model(init_restorer(seed=seed), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_MODEL[seed]
+
+
+# (seed, back projection) -> digest of the restore_sequence frames of the
+# texture clip coded at QP 36, by init_restorer(seed) with its output-side
+# weights scaled 3x: unscaled, the residual stays under half a grey level and
+# every restored frame would round back to the decoded one
+GOLDEN_RESTORE = {
+    (1, True): "684f96d1ac379c90ffde4df88d2fbe4b3384b464985048dbcb56885ca37a09c0",
+    (1, False): "9d69a27e1b2f4f58b3179b26c4906cae2f18562142b1a2932bfce64ea53aeeca",
+    (7, True): "361d89c315eb77766e956d62b7e706223c39812699ec8ccf23efe20404ef699e",
+    (7, False): "261344901d27f91be9ff9ec749abb6c1cd5be834da3ceed821ad2c91ab3d8cff",
+}
+LOUD_LAYERS = ("agg1.w", "agg2.w", "rec1.w", "rec2.w")
+
+# seed -> digest of the 8-iteration train_restorer loss trace (little-endian
+# f64) followed by its final parameters in sorted name order, trained on the
+# 32x32 crops of the texture clip coded at QP 36 (half window 2)
+GOLDEN_TRAIN = {
+    1: "802f4e1f3dc19a90c70ba6f71fe74bb9813d85186cebde8c9e3be0bf189f48bb",
+    3: "67a670a002626aba25d5b9bb8d7c35257c4a4b0342a817b9a70bb35a4042d8ab",
+}
+
+
+@pytest.fixture(scope="module")
+def texture_qp36(clips):
+    frames = clips["texture"]
+    decoded, sides = decode_sequence(encode_sequence(frames, CodecConfig(qp=36)))
+    return frames, decoded, sides
+
+
+@pytest.mark.parametrize("seed, back_projection", sorted(GOLDEN_RESTORE))
+def test_restored_frames_match_golden_digest(texture_qp36, seed, back_projection):
+    _, decoded, sides = texture_qp36
+    model = init_restorer(seed=seed)
+    for name in LOUD_LAYERS:
+        model.params[name] *= 3.0
+    restored = restore_sequence(decoded, sides, model, back_projection=back_projection)
+    assert all((r.pixels != d.pixels).any() for r, d in zip(restored, decoded))
+    digest = hashlib.sha256(b"".join(f.pixels.tobytes() for f in restored)).hexdigest()
+    assert digest == GOLDEN_RESTORE[seed, back_projection]
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_TRAIN))
+def test_training_run_matches_golden_digest(texture_qp36, seed):
+    frames, decoded, sides = texture_qp36
+    samples = build_training_samples(frames, decoded, sides, half_window=2, crop=32)
+    model, losses = train_restorer(samples, TrainConfig(iterations=8, seed=seed))
+    digest = hashlib.sha256(np.asarray(losses, dtype="<f8").tobytes())
+    for name in sorted(model.params):
+        digest.update(model.params[name].astype("<f8").tobytes())
+    assert digest.hexdigest() == GOLDEN_TRAIN[seed]

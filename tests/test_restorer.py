@@ -237,72 +237,106 @@ def _param_subsample(model, rng, per_tensor=4):
     return picks
 
 
+def _freeze(obj) -> int:
+    """Mark every array reachable from a cache read-only; returns their count."""
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+        return 1
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, (list, tuple)):
+        return sum(_freeze(item) for item in obj)
+    return 0
+
+
 class TestRestorerGradients:
     def test_full_model_against_finite_differences(self):
         # tiny model, tiny frames; parameters subsampled per tensor
         frames = [Frame(f.pixels[:16, :16]) for f in fixtures.translating_texture(5, seed=9, patch=12)]
         decoded, sides = decode_sequence(encode_sequence(frames, CodecConfig(qp=30)))
         samples = build_training_samples(frames, decoded, sides, half_window=1)
-        s = samples[2]
+        # sample 0's window (f0, f0, f1) repeats the centre frame, so its
+        # first neighbour and the centre share one feat conv and its cache
+        for s in (samples[2], samples[0]):
+            # constructed kink-free point: every relu unit is pushed active by a
+            # bias lift (locally linear), offsets sit mid-cell, weights stay small
+            # so finite-difference perturbations cannot reach any corner
+            model = init_restorer(
+                half_window=1, channels=2, offset_hidden=2, attn_kernel=3, seed=1000
+            )
+            relu_layers = ("feat", "off_hidden", "vmix", "vres", "auxa1", "auxa2",
+                           "auxl1", "auxl2", "agg1", "agg2", "rec1")
+            for name in model.params:
+                if name.endswith(".w"):
+                    model.params[name] *= 0.3
+            for name in relu_layers:
+                model.params[f"{name}.b"] += 0.7
+            model.params["off_out.b"] += 0.4
+            out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
+            # every relu pre-activation: the registered convs, each neighbour's
+            # offset-predictor hidden layer and both fusion layers
+            relu_z = [
+                cc.z for _, layer, cc in cache["convs"].values() if layer.activation == "relu"
+            ]
+            relu_z += [offset_cache[0].z for _, offset_cache, _ in cache["neighbors"]]
+            relu_z += [cc.z for cc in cache["fuse"][-1]]
+            assert len(relu_z) == 14  # 3 feat, 2 off_hidden, 9 single layers
+            min_z = min(float(np.abs(z).min()) for z in relu_z)
+            # the offset layer is linear, so its pre-activation is the offset field
+            offs = np.concatenate([oc[1].z.ravel() for _, oc, _ in cache["neighbors"]])
+            frac = np.abs(offs - np.round(offs))
+            assert min_z > 0.05, "pre-activations not clear of relu corners"
+            assert frac.min() > 0.1 and np.abs(offs).max() < 0.9, "offsets not mid-cell"
 
-        # constructed kink-free point: every relu unit is pushed active by a
-        # bias lift (locally linear), offsets sit mid-cell, weights stay small
-        # so finite-difference perturbations cannot reach any corner
-        model = init_restorer(
-            half_window=1, channels=2, offset_hidden=2, attn_kernel=3, seed=1000
-        )
-        relu_layers = ("feat", "off_hidden", "vmix", "vres", "auxa1", "auxa2",
-                       "auxl1", "auxl2", "agg1", "agg2", "rec1")
-        for name in model.params:
-            if name.endswith(".w"):
-                model.params[name] *= 0.3
-        for name in relu_layers:
-            model.params[f"{name}.b"] += 0.7
-        model.params["off_out.b"] += 0.4
+            rng = np.random.default_rng(0)
+            upstream = rng.normal(size=out.shape)
+            grads = restorer_backward(upstream, cache, model)
+
+            # the constant center-frame skip term is subtracted to keep the
+            # objective small; otherwise float cancellation drowns the quotient
+            center = s.window[model.half_window].as_float()
+
+            def objective():
+                out_now = restorer_forward(s.window, s.side, s.aux, model)
+                return float(((out_now - center) * upstream).sum())
+
+            # a composition this deep needs a larger step than the per-op checks:
+            # cancellation noise scales as 1/h while every kink sits far away
+            h = 3e-4
+            for name, idx in _param_subsample(model, rng):
+                flat = model.params[name].reshape(-1)
+                analytic = grads[name].reshape(-1)[idx]
+                numeric = np.empty(len(idx))
+                for k, i in enumerate(idx):
+                    orig = flat[i]
+                    flat[i] = orig + h
+                    fp = objective()
+                    flat[i] = orig - h
+                    fm = objective()
+                    flat[i] = orig
+                    numeric[k] = (fp - fm) / (2.0 * h)
+                assert rel_error(analytic, numeric) < GRAD_TOL, name
+
+    def test_backward_only_reads_shared_edge_caches(self, tiny_coded):
+        frames, decoded, sides, _ = tiny_coded
+        # a cropped edge sample: its window (f0, f0, f0, f1, f2) holds three
+        # separate Frame objects with the same pixels
+        s = build_training_samples(frames, decoded, sides, half_window=2, crop=32)[0]
+        assert s.window[0] is not s.window[1]
+        model = init_restorer(seed=6)
         out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
-        # every relu pre-activation: the registered convs, each neighbour's
-        # offset-predictor hidden layer and both fusion layers
-        relu_z = [
-            cc.z for _, layer, cc in cache["convs"].values() if layer.activation == "relu"
-        ]
-        relu_z += [offset_cache[0].z for _, offset_cache, _ in cache["neighbors"]]
-        relu_z += [cc.z for cc in cache["fuse"][-1]]
-        assert len(relu_z) == 14  # 3 feat, 2 off_hidden, 9 single layers
-        min_z = min(float(np.abs(z).min()) for z in relu_z)
-        # the offset layer is linear, so its pre-activation is the offset field
-        offs = np.concatenate([oc[1].z.ravel() for _, oc, _ in cache["neighbors"]])
-        frac = np.abs(offs - np.round(offs))
-        assert min_z > 0.05, "pre-activations not clear of relu corners"
-        assert frac.min() > 0.1 and np.abs(offs).max() < 0.9, "offsets not mid-cell"
-
-        rng = np.random.default_rng(0)
-        upstream = rng.normal(size=out.shape)
-        grads = restorer_backward(upstream, cache, model)
-
-        # the constant center-frame skip term is subtracted to keep the
-        # objective small; otherwise float cancellation drowns the quotient
-        center = s.window[model.half_window].as_float()
-
-        def objective():
-            out_now = restorer_forward(s.window, s.side, s.aux, model)
-            return float(((out_now - center) * upstream).sum())
-
-        # a composition this deep needs a larger step than the per-op checks:
-        # cancellation noise scales as 1/h while every kink sits far away
-        h = 3e-4
-        for name, idx in _param_subsample(model, rng):
-            flat = model.params[name].reshape(-1)
-            analytic = grads[name].reshape(-1)[idx]
-            numeric = np.empty(len(idx))
-            for k, i in enumerate(idx):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = objective()
-                flat[i] = orig - h
-                fm = objective()
-                flat[i] = orig
-                numeric[k] = (fp - fm) / (2.0 * h)
-            assert rel_error(analytic, numeric) < GRAD_TOL, name
+        convs, neighbors = cache["convs"], {j: rest for j, *rest in cache["neighbors"]}
+        assert convs["feat0"] is convs["feat1"] is convs["feat2"]
+        assert [a is b for a, b in zip(neighbors[0], neighbors[1])] == [True, True]
+        upstream = np.random.default_rng(2).normal(size=out.shape)
+        writable = restorer_backward(upstream, restorer_forward_cached(
+            s.window, s.side, s.aux, model)[1], model)
+        assert _freeze(cache) > 50
+        frozen = restorer_backward(upstream, cache, model)
+        for name in model.params:
+            assert np.array_equal(frozen[name], writable[name]), name
 
 
 def _dataset_loss(model, samples):
@@ -426,6 +460,40 @@ class TestRestoreSequence:
         monkeypatch.setattr(restorer, "rasterize_motion", counted)
         restore_sequence(decoded, sides, init_restorer(seed=4))
         assert len(calls) == len(decoded)
+
+    def test_repeated_window_frames_are_worked_on_once(self, tiny_coded, monkeypatch):
+        _, decoded, sides, _ = tiny_coded
+        decoded, sides = decoded[:4], sides[:4]
+        from mvcodec import restorer
+
+        model = init_restorer(seed=4)
+        calls = {"gather": 0, "offsets": 0, "feat": 0}
+
+        def counted(key, real, counts=lambda *args: True):
+            def call(*args):
+                calls[key] += counts(*args)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(restorer, "deformable_gather_cached",
+                            counted("gather", restorer.deformable_gather_cached))
+        monkeypatch.setattr(restorer, "predict_offsets",
+                            counted("offsets", restorer.predict_offsets))
+        monkeypatch.setattr(restorer, "conv_forward_cached", counted(
+            "feat", restorer.conv_forward_cached,
+            lambda layer, x: layer.weights is model.params["feat.w"]))
+        restore_sequence(decoded, sides, model)
+
+        n = model.half_window
+        windows = [padded_window(decoded, t, n) for t in range(len(decoded))]
+
+        def distinct(frames):
+            return len({f.pixels.tobytes() for f in frames})
+
+        aligned = sum(distinct(w[:n] + w[n + 1 :]) for w in windows)
+        assert (aligned, sum(len(w) - 1 for w in windows)) == (12, 16)
+        assert calls["gather"] == calls["offsets"] == aligned
+        assert calls["feat"] == sum(distinct(w) for w in windows) == 14
 
     def test_both_projection_modes_produce_full_sequences(self, tiny_coded):
         _, decoded, sides, _ = tiny_coded
