@@ -4,7 +4,9 @@ Feature maps are (channels, height, width) float64 arrays.  An offset field
 for a k x k sampling grid has 2*k*k channels: channel 2t is the horizontal
 and channel 2t+1 the vertical displacement of tap t, taps in row-major grid
 order.  All sampling clamps coordinates to the map; the coordinate gradient
-is zero wherever the clamp saturates.
+is zero wherever the clamp saturates.  The gather builds its sampling
+coordinates, corner indices and weights in place, in the arrays its cache
+keeps.
 
 The warp follows the codec's motion convention: a leaf with vector (dx, dy)
 reads its content from (x - dx, y - dy) in the map being warped.
@@ -26,33 +28,6 @@ def _check_map(fmap: np.ndarray) -> np.ndarray:
     if fmap.ndim != 3:
         raise ValueError(f"feature map must be (channels, h, w), got {fmap.shape}")
     return fmap
-
-
-# ---------------------------------------------------------------------------
-# Bilinear sampling
-# ---------------------------------------------------------------------------
-
-def _bilinear_corners(px: np.ndarray, py: np.ndarray, h: int, w: int):
-    """Flat indices and weights of the four clamped corners of every point.
-
-    Returns ``(index, corner_w, fx, fy, sat_x, sat_y)``: ``index`` and
-    ``corner_w`` are ``(4, px.size)`` in corner order 00, 01, 10, 11 (row,
-    column); the fractions and the saturation masks keep ``px``'s shape.
-    """
-    cx = np.clip(px, 0.0, w - 1.0)
-    cy = np.clip(py, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
-    y0 = np.minimum(np.floor(cy).astype(np.intp), max(h - 2, 0))
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = cx - x0
-    fy = cy - y0
-    index = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]).reshape(4, -1)
-    gx, gy = 1.0 - fx, 1.0 - fy
-    corner_w = np.stack([gx * gy, fx * gy, gx * fy, fx * fy]).reshape(4, -1)
-    sat_x = (px < 0.0) | (px > w - 1.0)
-    sat_y = (py < 0.0) | (py > h - 1.0)
-    return index, corner_w, fx, fy, sat_x, sat_y
 
 
 # ---------------------------------------------------------------------------
@@ -95,27 +70,16 @@ def kernel_grid(kernel_size: int) -> tuple[np.ndarray, np.ndarray]:
     return (kx - half).astype(np.float64), (ky - half).astype(np.float64)
 
 
-def _tap_coords(kernel_size: int, offsets: np.ndarray, h: int, w: int):
-    taps = kernel_size * kernel_size
-    if offsets.shape != (2 * taps, h, w):
-        raise ValueError(
-            f"offsets must be ({2 * taps}, {h}, {w}) for kernel {kernel_size}, "
-            f"got {offsets.shape}"
-        )
-    gx, gy = kernel_grid(kernel_size)
-    xs = np.arange(w, dtype=np.float64)[None, None, :]
-    ys = np.arange(h, dtype=np.float64)[None, :, None]
-    px = xs + gx[:, None, None] + offsets[0::2]
-    py = ys + gy[:, None, None] + offsets[1::2]
-    return px, py
-
-
 class GatherCache(NamedTuple):
     """All that :func:`deformable_gather_backward` reads of its forward.
 
     The four bilinear corners of every tap are shared by all channels, so the
     cache holds one flat index and one weight per corner and tap position,
     not the gathered corner values; the backward re-reads those from ``flat``.
+    Corner 00 is the floor of the clamped point, capped at ``w - 2`` and
+    ``h - 2``, so corners 01, 10 and 11 are always one column, one row and
+    both further on (the same pixel along a side of length 1).  ``fx`` and
+    ``fy`` are the arrays the forward clamped its coordinates in.
     """
 
     flat: np.ndarray  # (c, h * w) input map
@@ -150,22 +114,61 @@ def deformable_gather_cached(
         raise ValueError(
             f"weights must be (out, {c}, {kernel_size}, {kernel_size}), got {weights.shape}"
         )
-    index, corner_w, fx, fy, sat_x, sat_y = _bilinear_corners(
-        *_tap_coords(kernel_size, offsets, h, w), h, w
-    )
+    if offsets.shape != (2 * taps, h, w):
+        raise ValueError(
+            f"offsets must be ({2 * taps}, {h}, {w}) for kernel {kernel_size}, "
+            f"got {offsets.shape}"
+        )
+    # every tap's sampling point, clamped in place once its saturation is noted
+    gx, gy = kernel_grid(kernel_size)
+    px = (np.arange(w, dtype=np.float64) + gx[:, None])[:, None, :] + offsets[0::2]
+    py = (np.arange(h, dtype=np.float64) + gy[:, None])[:, :, None] + offsets[1::2]
+    sat_x = px < 0.0
+    sat_x |= px > w - 1.0
+    sat_y = py < 0.0
+    sat_y |= py > h - 1.0
+    np.clip(px, 0.0, w - 1.0, out=px)
+    np.clip(py, 0.0, h - 1.0, out=py)
+    # corner 00 is the capped floor (see GatherCache); subtracting the floor
+    # leaves the fractions in px and py
+    index = np.empty((4, taps * h * w), dtype=np.intp)
+    ci = index.reshape(4, taps, h, w)
+    np.floor(py, out=ci[0], casting="unsafe")
+    np.minimum(ci[0], max(h - 2, 0), out=ci[0])
+    py -= ci[0]
+    np.floor(px, out=ci[1], casting="unsafe")
+    np.minimum(ci[1], max(w - 2, 0), out=ci[1])
+    px -= ci[1]
+    ci[0] *= w
+    ci[0] += ci[1]
+    step_x, step_y = int(w > 1), w * int(h > 1)
+    np.add(index[0], step_x, out=index[1])
+    np.add(index[0], step_y, out=index[2])
+    np.add(index[0], step_x + step_y, out=index[3])
+    # bilinear weights; rows 1 and 2 hold 1 - fy and 1 - fx until their
+    # products overwrite them
+    corner_w = np.empty((4, taps * h * w))
+    cw = corner_w.reshape(4, taps, h, w)
+    np.subtract(1.0, py, out=cw[1])
+    np.subtract(1.0, px, out=cw[2])
+    np.multiply(cw[2], cw[1], out=cw[0])
+    cw[1] *= px
+    cw[2] *= py
+    np.multiply(px, py, out=cw[3])
     flat = fmap.reshape(c, h * w)
     sampled = np.take(flat, index[0], axis=1)
     sampled *= corner_w[0]
-    corner = np.empty_like(sampled)
-    for k in range(1, 4):
-        # every index is in range; mode="clip" lets take write into ``corner``
-        # without buffering
-        np.take(flat, index[k], axis=1, out=corner, mode="clip")
-        corner *= corner_w[k]
-        sampled += corner
+    # the other corners go through one channel-sized buffer; every index is
+    # in range, and mode="clip" lets take write into it without buffering
+    corner = np.empty(taps * h * w)
+    for ch in range(c):
+        for k in range(1, 4):
+            np.take(flat[ch], index[k], out=corner, mode="clip")
+            corner *= corner_w[k]
+            sampled[ch] += corner
     out = weights.reshape(weights.shape[0], c * taps) @ sampled.reshape(c * taps, h * w)
     sampled = sampled.reshape(c, taps, h, w)
-    cache = GatherCache(flat, index, corner_w, fx, fy, sat_x, sat_y, sampled)
+    cache = GatherCache(flat, index, corner_w, px, py, sat_x, sat_y, sampled)
     return out.reshape(weights.shape[0], h, w), cache
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from mvcodec.alignment import kernel_grid
+from mvcodec.alignment import GatherCache, kernel_grid
 from mvcodec.bitio import (
     BitReader,
     BitstreamError,
@@ -390,6 +390,63 @@ def deformable_gather_direct(
     return out
 
 
+def tap_coords(kernel_size: int, offsets: np.ndarray, h: int, w: int):
+    """(px, py): the unclamped sampling point of every tap and position,
+    each ``(taps, h, w)``."""
+    gx, gy = kernel_grid(kernel_size)
+    xs = np.arange(w, dtype=np.float64)[None, None, :]
+    ys = np.arange(h, dtype=np.float64)[None, :, None]
+    px = xs + gx[:, None, None] + offsets[0::2]
+    py = ys + gy[:, None, None] + offsets[1::2]
+    return px, py
+
+
+def bilinear_corners(px: np.ndarray, py: np.ndarray, h: int, w: int):
+    """Flat indices and weights of the four clamped corners of every point,
+    each corner built on its own from the clamped coordinates.
+
+    Returns ``(index, corner_w, fx, fy, sat_x, sat_y)``: ``index`` and
+    ``corner_w`` are ``(4, px.size)`` in corner order 00, 01, 10, 11 (row,
+    column); the fractions and the saturation masks keep ``px``'s shape.
+    """
+    cx = np.clip(px, 0.0, w - 1.0)
+    cy = np.clip(py, 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(cx).astype(np.intp), max(w - 2, 0))
+    y0 = np.minimum(np.floor(cy).astype(np.intp), max(h - 2, 0))
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = cx - x0
+    fy = cy - y0
+    index = np.stack([y0 * w + x0, y0 * w + x1, y1 * w + x0, y1 * w + x1]).reshape(4, -1)
+    gx, gy = 1.0 - fx, 1.0 - fy
+    corner_w = np.stack([gx * gy, fx * gy, gx * fy, fx * fy]).reshape(4, -1)
+    sat_x = (px < 0.0) | (px > w - 1.0)
+    sat_y = (py < 0.0) | (py > h - 1.0)
+    return index, corner_w, fx, fy, sat_x, sat_y
+
+
+def deformable_gather_reference(
+    fmap: np.ndarray, kernel_size: int, offsets: np.ndarray, weights: np.ndarray
+):
+    """``(output, GatherCache)`` of the deformable gather with its corner
+    stage built by :func:`tap_coords` and :func:`bilinear_corners`, then the
+    same corner sums and GEMM: the gather must match it bit for bit."""
+    c, h, w = fmap.shape
+    taps = kernel_size * kernel_size
+    index, corner_w, fx, fy, sat_x, sat_y = bilinear_corners(
+        *tap_coords(kernel_size, offsets, h, w), h, w
+    )
+    flat = fmap.reshape(c, h * w)
+    sampled = np.take(flat, index[0], axis=1) * corner_w[0]
+    for k in range(1, 4):
+        sampled += np.take(flat, index[k], axis=1) * corner_w[k]
+    out = weights.reshape(weights.shape[0], c * taps) @ sampled.reshape(c * taps, h * w)
+    cache = GatherCache(
+        flat, index, corner_w, fx, fy, sat_x, sat_y, sampled.reshape(c, taps, h, w)
+    )
+    return out.reshape(weights.shape[0], h, w), cache
+
+
 def im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(C*k*k, out_h*out_w) columns of every k x k window, rows in (c,i,j) order."""
     win = sliding_window_view(x, (k, k), axis=(1, 2))  # (C, oh, ow, k, k)
@@ -542,10 +599,8 @@ def gather_case(rng):
 
 
 def gather_case_clear(case):
-    from mvcodec.alignment import _tap_coords
-
     fmap, offsets, weights, _ = case
-    px, py = _tap_coords(3, offsets, fmap.shape[1], fmap.shape[2])
+    px, py = tap_coords(3, offsets, fmap.shape[1], fmap.shape[2])
     return coords_clear(px, fmap.shape[2]) and coords_clear(py, fmap.shape[1])
 
 
@@ -572,7 +627,7 @@ def predictor_case(rng):
 
 
 def predictor_case_clear(case):
-    from mvcodec.alignment import _tap_coords, predict_offsets
+    from mvcodec.alignment import predict_offsets
 
     feat_t, feat_prev, motion, predictor, gather_w, _ = case
     offsets, (hidden_cache, _, _) = predict_offsets(feat_t, feat_prev, motion, predictor)
@@ -580,7 +635,7 @@ def predictor_case_clear(case):
         return False
     # parameter perturbations of size h move the coordinates by O(h * |x|),
     # far less than the 0.05 kink margin coords_clear demands
-    px, py = _tap_coords(3, offsets, feat_t.shape[1], feat_t.shape[2])
+    px, py = tap_coords(3, offsets, feat_t.shape[1], feat_t.shape[2])
     return coords_clear(px, feat_t.shape[2]) and coords_clear(py, feat_t.shape[1])
 
 

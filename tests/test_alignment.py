@@ -8,6 +8,7 @@ from helpers import (
     GRAD_TOL,
     bilinear_sample,
     deformable_gather_direct,
+    deformable_gather_reference,
     draw_until,
     finite_diff,
     gather_case,
@@ -17,6 +18,7 @@ from helpers import (
     predictor_case,
     predictor_case_clear,
     rel_error,
+    tap_coords,
 )
 from mvcodec.alignment import (
     OffsetPredictor,
@@ -163,6 +165,58 @@ class TestDeformableGatherForward:
             deformable_gather_cached(np.zeros((2, 5, 5)), 3, np.zeros((18, 5, 5)), weights)
 
 
+
+
+class TestGatherCornerConstruction:
+    """The in-place corner stage against the one built array by array."""
+
+    @staticmethod
+    def assert_matches_reference(fmap, k, offsets, weights):
+        out, cache = deformable_gather_cached(fmap, k, offsets, weights)
+        ref_out, ref_cache = deformable_gather_reference(fmap, k, offsets, weights)
+        assert np.array_equal(out, ref_out)
+        for name in cache._fields:
+            got, want = getattr(cache, name), getattr(ref_cache, name)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        return cache
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 7), (7, 1), (2, 2), (3, 5), (33, 17)])
+    def test_random_offsets_match_reference(self, h, w, k):
+        rng = np.random.default_rng(h * 1000 + w * 10 + k)
+        fmap = rng.normal(size=(2, h, w))
+        offsets = rng.normal(scale=3.0, size=(2 * k * k, h, w))
+        weights = rng.normal(size=(3, 2, k, k))
+        self.assert_matches_reference(fmap, k, offsets, weights)
+
+    @pytest.mark.parametrize("shift", [(-20, 0), (20, 0), (0, -20), (0, 20), (-20, 20), (20, -20)])
+    def test_offsets_saturating_every_side_match_reference(self, shift):
+        rng = np.random.default_rng(17)
+        fmap = rng.normal(size=(2, 5, 6))
+        offsets = rng.uniform(-0.5, 0.5, (18, 5, 6))
+        offsets[0::2] += shift[0]
+        offsets[1::2] += shift[1]
+        weights = rng.normal(size=(2, 2, 3, 3))
+        cache = self.assert_matches_reference(fmap, 3, offsets, weights)
+        for sat, s in ((cache.sat_x, shift[0]), (cache.sat_y, shift[1])):
+            assert sat.all() or not s
+
+    @pytest.mark.parametrize("h, w", [(1, 1), (1, 6), (6, 1), (5, 6)])
+    def test_points_on_the_first_and_last_pixel_do_not_saturate(self, h, w):
+        # integer offsets put many taps exactly on column 0 or w - 1 (row 0
+        # or h - 1); those are in range, so the clamp does not saturate there
+        rng = np.random.default_rng(h * 10 + w)
+        fmap = rng.normal(size=(1, h, w))
+        offsets = rng.integers(-2, 3, (18, h, w)).astype(np.float64)
+        weights = rng.normal(size=(1, 1, 3, 3))
+        cache = self.assert_matches_reference(fmap, 3, offsets, weights)
+        px, py = tap_coords(3, offsets, h, w)
+        for p, sat, last in ((px, cache.sat_x, w - 1), (py, cache.sat_y, h - 1)):
+            on_edge = (p == 0.0) | (p == last)
+            assert on_edge.any()
+            assert not sat[on_edge].any()
+            assert np.array_equal(sat, (p < 0.0) | (p > last))
 
 
 class TestDeformableGatherGradients:
