@@ -15,13 +15,17 @@ class BitstreamError(Exception):
     """Raised when a bitstream is malformed or ends early."""
 
 
-def signed_to_unsigned(value: int) -> int:
-    """Map a signed value onto the non-negative integers (0, -1, 1, -2, ...)."""
-    return 2 * value if value >= 0 else -2 * value - 1
+def signed_to_unsigned(value):
+    """Map a signed value onto the non-negative integers (0, -1, 1, -2, ...).
+
+    ``value`` is an int or an integer array, mapped elementwise.
+    """
+    return 2 * abs(value) - (value < 0)
 
 
-def unsigned_to_signed(code: int) -> int:
-    return code // 2 if code % 2 == 0 else -(code + 1) // 2
+def unsigned_to_signed(code):
+    """Inverse of :func:`signed_to_unsigned`, also on an int or elementwise."""
+    return (code >> 1) ^ -(code & 1)
 
 
 class BitWriter:

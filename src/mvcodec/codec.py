@@ -85,7 +85,6 @@ class SideInfo:
     frame exactly.
     """
 
-    frame_index: int
     qp: int
     sizes: np.ndarray
     motion: np.ndarray
@@ -138,8 +137,8 @@ class CodecConfig:
         QuantTable(self.qp)  # range check
         if not 0 <= self.search_radius <= 127:
             raise ValueError(f"search radius {self.search_radius} outside [0, 127]")
-        if self.split_threshold < 0:
-            raise ValueError("split threshold must be non-negative")
+        if not 0 <= self.split_threshold < np.inf:
+            raise ValueError("split threshold must be finite and non-negative")
         if not 0 <= round(self.split_threshold * 10) <= 0xFFFF:
             raise ValueError("split threshold too large for the stream header")
         if self.intra_period < 0:
@@ -345,7 +344,7 @@ def _level_codewords(scans: np.ndarray) -> tuple[list[int], list[int], list[int]
     coded[~nonzero.any(axis=1)] = 0
     # ue(c) writes c + 1 in 2 * bit_length(c + 1) - 1 bits; the EOB is ue(0)
     value = np.ones((n_tiles, n + 1), dtype=np.int64)
-    value[:, :n] += np.where(scans >= 0, 2 * scans, -2 * scans - 1) + 1
+    value[:, :n] += signed_to_unsigned(scans) + 1
     count = 2 * np.frexp(value)[1] - 1
     used = np.arange(n + 1) < coded[:, None]
     used[:, n] = coded < n
@@ -372,9 +371,7 @@ def _levels_from_runs(sizes: np.ndarray, runs: dict[int, list[list[int]]]) -> np
         lengths = np.fromiter(map(len, tile_runs), dtype=np.intp, count=len(tile_runs))
         unsigned = np.fromiter(codes, dtype=np.int32, count=len(codes)) - 1
         scans = np.zeros((lengths.size, t * t), dtype=np.int32)
-        scans[np.arange(t * t) < lengths[:, None]] = np.where(
-            unsigned % 2, -(unsigned + 1) // 2, unsigned // 2
-        )
+        scans[np.arange(t * t) < lengths[:, None]] = unsigned_to_signed(unsigned)
         levels[zigzag(_coded_tiles(index, sizes, t))] = scans
     return levels.reshape(h, w)
 
@@ -665,7 +662,6 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
         frames.append(Frame(recon))
         sides.append(
             SideInfo(
-                frame_index=t,
                 qp=header.qp,
                 sizes=sizes,
                 motion=motion,

@@ -253,18 +253,6 @@ def _check_window(window: list[Frame], side: SideInfo, model: RestorerModel) -> 
             raise ValueError("window frames must match the coded frame dimensions")
 
 
-def _first_equal(window: list[Frame]) -> list[int]:
-    """Index of the first window frame holding the same pixels as each frame.
-
-    Training crops of one frame are separate :class:`Frame` objects, so the
-    pixels are compared as well as the objects.
-    """
-    return [
-        next(i for i, g in enumerate(window) if g is f or np.array_equal(g.pixels, f.pixels))
-        for f in window
-    ]
-
-
 def restorer_forward_cached(
     window: list[Frame],
     side: SideInfo,
@@ -285,14 +273,14 @@ def restorer_forward_cached(
     predictor and the fusion block; ``cache["neighbors"]`` holds one
     ``(j, offset cache, gather cache)`` per neighbour frame.
 
-    Each distinct window frame is worked on once.  At a sequence edge the
-    window repeats its first or last frame, and equal pixels give
-    bitwise-equal results: a frame equal to an earlier one shares its
-    ``feat`` conv, and a neighbour equal to an earlier neighbour shares its
-    warp, offsets and gather.  Repeats are recorded under their own keys
-    with the shared caches (``feat{j}``, and ``(j, ...)`` with the earlier
-    neighbour's pair); every backward only reads its cache, so
-    :func:`restorer_backward` treats a repeat like any other entry.
+    Each distinct window frame is worked on once.  At a sequence edge
+    :func:`padded_window` repeats the first or last frame object: a repeat
+    of an earlier window frame shares its ``feat`` conv, and a repeat of an
+    earlier neighbour shares its warp, offsets and gather.  Repeats are
+    recorded under their own keys with the shared caches (``feat{j}``, and
+    ``(j, ...)`` with the earlier neighbour's pair); every backward only
+    reads its cache, so :func:`restorer_backward` treats a repeat like any
+    other entry.
 
     :func:`restorer_forward` runs this same composition with ``_record``
     false: the conv registry and the neighbour list then stay empty, so each
@@ -317,7 +305,7 @@ def restorer_forward_cached(
             convs[name] = (name, layer, cc)
         return m
 
-    first = _first_equal(window)
+    first = [window.index(f) for f in window]  # Frame compares by identity
     feats = []
     for j, f in enumerate(window):
         if first[j] < j:
@@ -471,7 +459,6 @@ def crop_side_info(side: SideInfo, x0: int, y0: int, size: int) -> SideInfo:
         raise ValueError("crop must fit inside the frame")
     window = (slice(y0, y0 + size), slice(x0, x0 + size))
     return SideInfo(
-        frame_index=side.frame_index,
         qp=side.qp,
         sizes=side.sizes[window],
         motion=side.motion[(slice(None), *window)],
@@ -494,15 +481,19 @@ def build_training_samples(
     ``crop`` x ``crop`` tile; smaller tiles keep the training loop fast
     without changing any of the restorer semantics.  A frame's codec planes
     are built once and sliced per tile: a 16-aligned crop covers whole
-    leaves, so its planes equal that crop of the frame's.
+    leaves, so its planes equal that crop of the frame's.  Each decoded
+    frame is cropped once per tile, and every window of a tile is a
+    :func:`padded_window` of that tile's crops, so a window repeats a crop
+    as the same object.
     """
     if not (len(originals) == len(decoded) == len(sides)):
         raise ValueError("originals, decoded and side info must have equal lengths")
     samples = []
+    crops: dict[tuple[int, int], list[Frame]] = {}  # tile origin -> crop of every frame
     for t in range(len(decoded)):
-        window = padded_window(decoded, t, half_window)
         aux = build_aux_planes(sides[t])
         if crop is None:
+            window = padded_window(decoded, t, half_window)
             samples.append(TrainSample(window, sides[t], aux, originals[t]))
             continue
         width, height = decoded[t].width, decoded[t].height
@@ -511,8 +502,10 @@ def build_training_samples(
         for y0 in range(0, height - crop + 1, crop):
             for x0 in range(0, width - crop + 1, crop):
                 tile = (slice(y0, y0 + crop), slice(x0, x0 + crop))
+                if (x0, y0) not in crops:
+                    crops[x0, y0] = [Frame(f.pixels[tile]) for f in decoded]
                 samples.append(TrainSample(
-                    [Frame(f.pixels[tile]) for f in window],
+                    padded_window(crops[x0, y0], t, half_window),
                     crop_side_info(sides[t], x0, y0, crop),
                     aux[(slice(None), *tile)],
                     Frame(originals[t].pixels[tile]),
@@ -534,15 +527,9 @@ def train_restorer(
     # seed-derived order whose windows mix samples evenly (smooth loss trace)
     rng = np.random.default_rng(config.seed)
     need = config.iterations * config.batch_size
-    order: list[np.ndarray] = []
-    have = 0
-    while have < need:
-        perm = rng.permutation(len(dataset))
-        order.append(perm)
-        have += perm.size
-    batch_schedule = np.concatenate(order)[:need].reshape(
-        config.iterations, config.batch_size
-    )
+    epochs = math.ceil(need / len(dataset))
+    order = np.array([rng.permutation(len(dataset)) for _ in range(epochs)], dtype=np.intp)
+    batch_schedule = order.reshape(-1)[:need].reshape(config.iterations, config.batch_size)
     state = adam_init(model.params)
     losses: list[float] = []
     for it in range(config.iterations):

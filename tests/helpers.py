@@ -162,7 +162,6 @@ def side_of(sizes, intra, motion=(0, 0)) -> SideInfo:
     sizes = np.asarray(sizes, dtype=np.uint8)
     shape = sizes.shape
     return SideInfo(
-        frame_index=0,
         qp=0,
         sizes=sizes,
         motion=np.broadcast_to(np.reshape(motion, (2, 1, 1)), (2, *shape)),

@@ -9,6 +9,7 @@ from mvcodec.bitio import (
     signed_to_unsigned,
     unsigned_to_signed,
 )
+from mvcodec.transform import LEVEL_LIMIT
 
 
 class TestUeGolomb:
@@ -47,6 +48,14 @@ class TestSignedMapping:
     def test_round_trip(self):
         for v in range(-300, 301):
             assert unsigned_to_signed(signed_to_unsigned(v)) == v
+
+    def test_int_and_array_forms_agree(self):
+        values = np.arange(-LEVEL_LIMIT, LEVEL_LIMIT + 1, dtype=np.int32)
+        codes = signed_to_unsigned(values)
+        assert codes.tolist() == [signed_to_unsigned(v) for v in values.tolist()]
+        back = unsigned_to_signed(codes)
+        assert back.tolist() == [unsigned_to_signed(c) for c in codes.tolist()]
+        assert np.array_equal(back, values)
 
     def test_se_golomb(self):
         value, _ = se_golomb_decode(se_golomb(-7))

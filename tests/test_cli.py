@@ -368,6 +368,18 @@ class TestRdCurve:
         assert main(["rdcurve", str(manifest), "--qps", "8,8", "-o", str(tmp_path / "c.csv")]) == 2
 
 
+@pytest.mark.parametrize("tau", ["inf", "nan"])
+@pytest.mark.parametrize("command", [["encode", "--qp", "32"], ["rdcurve"]])
+def test_non_finite_tau_is_exit_2(seq_dir, tmp_path, capsys, command, tau):
+    _, manifest, _ = seq_dir
+    out = tmp_path / "out"
+    argv = [command[0], str(manifest), *command[1:], "--tau", tau, "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestTrainCommand:
     def test_short_training_run_is_deterministic(self, tmp_path):
         frames = fixtures.translating_texture(5, seed=7)
@@ -383,6 +395,17 @@ class TestTrainCommand:
         loss_rows = (tmp_path / (m1.name + ".loss.csv")).read_text().strip().splitlines()
         assert loss_rows[0] == "iteration,loss"
         assert len(loss_rows) == 1 + 6
+
+    def test_zero_iterations_write_the_initial_model_and_a_header_only_trace(self, tmp_path):
+        seq_manifest = write_sequence(tmp_path / "seq", fixtures.translating_texture(3, seed=7))
+        dataset = tmp_path / "dataset.txt"
+        dataset.write_text(str(seq_manifest) + "\n")
+        out = tmp_path / "m.mvdr"
+        assert main(["train", str(dataset), "--iters", "0", "--seed", "2", "-o", str(out)]) == 0
+        initial = init_restorer(seed=2)
+        for name, p in load_model(out).params.items():
+            assert np.array_equal(p, initial.params[name]), name
+        assert (tmp_path / "m.mvdr.loss.csv").read_text() == "iteration,loss\n"
 
     def test_empty_dataset_is_exit_2(self, tmp_path):
         dataset = tmp_path / "dataset.txt"

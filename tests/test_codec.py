@@ -389,6 +389,11 @@ class TestSyntaxRoundTrip:
         with pytest.raises(ValueError):
             CodecConfig(qp=10, split_threshold=-0.5)
 
+    @pytest.mark.parametrize("tau", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_split_threshold_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            CodecConfig(qp=10, split_threshold=tau)
+
 
 class TestEncoderOracle:
     @pytest.mark.parametrize("intra_period", [0, 2])

@@ -321,10 +321,10 @@ class TestRestorerGradients:
 
     def test_backward_only_reads_shared_edge_caches(self, tiny_coded):
         frames, decoded, sides, _ = tiny_coded
-        # a cropped edge sample: its window (f0, f0, f0, f1, f2) holds three
-        # separate Frame objects with the same pixels
+        # a cropped edge sample: its window (f0, f0, f0, f1, f2) repeats the
+        # crop of f0 as one Frame object
         s = build_training_samples(frames, decoded, sides, half_window=2, crop=32)[0]
-        assert s.window[0] is not s.window[1]
+        assert s.window[0] is s.window[1] is s.window[2]
         model = init_restorer(seed=6)
         out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
         convs, neighbors = cache["convs"], {j: rest for j, *rest in cache["neighbors"]}
@@ -373,6 +373,14 @@ class TestTraining:
         config = TrainConfig(iterations=40, batch_size=2, seed=2)
         _, losses = train_restorer(samples, config)
         assert losses[-1] <= losses[0]
+
+    def test_zero_iterations_return_the_initial_parameters(self, tiny_coded):
+        _, _, _, samples = tiny_coded
+        model, losses = train_restorer(samples, TrainConfig(iterations=0, seed=3))
+        assert losses == []
+        initial = init_restorer(seed=3)
+        for name in initial.params:
+            assert np.array_equal(model.params[name], initial.params[name]), name
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
@@ -438,6 +446,19 @@ class TestCrops:
         assert len(cropped) == 4 * len(samples)
         assert cropped[0].window[0].width == 32
 
+    def test_build_with_crop_crops_each_frame_once_per_tile(self, tiny_coded):
+        frames, decoded, sides, _ = tiny_coded
+        cropped = build_training_samples(frames, decoded, sides, half_window=2, crop=32)
+        crops = {}
+        for i, s in enumerate(cropped):
+            t, tile = divmod(i, 4)
+            for f, source in zip(s.window, padded_window(list(range(len(decoded))), t, 2)):
+                assert crops.setdefault((tile, source), f) is f
+        assert len({id(f) for f in crops.values()}) == 4 * len(decoded)
+        for (tile, source), f in crops.items():
+            y0, x0 = 32 * (tile // 2), 32 * (tile % 2)
+            assert np.array_equal(f.pixels, decoded[source].pixels[y0 : y0 + 32, x0 : x0 + 32])
+
 
 class TestRestoreSequence:
     def test_zero_model_with_projection_reproduces_decoded(self, tiny_coded):
@@ -494,6 +515,34 @@ class TestRestoreSequence:
         assert (aligned, sum(len(w) - 1 for w in windows)) == (12, 16)
         assert calls["gather"] == calls["offsets"] == aligned
         assert calls["feat"] == sum(distinct(w) for w in windows) == 14
+
+    def test_equal_pixel_copies_change_work_never_results(self, tiny_coded, monkeypatch):
+        _, decoded, sides, _ = tiny_coded
+        from mvcodec import restorer
+
+        model = init_restorer(seed=6)
+        shared = padded_window(decoded, 0, model.half_window)
+        copies = [Frame(f.pixels) for f in shared]
+        aux = build_aux_planes(sides[0])
+        gathers = []
+        real = restorer.deformable_gather_cached
+
+        def counted(*args):
+            gathers.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(restorer, "deformable_gather_cached", counted)
+        upstream = np.random.default_rng(2).normal(size=(64, 64))
+        runs = []
+        for window in (shared, copies):
+            gathers.clear()
+            out, cache = restorer_forward_cached(window, sides[0], aux, model)
+            runs.append((len(gathers), out, restorer_backward(upstream, cache, model)))
+        (gathers_shared, out_shared, grads_shared), (gathers_copies, out_copies, grads_copies) = runs
+        assert (gathers_shared, gathers_copies) == (3, 4)
+        assert np.array_equal(out_copies, out_shared)
+        for name in model.params:
+            assert np.array_equal(grads_copies[name], grads_shared[name]), name
 
     def test_both_projection_modes_produce_full_sequences(self, tiny_coded):
         _, decoded, sides, _ = tiny_coded
