@@ -19,7 +19,6 @@ from .codec import (
     SideInfo,
     decode_sequence,
     encode_sequence,
-    extract_side_info,
 )
 from .backproject import back_project, back_project_frame, clamp_to_bounds
 from .restorer import (
@@ -52,7 +51,6 @@ __all__ = [
     "SideInfo",
     "encode_sequence",
     "decode_sequence",
-    "extract_side_info",
     "back_project",
     "back_project_frame",
     "clamp_to_bounds",

@@ -18,7 +18,6 @@ from .codec import (
     CodecConfig,
     decode_sequence,
     encode_sequence,
-    extract_side_info,
     side_info_to_json,
 )
 from .frames import (
@@ -45,7 +44,9 @@ def _check_pairable(reference: list[Frame], test: list[Frame]) -> None:
         raise ValueError(
             f"frame count mismatch: {len(reference)} reference vs {len(test)} test"
         )
-    if reference and (reference[0].width, reference[0].height) != (test[0].width, test[0].height):
+    if not reference:
+        raise ValueError("the sequences to compare list no frames")
+    if (reference[0].width, reference[0].height) != (test[0].width, test[0].height):
         raise ValueError(
             f"frame size mismatch: {reference[0].width}x{reference[0].height} reference "
             f"vs {test[0].width}x{test[0].height} test"
@@ -60,8 +61,8 @@ def _pair_metrics(reference: list[Frame], test: list[Frame]) -> dict:
         "count": len(reference),
         "psnr": psnrs,
         "ssim": ssims,
-        "mean_psnr": float(np.mean(psnrs)) if psnrs else 0.0,
-        "mean_ssim": float(np.mean(ssims)) if ssims else 0.0,
+        "mean_psnr": float(np.mean(psnrs)),
+        "mean_ssim": float(np.mean(ssims)),
     }
 
 
@@ -93,7 +94,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    sides = extract_side_info(Path(args.input).read_bytes())
+    _, sides = decode_sequence(Path(args.input).read_bytes())
     doc = side_info_to_json(sides)
     write_atomic(args.output, (json.dumps(doc, indent=1) + "\n").encode("ascii"))
     if args.pred_dir:
@@ -210,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="sequence manifest (W H FPS header, one path per line)")
     p.add_argument("--qp", type=int, required=True, help="quantization parameter, 0..51")
     p.add_argument("--radius", type=int, default=8, help="motion search radius (default 8)")
-    p.add_argument("--tau", type=float, default=6.0, help="quadtree split threshold (default 6.0)")
+    p.add_argument("--tau", type=float, default=6.0,
+                   help="quadtree split threshold, used in tenths (default 6.0)")
     p.add_argument("-o", "--output", required=True, help="output .mvc path")
     p.set_defaults(func=cmd_encode)
 
@@ -244,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="sequence manifest of originals")
     p.add_argument("--qps", default="8,16,24,32,40", help="comma-separated QP list")
     p.add_argument("--radius", type=int, default=8)
-    p.add_argument("--tau", type=float, default=6.0)
+    p.add_argument("--tau", type=float, default=6.0,
+                   help="quadtree split threshold, used in tenths (default 6.0)")
     p.add_argument("--model", help="optional restorer model for the restored columns")
     p.add_argument("-o", "--output", required=True, help="output CSV path")
     p.set_defaults(func=cmd_rdcurve)

@@ -139,6 +139,8 @@ class CodecConfig:
             raise ValueError(f"search radius {self.search_radius} outside [0, 127]")
         if not 0 <= self.split_threshold < np.inf:
             raise ValueError("split threshold must be finite and non-negative")
+        # the stream header stores tenths, so the encoder uses the value it records
+        object.__setattr__(self, "split_threshold", round(self.split_threshold * 10) / 10)
         if not 0 <= round(self.split_threshold * 10) <= 0xFFFF:
             raise ValueError("split threshold too large for the stream header")
         if self.intra_period < 0:
@@ -679,11 +681,6 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
     if tail > 0:
         raise BitstreamError(f"{tail} trailing bytes after payload")
     return frames, sides
-
-
-def extract_side_info(data: bytes) -> list[SideInfo]:
-    """Side information only; identical to the second decode output."""
-    return decode_sequence(data)[1]
 
 
 def side_info_to_json(sides: list[SideInfo]) -> dict:

@@ -12,10 +12,10 @@ motion planes it rasterizes for the warp.
 
 All layers are plain numpy with hand-written gradients.  The model is a
 composition of the units the test suite checks against finite differences:
-the conv layers, the offset predictor, the deformable gather, the attention
-map and the fusion block.  Each unit's backward reads only its upstream
-gradient, its parameters and the cache its forward returned, so training
-runs exactly the checked code.
+the conv layers (each attention map is a sigmoid conv), the offset predictor,
+the deformable gather and the fusion block.  Each unit's backward reads only
+its upstream gradient, its parameters and the cache its forward returned, so
+training runs exactly the checked code.
 """
 
 from __future__ import annotations
@@ -89,23 +89,8 @@ def build_aux_planes(side: SideInfo) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Attention fusion
+# Gated fusion
 # ---------------------------------------------------------------------------
-
-def attention_map(
-    fv: np.ndarray, faux: np.ndarray, layer: ConvLayer
-) -> tuple[np.ndarray, ConvCache]:
-    """Sigmoid-gated single-channel attention over concatenated features.
-
-    Returns ``(map, conv cache)``; :func:`conv_backward` on ``layer`` with
-    that cache gives the gradient for the concatenated ``(fv, faux)`` input.
-    """
-    if layer.activation != "sigmoid" or layer.weights.shape[0] != 1:
-        raise ValueError("attention layer must be a 1-channel sigmoid conv")
-    if fv.shape[1:] != faux.shape[1:]:
-        raise ValueError("feature maps must share spatial dimensions")
-    return conv_forward_cached(layer, np.concatenate([fv, faux], axis=0))
-
 
 def fuse(
     fv: np.ndarray,
@@ -172,12 +157,6 @@ class RestorerModel:
 
     def layer(self, name: str, activation: str) -> ConvLayer:
         return ConvLayer(self.params[f"{name}.w"], self.params[f"{name}.b"], activation)
-
-    def offset_predictor(self) -> OffsetPredictor:
-        return OffsetPredictor(
-            hidden=self.layer("off_hidden", "relu"),
-            out=self.layer("off_out", "none"),
-        )
 
 
 def model_schedule(
@@ -298,13 +277,6 @@ def restorer_forward_cached(
             convs[key or name] = (name, layer, cc)
         return y
 
-    def attend(name: str, fv: np.ndarray, faux: np.ndarray) -> np.ndarray:
-        layer = model.layer(name, "sigmoid")
-        m, cc = attention_map(fv, faux, layer)
-        if _record:
-            convs[name] = (name, layer, cc)
-        return m
-
     first = [window.index(f) for f in window]  # Frame compares by identity
     feats = []
     for j, f in enumerate(window):
@@ -315,7 +287,7 @@ def restorer_forward_cached(
         else:
             feats.append(conv("feat", "relu", (f.as_float() / PIXEL_NORM)[None], key=f"feat{j}"))
     mv_planes = rasterize_motion(side)
-    predictor = model.offset_predictor()
+    predictor = OffsetPredictor(model.layer("off_hidden", "relu"), model.layer("off_out", "none"))
     gather_w = model.params["gather.w"]
     recorded: dict[int, tuple] = {}  # neighbour -> (offset cache, gather cache)
     aligned: dict[int, int] = {}  # first equal frame -> the neighbour aligning it
@@ -343,8 +315,8 @@ def restorer_forward_cached(
     structure = np.stack([np.hypot(*mv_planes) / MV_NORM, side.sizes / SIZE_NORM])
     fa = conv("auxa2", "relu", conv("auxa1", "relu", aux))
     fl = conv("auxl2", "relu", conv("auxl1", "relu", structure))
-    ma = attend("attn_a", fv, fa)
-    ml = attend("attn_l", fv, fl)
+    ma = conv("attn_a", "sigmoid", np.concatenate([fv, fa], axis=0))
+    ml = conv("attn_l", "sigmoid", np.concatenate([fv, fl], axis=0))
     agg_layers = [model.layer("agg1", "relu"), model.layer("agg2", "relu")]
     fused, fuse_cache = fuse(fv, fa, fl, ma, ml, agg_layers)
 

@@ -344,6 +344,14 @@ class TestMetrics:
         short = write_sequence(tmp_path / "short", frames[:3])
         assert main(["metrics", "--reference", str(manifest), "--test", str(short), "-o", str(tmp_path / "r.json")]) == 2
 
+    def test_empty_sequences_are_exit_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("64 64 25\n")
+        out = tmp_path / "r.json"
+        assert main(["metrics", "--reference", str(empty), "--test", str(empty), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestRdCurve:
     def test_monotone_columns_and_passthrough(self, seq_dir, tmp_path):

@@ -26,7 +26,6 @@ from mvcodec.codec import (
     decode_sequence,
     encode_sequence,
     encode_with_reconstruction,
-    extract_side_info,
     motion_search,
     parse_header,
     side_info_to_json,
@@ -293,7 +292,7 @@ class TestEncodeDecode:
 
     def test_gop_forces_periodic_intra(self, texture_frames):
         data = encode_sequence(texture_frames, CodecConfig(qp=24, intra_period=2))
-        sides = extract_side_info(data)
+        sides = decode_sequence(data)[1]
         for t, side in enumerate(sides):
             expect_intra = t % 2 == 0
             assert (side.intra == expect_intra).all()
@@ -305,15 +304,6 @@ class TestSideInfo:
         for frame, side in zip(decoded, sides):
             rebuilt = reconstruct_from_side_info(side)
             assert np.array_equal(rebuilt.pixels, frame.pixels)
-
-    def test_extract_matches_decode(self, coded_texture_qp24):
-        data, _, _, sides = coded_texture_qp24
-        extracted = extract_side_info(data)
-        assert len(extracted) == len(sides)
-        for a, b in zip(extracted, sides):
-            for name in ("sizes", "motion", "intra", "levels"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
-            assert np.array_equal(a.prediction.pixels, b.prediction.pixels)
 
     def test_qp_field_matches_config(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
@@ -327,7 +317,7 @@ class TestSideInfo:
     def test_motion_field_of_global_shift(self):
         ref, cur = global_shift_pair(shift=(2, 3))
         data = encode_sequence([ref, cur], CodecConfig(qp=8))
-        sides = extract_side_info(data)
+        sides = decode_sequence(data)[1]
         interior = [
             leaf
             for leaf in sides[1].leaves()
@@ -361,7 +351,7 @@ class TestSideInfo:
         data = encode_sequence(CLIPS[clip](4), CodecConfig(qp=24, intra_period=3))
         header = parse_header(data)
         reader = BitReader(data, HEADER_SIZE)
-        sides = extract_side_info(data)
+        sides = decode_sequence(data)[1]
         for side in sides:
             parsed, _ = _parse_frame(reader, header, reader.read_bit() == 1)
             planes = [
@@ -393,6 +383,16 @@ class TestSyntaxRoundTrip:
     def test_non_finite_split_threshold_rejected(self, tau):
         with pytest.raises(ValueError, match="finite"):
             CodecConfig(qp=10, split_threshold=tau)
+
+    def test_split_threshold_is_used_as_the_header_records_it(self):
+        # the header holds tenths, so 6.02 must code exactly as 6.0 does
+        assert CodecConfig(qp=30, split_threshold=6.02).split_threshold == 6.0
+        frames = fixtures.translating_texture(4, seed=2)
+        coded = [
+            encode_sequence(frames, CodecConfig(qp=30, split_threshold=tau)) for tau in (6.02, 6.0)
+        ]
+        assert coded[0] == coded[1]
+        assert parse_header(coded[0]).split_threshold == 6.0
 
 
 class TestEncoderOracle:
@@ -515,6 +515,45 @@ class TestDecoderRobustness:
         data, _ = self._stream(leaves, np.random.default_rng(8))
         with pytest.raises(BitstreamError, match="exceeds search radius"):
             decode_sequence(data)
+
+    def _assert_rejected(self, data, message, tmp_path):
+        with pytest.raises(BitstreamError, match=message):
+            decode_sequence(data)
+        stream = tmp_path / "bad.mvc"
+        stream.write_bytes(data)
+        assert main(["decode", str(stream), "-o", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out" / "manifest.txt").exists()
+
+    @staticmethod
+    def _one_leaf_intra_frame(vector):
+        """A 16x16 one-frame stream: an intra frame of one unsplit leaf, coded
+        intra (``vector`` None) or inter, with all-zero levels."""
+        writer = BitWriter()
+        writer.write_bit(1)  # intra frame
+        writer.write_bit(0)  # no split
+        writer.write_bit(1 if vector is None else 0)
+        if vector is not None:
+            writer.write_se(vector[0])
+            writer.write_se(vector[1])
+        for _ in range(4):  # four 8x8 tiles, each ue(0): no levels
+            write_scan(writer, [0] * 64)
+        return _pack_header(16, 16, 1, CodecConfig(qp=20)) + writer.getvalue()
+
+    def test_inter_first_frame_is_rejected(self, tmp_path):
+        data = bytearray(encode_sequence(CLIPS["texture"](2, size=32), CodecConfig(qp=24)))
+        data[HEADER_SIZE] ^= 0x80  # frame 0's intra bit
+        self._assert_rejected(bytes(data), "frame 0 is inter but has no reference", tmp_path)
+
+    def test_inter_leaf_in_an_intra_frame_is_rejected(self, tmp_path):
+        data = self._one_leaf_intra_frame((0, 0))
+        self._assert_rejected(data, "inter leaf in an intra frame", tmp_path)
+
+    def test_nonzero_padding_is_rejected(self, tmp_path):
+        # 7 payload bits: the last bit of the one payload byte is padding
+        data = self._one_leaf_intra_frame(None)
+        assert len(data) == HEADER_SIZE + 1
+        decode_sequence(data)
+        self._assert_rejected(data[:-1] + bytes([data[-1] | 1]), "nonzero padding", tmp_path)
 
     @pytest.mark.parametrize("payload", [b"\x00", b"\x80", b"\xff"])
     def test_huge_header_with_a_short_payload_fails_before_allocating(self, payload):

@@ -60,6 +60,25 @@ class TestConvForward:
         with pytest.raises(ValueError):
             ConvLayer(np.zeros((1, 1, 2, 2)), np.zeros(1), "none")
 
+    # the restorer's attention maps are 1-channel 7x7 sigmoid convs
+    def test_sigmoid_zero_weights_give_half(self):
+        layer = ConvLayer(np.zeros((1, 4, 7, 7)), np.zeros(1), "sigmoid")
+        out = conv_forward_cached(layer, np.ones((4, 16, 16)))[0]
+        assert out.shape == (1, 16, 16)
+        assert (out == 0.5).all()
+
+    def test_sigmoid_large_bias_saturates_to_one(self):
+        layer = ConvLayer(np.zeros((1, 4, 7, 7)), np.array([20.0]), "sigmoid")
+        out = conv_forward_cached(layer, np.ones((4, 16, 16)))[0]
+        np.testing.assert_allclose(out, 1.0, atol=1e-8)
+
+    def test_sigmoid_always_in_unit_interval(self):
+        rng = np.random.default_rng(3)
+        layer = ConvLayer(rng.normal(size=(1, 4, 7, 7)), rng.normal(size=1), "sigmoid")
+        for _ in range(100):
+            out = conv_forward_cached(layer, rng.normal(size=(4, 12, 12)) * 5)[0]
+            assert (out >= 0.0).all() and (out <= 1.0).all()
+
 # (out, in, k) of every conv in the default restorer: the shapes the
 # benchmark traces
 DEFAULT_CONV_SHAPES = sorted(

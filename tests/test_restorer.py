@@ -20,7 +20,6 @@ from mvcodec.frames import Frame
 from mvcodec.nn import ConvLayer, TrainConfig, l1_loss
 from mvcodec.restorer import (
     TrainingDiverged,
-    attention_map,
     build_aux_planes,
     build_training_samples,
     crop_side_info,
@@ -45,38 +44,6 @@ def tiny_coded():
     decoded, sides = decode_sequence(encode_sequence(frames, CodecConfig(qp=36)))
     samples = build_training_samples(frames, decoded, sides, half_window=2)
     return frames, decoded, sides, samples
-
-
-class TestAttentionMap:
-    def _layer(self, weights, bias):
-        return ConvLayer(weights, bias, "sigmoid")
-
-    def test_zero_weights_give_half(self):
-        layer = self._layer(np.zeros((1, 4, 7, 7)), np.zeros(1))
-        out = attention_map(np.ones((2, 16, 16)), np.ones((2, 16, 16)), layer)[0]
-        assert out.shape == (1, 16, 16)
-        assert (out == 0.5).all()
-
-    def test_large_bias_saturates_to_one(self):
-        layer = self._layer(np.zeros((1, 4, 7, 7)), np.array([20.0]))
-        out = attention_map(np.ones((2, 16, 16)), np.ones((2, 16, 16)), layer)[0]
-        np.testing.assert_allclose(out, 1.0, atol=1e-8)
-
-    def test_always_in_unit_interval(self):
-        rng = np.random.default_rng(3)
-        layer = self._layer(rng.normal(size=(1, 4, 7, 7)), rng.normal(size=1))
-        for _ in range(100):
-            fv = rng.normal(size=(2, 12, 12)) * 5
-            fa = rng.normal(size=(2, 12, 12)) * 5
-            out = attention_map(fv, fa, layer)[0]
-            assert (out >= 0.0).all() and (out <= 1.0).all()
-
-    def test_rejects_non_sigmoid_layer(self):
-        layer = ConvLayer(np.zeros((1, 4, 7, 7)), np.zeros(1), "none")
-        with pytest.raises(ValueError):
-            attention_map(np.ones((2, 8, 8)), np.ones((2, 8, 8)), layer)
-
-
 
 
 class TestFuse:
