@@ -10,17 +10,18 @@ keeps.
 
 The warp follows the codec's motion convention: a leaf with vector (dx, dy)
 reads its content from (x - dx, y - dy) in the map being warped.
+
+The offsets themselves come from two plain conv layers of the restorer
+(``off_hidden`` and ``off_out`` in :mod:`mvcodec.restorer`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .codec import SideInfo, source_index
-from .nn import ConvLayer, conv_backward, conv_forward_cached
 
 
 def _check_map(fmap: np.ndarray) -> np.ndarray:
@@ -216,59 +217,3 @@ def deformable_gather_backward(
     d_offsets[0::2] = d_px
     d_offsets[1::2] = d_py
     return d_map.reshape(c, h, w), d_offsets, d_weights
-
-
-# ---------------------------------------------------------------------------
-# Offset prediction
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OffsetPredictor:
-    """Two-layer 3x3 conv stack producing a 2*k*k-channel offset field."""
-
-    hidden: ConvLayer
-    out: ConvLayer
-
-    def __post_init__(self):
-        if self.out.weights.shape[0] % 2:
-            raise ValueError("offset output channels must be even (x/y pairs)")
-        if self.out.activation != "none":
-            raise ValueError("offset output layer must be linear")
-
-
-def predict_offsets(
-    feat_t: np.ndarray,
-    feat_prev: np.ndarray,
-    motion_planes: np.ndarray,
-    predictor: OffsetPredictor,
-) -> tuple[np.ndarray, tuple]:
-    """Offset field from concatenated current/neighbor features and motion.
-
-    Returns ``(offsets, cache)``; the cache holds both layers' conv caches and
-    the channel split, and is what :func:`predict_offsets_backward` consumes.
-    """
-    feat_t = _check_map(feat_t)
-    feat_prev = _check_map(feat_prev)
-    x = np.concatenate([feat_t, feat_prev, _check_map(motion_planes)], axis=0)
-    hidden, hidden_cache = conv_forward_cached(predictor.hidden, x)
-    offsets, out_cache = conv_forward_cached(predictor.out, hidden)
-    split = (feat_t.shape[0], feat_t.shape[0] + feat_prev.shape[0])
-    return offsets, (hidden_cache, out_cache, split)
-
-
-def predict_offsets_backward(
-    upstream: np.ndarray, predictor: OffsetPredictor, cache: tuple
-):
-    """Gradients for inputs and both conv layers of the offset predictor.
-
-    ``cache`` is the one :func:`predict_offsets` returned.  Returns
-    ((d_feat_t, d_feat_prev, d_motion), (dw_hidden, db_hidden, dw_out,
-    db_out)).
-    """
-    hidden_cache, out_cache, (c1, c2) = cache
-    d_h1, dw_out, db_out = conv_backward(predictor.out, upstream, out_cache)
-    d_x, dw_hidden, db_hidden = conv_backward(predictor.hidden, d_h1, hidden_cache)
-    return (
-        (d_x[:c1], d_x[c1:c2], d_x[c2:]),
-        (dw_hidden, db_hidden, dw_out, db_out),
-    )

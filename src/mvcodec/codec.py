@@ -6,7 +6,8 @@ match bit for bit.  Each frame is coded as a raster scan of 16x16
 macroblocks, recursively quadtree-split down to 4x4 while the mean absolute
 prediction residual of a block exceeds the split threshold.  Inter leaves
 carry one integer motion vector from an exhaustive SAD search run once per
-macroblock row; intra leaves use DC prediction from decoded neighbors.
+frame, in bands of macroblock rows; intra leaves use DC prediction from
+decoded neighbors.
 Residuals go through the block DCT and flat quantizer of
 :mod:`mvcodec.transform` and an exp-Golomb bitstream.
 
@@ -42,7 +43,6 @@ from .transform import (
     dequantize,
     idct2d,
     quantize,
-    round_half_away,
     round_to_uint8,
     zigzag,
 )
@@ -54,6 +54,7 @@ HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 
 MAX_TRANSFORM = 8
 LEAF_SIZES = (16, 8, 4)
+SEARCH_BAND = 4 * MACROBLOCK  # rows of one motion-search cost volume
 
 
 # ---------------------------------------------------------------------------
@@ -262,52 +263,55 @@ def _dc_predict(recon: np.ndarray, x: int, y: int, size: int) -> int:
         count += size
     if count == 0:
         return 128
-    return int(round_half_away(total / count))
+    # total / count rounded half up, exactly: total >= 0 and count is a power of two
+    return (2 * total + count) // (2 * count)
 
 
 def motion_search(
     current: Frame | np.ndarray,
     reference: Frame | np.ndarray,
-    row: int,
     radius: int,
 ) -> dict[int, np.ndarray]:
     """Exhaustive integer-pel SAD search over [-radius, radius]^2 of every
-    16/8/4 block of macroblock row ``row``: ``result[size][i, j]`` is the
-    ``(dx, dy)`` of the block at ``(j * size, 16 * row + i * size)``.
+    16/8/4 block of a frame: ``result[size][i, j]`` is the ``(dx, dy)`` of
+    the block at ``(j * size, i * size)``.
 
     Ties resolve to the smallest |dx|+|dy|, then smaller dy, then smaller dx.
-    One pass over the displacements computes the row's 4x4 SADs; the 8x8
-    and 16x16 SADs are their exact 2x2 sums."""
+    The cost volume is built ``SEARCH_BAND`` rows at a time, which bounds its
+    memory: one pass over the displacements computes a band's 4x4 SADs, and
+    the 8x8 and 16x16 SADs are their exact 2x2 sums."""
     cur = current.pixels if isinstance(current, Frame) else current
     ref = reference.pixels if isinstance(reference, Frame) else reference
     h, w = ref.shape
     n = 2 * radius + 1
-    block = cur[row * MACROBLOCK : (row + 1) * MACROBLOCK].astype(np.int16)
-    ys = np.clip(np.arange(row * MACROBLOCK - radius, (row + 1) * MACROBLOCK + radius), 0, h - 1)
-    window = np.pad(ref[ys].astype(np.int16), ((0, 0), (radius, radius)), mode="edge")
-    # shifted[i, dx + radius] is window row i read at columns x - dx + radius
-    shifted = sliding_window_view(window, w, axis=1)[:, ::-1]
-    diff = np.empty((MACROBLOCK, n, w), dtype=np.int16)
-    # 4x4 SADs per (dy, dx, block row, block column); at most 4080
-    sad4 = np.empty((n, n, MACROBLOCK // 4, w // 4), dtype=np.int16)
-    for k in range(n):  # dy = k - radius reads window rows radius - dy onward
-        np.subtract(shifted[2 * radius - k :][:MACROBLOCK], block[:, None], out=diff)
-        np.abs(diff, out=diff)
-        bands = np.add.reduce(diff.reshape(-1, 4, n, w), axis=1, dtype=np.int16)
-        sad = bands[..., 0::4] + bands[..., 1::4] + bands[..., 2::4] + bands[..., 3::4]
-        sad4[k] = sad.transpose(1, 0, 2)
     # the (dy, dx) grid in tie-break order, so the first minimum wins
     dys, dxs = np.indices((n, n)).reshape(2, -1) - radius
     order = np.lexsort((dxs, dys, np.abs(dxs) + np.abs(dys)))
-    sad = sad4.reshape(n * n, MACROBLOCK // 4, w // 4)[order]
-    result = {}
-    for size in (4, 8, 16):
-        if size > 4:
-            sad = np.add(sad[:, :, 0::2], sad[:, :, 1::2], dtype=np.int32)
-            sad = sad[:, 0::2] + sad[:, 1::2]
-        best = order[sad.argmin(axis=0)]
-        result[size] = np.stack([dxs[best], dys[best]], axis=-1)
-    return result
+    found: dict[int, list[np.ndarray]] = {size: [] for size in LEAF_SIZES}
+    for top in range(0, h, SEARCH_BAND):
+        rows = min(SEARCH_BAND, h - top)
+        block = cur[top : top + rows].astype(np.int16)
+        ys = np.clip(np.arange(top - radius, top + rows + radius), 0, h - 1)
+        window = np.pad(ref[ys].astype(np.int16), ((0, 0), (radius, radius)), mode="edge")
+        # shifted[i, dx + radius] is window row i read at columns x - dx + radius
+        shifted = sliding_window_view(window, w, axis=1)[:, ::-1]
+        diff = np.empty((rows, n, w), dtype=np.int16)
+        # 4x4 SADs per (dy, dx, block row, block column); at most 4080
+        sad4 = np.empty((n, n, rows // 4, w // 4), dtype=np.int16)
+        for k in range(n):  # dy = k - radius reads window rows radius - dy onward
+            np.subtract(shifted[2 * radius - k :][:rows], block[:, None], out=diff)
+            np.abs(diff, out=diff)
+            quads = np.add.reduce(diff.reshape(-1, 4, n, w), axis=1, dtype=np.int16)
+            sad = quads[..., 0::4] + quads[..., 1::4] + quads[..., 2::4] + quads[..., 3::4]
+            sad4[k] = sad.transpose(1, 0, 2)
+        sad = sad4.reshape(n * n, rows // 4, w // 4)[order]
+        for size in (4, 8, 16):
+            if size > 4:
+                sad = np.add(sad[:, :, 0::2], sad[:, :, 1::2], dtype=np.int32)
+                sad = sad[:, 0::2] + sad[:, 1::2]
+            best = order[sad.argmin(axis=0)]
+            found[size].append(np.stack([dxs[best], dys[best]], axis=-1))
+    return {size: np.concatenate(bands) for size, bands in found.items()}
 
 
 def _residual(levels: np.ndarray, sizes: np.ndarray, qt: QuantTable) -> np.ndarray:
@@ -462,15 +466,23 @@ def _code_intra_frame(
     levels = np.empty((height, width), dtype=np.int32)
     recon = np.zeros((height, width), dtype=np.uint8)
 
+    kept = {}  # block -> prediction and residual of the split test that kept it whole
+
     def residual(x: int, y: int, size: int) -> tuple[int, np.ndarray]:
         pred = _dc_predict(recon, x, y, size)
         return pred, cur[y : y + size, x : x + size] - pred
 
     def split(x: int, y: int, size: int) -> bool:
-        return float(np.abs(residual(x, y, size)[1]).mean()) > config.split_threshold
-
-    for x, y, size in _quadtree(width, height, split):
         pred, resid = residual(x, y, size)
+        if float(np.abs(resid).mean()) > config.split_threshold:
+            return True
+        kept[x, y, size] = pred, resid
+        return False
+
+    # _quadtree yields a block right after the split test that kept it, so
+    # nothing is reconstructed in between; 4x4 leaves have no split test
+    for x, y, size in _quadtree(width, height, split):
+        pred, resid = kept.pop((x, y, size)) if size > 4 else residual(x, y, size)
         block = levels[y : y + size, x : x + size]
         _leaf_tiles(block)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), qt)
         leaf_resid = np.empty((size, size))
@@ -492,8 +504,7 @@ def _code_inter_frame(
     and inverse cover the frame.
     """
     height, width = cur.shape
-    rows = [motion_search(cur, ref, r, config.search_radius) for r in range(height // MACROBLOCK)]
-    vectors = {size: np.concatenate([row[size] for row in rows]) for size in LEAF_SIZES}
+    vectors = motion_search(cur, ref, config.search_radius)
     sizes = np.full((height, width), MACROBLOCK, dtype=np.uint8)
     split = np.ones((height // MACROBLOCK, width // MACROBLOCK), dtype=bool)
     for size in LEAF_SIZES:

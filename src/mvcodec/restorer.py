@@ -12,10 +12,10 @@ motion planes it rasterizes for the warp.
 
 All layers are plain numpy with hand-written gradients.  The model is a
 composition of the units the test suite checks against finite differences:
-the conv layers (each attention map is a sigmoid conv), the offset predictor,
-the deformable gather and the fusion block.  Each unit's backward reads only
-its upstream gradient, its parameters and the cache its forward returned, so
-training runs exactly the checked code.
+the conv layers (the offset predictor, each attention map and the fusion
+convs among them), the deformable gather and the attention gating.  Each
+unit's backward reads only its upstream gradient, its parameters and the
+cache its forward returned, so training runs exactly the checked code.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import (
-    OffsetPredictor,
+    GatherCache,
     deformable_gather_backward,
     deformable_gather_cached,
-    predict_offsets,
-    predict_offsets_backward,
     rasterize_motion,
     warp_mv,
     warp_mv_backward,
@@ -89,51 +87,36 @@ def build_aux_planes(side: SideInfo) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gated fusion
+# Attention gating
 # ---------------------------------------------------------------------------
 
 def fuse(
+    fv: np.ndarray, fa: np.ndarray, fl: np.ndarray, ma: np.ndarray, ml: np.ndarray
+) -> np.ndarray:
+    """Gate the two auxiliary feature groups and stack them after the video
+    features: ``concat(fv, fa * ma, fl * ml)``."""
+    if ma.shape != (1,) + fa.shape[1:] or ml.shape != (1,) + fl.shape[1:]:
+        raise ValueError("attention maps must be (1, h, w) matching the features")
+    return np.concatenate([fv, fa * ma, fl * ml], axis=0)
+
+
+def fuse_backward(
+    upstream: np.ndarray,
     fv: np.ndarray,
     fa: np.ndarray,
     fl: np.ndarray,
     ma: np.ndarray,
     ml: np.ndarray,
-    agg_layers: list[ConvLayer],
-) -> tuple[np.ndarray, tuple]:
-    """Gate the two auxiliary feature groups and aggregate with the video path.
-
-    Returns ``(fused, cache)``; the cache holds the gated inputs and each
-    aggregation layer's conv cache for :func:`fuse_backward`.
-    """
-    if ma.shape != (1,) + fa.shape[1:] or ml.shape != (1,) + fl.shape[1:]:
-        raise ValueError("attention maps must be (1, h, w) matching the features")
-    x = np.concatenate([fv, fa * ma, fl * ml], axis=0)
-    layer_caches = []
-    for layer in agg_layers:
-        x, cc = conv_forward_cached(layer, x)
-        layer_caches.append(cc)
-    return x, (fv, fa, fl, ma, ml, layer_caches)
-
-
-def fuse_backward(upstream: np.ndarray, agg_layers: list[ConvLayer], cache: tuple):
-    """Gradients of :func:`fuse` for every input and aggregation layer.
-
-    ``cache`` is the one :func:`fuse` returned.  Returns
-    ((d_fv, d_fa, d_fl, d_ma, d_ml), [(d_w, d_b) per layer]).
-    """
-    fv, fa, fl, ma, ml, layer_caches = cache
-    layer_grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(agg_layers)
-    d = upstream
-    for i in range(len(agg_layers) - 1, -1, -1):
-        d, dw, db = conv_backward(agg_layers[i], d, layer_caches[i])
-        layer_grads[i] = (dw, db)
+) -> tuple[np.ndarray, ...]:
+    """Gradients ``(d_fv, d_fa, d_fl, d_ma, d_ml)`` of :func:`fuse` at the
+    same inputs."""
     cv, ca = fv.shape[0], fa.shape[0]
-    d_fv = d[:cv]
-    d_fa = d[cv : cv + ca] * ma
-    d_fl = d[cv + ca :] * ml
-    d_ma = (d[cv : cv + ca] * fa).sum(axis=0, keepdims=True)
-    d_ml = (d[cv + ca :] * fl).sum(axis=0, keepdims=True)
-    return (d_fv, d_fa, d_fl, d_ma, d_ml), layer_grads
+    d_fv = upstream[:cv]
+    d_fa = upstream[cv : cv + ca] * ma
+    d_fl = upstream[cv + ca :] * ml
+    d_ma = (upstream[cv : cv + ca] * fa).sum(axis=0, keepdims=True)
+    d_ml = (upstream[cv + ca :] * fl).sum(axis=0, keepdims=True)
+    return d_fv, d_fa, d_fl, d_ma, d_ml
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +228,23 @@ def restorer_forward_cached(
     ``aux`` holds the codec planes of :func:`build_aux_planes`; the structure
     planes come from the motion planes this pass rasterizes for the warp.
 
-    The cache keeps every unit's own cache and nothing of the units' inputs,
-    so :func:`restorer_backward` feeds each backward its upstream gradient,
-    its parameters and its forward's cache.  ``cache["convs"]`` maps a key to
-    ``(param name, ConvLayer, ConvCache)`` for every conv outside the offset
-    predictor and the fusion block; ``cache["neighbors"]`` holds one
-    ``(j, offset cache, gather cache)`` per neighbour frame.
+    The cache keeps what each unit's backward reads, so
+    :func:`restorer_backward` feeds each backward its upstream gradient, its
+    parameters and that cache.  ``cache["convs"]`` maps a key to
+    ``(param name, ConvLayer, ConvCache)`` for every conv: ``feat{j}`` per
+    window frame, ``off_hidden{j}`` and ``off_out{j}`` per neighbour frame,
+    and each other layer under its own name.  ``cache["neighbors"]`` holds
+    one ``(j, gather cache)`` per neighbour frame, and ``cache["gates"]`` the
+    inputs of :func:`fuse`.
 
     Each distinct window frame is worked on once.  At a sequence edge
     :func:`padded_window` repeats the first or last frame object: a repeat
     of an earlier window frame shares its ``feat`` conv, and a repeat of an
-    earlier neighbour shares its warp, offsets and gather.  Repeats are
-    recorded under their own keys with the shared caches (``feat{j}``, and
-    ``(j, ...)`` with the earlier neighbour's pair); every backward only
-    reads its cache, so :func:`restorer_backward` treats a repeat like any
-    other entry.
+    earlier neighbour shares its warp, offset convs and gather.  Repeats are
+    recorded under their own keys with the shared caches (``feat{j}``,
+    ``off_hidden{j}``, ``off_out{j}`` and ``(j, gather cache)``); every
+    backward only reads its cache, so :func:`restorer_backward` treats a
+    repeat like any other entry.
 
     :func:`restorer_forward` runs this same composition with ``_record``
     false: the conv registry and the neighbour list then stay empty, so each
@@ -287,9 +272,8 @@ def restorer_forward_cached(
         else:
             feats.append(conv("feat", "relu", (f.as_float() / PIXEL_NORM)[None], key=f"feat{j}"))
     mv_planes = rasterize_motion(side)
-    predictor = OffsetPredictor(model.layer("off_hidden", "relu"), model.layer("off_out", "none"))
     gather_w = model.params["gather.w"]
-    recorded: dict[int, tuple] = {}  # neighbour -> (offset cache, gather cache)
+    gathers: dict[int, GatherCache] = {}  # neighbour -> gather cache
     aligned: dict[int, int] = {}  # first equal frame -> the neighbour aligning it
     slots = list(feats)
     for j in range(model.window):
@@ -299,17 +283,24 @@ def restorer_forward_cached(
         if i < j:
             slots[j] = slots[i]
             if _record:
-                recorded[j] = recorded[i]
+                gathers[j] = gathers[i]
+                for name in ("off_hidden", "off_out"):
+                    convs[f"{name}{j}"] = convs[f"{name}{i}"]
             continue
         warped = warp_mv(feats[j], mv_planes)
-        offsets, offset_cache = predict_offsets(feats[n], warped, mv_planes, predictor)
+        # nested, so the hidden map and its input die before the gather
+        offsets = conv("off_out", "none", conv(
+            "off_hidden", "relu", np.concatenate([feats[n], warped, mv_planes]),
+            key=f"off_hidden{j}",
+        ), key=f"off_out{j}")
         slots[j], gather_cache = deformable_gather_cached(
             warped, model.kernel_size, offsets, gather_w
         )
         if _record:
-            recorded[j] = (offset_cache, gather_cache)
-        # unrecorded caches die here, before the next neighbour builds its own
-        del offset_cache, gather_cache
+            gathers[j] = gather_cache
+        # the offsets and an unrecorded cache die here, before the next
+        # neighbour builds its own
+        del gather_cache, offsets
 
     fv = conv("vres", "relu", conv("vmix", "relu", np.concatenate(slots, axis=0)))
     structure = np.stack([np.hypot(*mv_planes) / MV_NORM, side.sizes / SIZE_NORM])
@@ -317,8 +308,7 @@ def restorer_forward_cached(
     fl = conv("auxl2", "relu", conv("auxl1", "relu", structure))
     ma = conv("attn_a", "sigmoid", np.concatenate([fv, fa], axis=0))
     ml = conv("attn_l", "sigmoid", np.concatenate([fv, fl], axis=0))
-    agg_layers = [model.layer("agg1", "relu"), model.layer("agg2", "relu")]
-    fused, fuse_cache = fuse(fv, fa, fl, ma, ml, agg_layers)
+    fused = conv("agg2", "relu", conv("agg1", "relu", fuse(fv, fa, fl, ma, ml)))
 
     resid = conv("rec2", "none", conv("rec1", "relu", fused))
     out = window[n].as_float() + PIXEL_NORM * resid[0]
@@ -327,10 +317,8 @@ def restorer_forward_cached(
     return out, {
         "mv_planes": mv_planes,
         "convs": convs,
-        "neighbors": [(j, *caches) for j, caches in recorded.items()],
-        "predictor": predictor,
-        "agg_layers": agg_layers,
-        "fuse": fuse_cache,
+        "neighbors": list(gathers.items()),
+        "gates": (fv, fa, fl, ma, ml),
     }
 
 
@@ -364,14 +352,8 @@ def restorer_backward(
         return dx
 
     d_resid = PIXEL_NORM * np.asarray(d_out, dtype=np.float64)[None]
-    d_fused = conv_back("rec1", conv_back("rec2", d_resid))
-
-    (d_fv, d_fa, d_fl, d_ma, d_ml), agg_grads = fuse_backward(
-        d_fused, cache["agg_layers"], cache["fuse"]
-    )
-    for name, (dw, db) in zip(("agg1", "agg2"), agg_grads):
-        grads[f"{name}.w"] += dw
-        grads[f"{name}.b"] += db
+    d_gated = conv_back("agg1", conv_back("agg2", conv_back("rec1", conv_back("rec2", d_resid))))
+    d_fv, d_fa, d_fl, d_ma, d_ml = fuse_backward(d_gated, *cache["gates"])
 
     d_cat_a = conv_back("attn_a", d_ma)
     d_cat_l = conv_back("attn_l", d_ml)
@@ -383,18 +365,14 @@ def restorer_backward(
     gather_w = model.params["gather.w"]
     d_feats = [np.zeros_like(d_stacked[:c]) for _ in range(model.window)]
     d_feats[n] += d_stacked[n * c : (n + 1) * c]
-    for j, offset_cache, gather_cache in cache["neighbors"]:
+    for j, gather_cache in cache["neighbors"]:
         d_warped, d_offsets, dw_gather = deformable_gather_backward(
             d_stacked[j * c : (j + 1) * c], gather_w, gather_cache
         )
         grads["gather.w"] += dw_gather
-        (d_center, d_warped_p, _), offset_grads = predict_offsets_backward(
-            d_offsets, cache["predictor"], offset_cache
-        )
-        for name, g in zip(("off_hidden.w", "off_hidden.b", "off_out.w", "off_out.b"), offset_grads):
-            grads[name] += g
-        d_feats[n] += d_center
-        d_feats[j] += warp_mv_backward(d_warped + d_warped_p, cache["mv_planes"])
+        d_cat = conv_back(f"off_hidden{j}", conv_back(f"off_out{j}", d_offsets))
+        d_feats[n] += d_cat[:c]
+        d_feats[j] += warp_mv_backward(d_warped + d_cat[c : 2 * c], cache["mv_planes"])
 
     for j, d_feat in enumerate(d_feats):
         conv_back(f"feat{j}", d_feat)

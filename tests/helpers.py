@@ -268,7 +268,7 @@ def encode_per_leaf(frames: list[Frame], config) -> tuple[bytes, list[Frame]]:
     split-tested, transformed, coded and reconstructed on its own.
 
     Inter blocks copy an edge-padded reference at (x - dx, y - dy) with the
-    vector the row's motion search found for their size; each level of each
+    vector the frame's motion search found for their size; each level of each
     transform tile is written with its own ``write_ue``.  The codec's
     frame-level inter path must produce the same bytes and reconstructions.
     """
@@ -290,7 +290,7 @@ def encode_per_leaf(frames: list[Frame], config) -> tuple[bytes, list[Frame]]:
             if intra:
                 pred = np.full((size, size), dc_value(recon, x, y, size), dtype=np.int32)
             else:
-                dx, dy = vectors[size][y % 16 // size][x // size]
+                dx, dy = vectors[size][y // size][x // size]
                 top, left = y - dy + radius, x - dx + radius
                 pred = padded[top : top + size, left : left + size]
             resid = cur[y : y + size, x : x + size] - pred
@@ -319,10 +319,10 @@ def encode_per_leaf(frames: list[Frame], config) -> tuple[bytes, list[Frame]]:
             rebuilt = np.clip(round_half_away(pred.astype(np.float64) + coded), 0, 255)
             recon[y : y + size, x : x + size] = rebuilt
 
+        if not intra:
+            found = motion_search(cur, recons[-1], radius)
+            vectors = {size: v.tolist() for size, v in found.items()}
         for my in range(0, height, 16):
-            if not intra:
-                found = motion_search(cur, recons[-1], my // 16, radius)
-                vectors = {size: v.tolist() for size, v in found.items()}
             for mx in range(0, width, 16):
                 code_block(mx, my, 16)
         recons.append(Frame(recon.astype(np.uint8)))
@@ -606,58 +606,71 @@ def gather_case_clear(case):
 def predictor_case(rng):
     # the out-layer bias pins each offset channel mid-cell; the conv part is
     # scaled small enough that coordinates stay clear of bilinear kinks
-    from mvcodec.alignment import OffsetPredictor
     from mvcodec.nn import ConvLayer
 
-    c, hidden, k, h, w = 2, 3, 3, 5, 5
+    c, hidden_ch, k, h, w = 2, 3, 3, 5, 5
     feat_t = rng.normal(size=(c, h, w))
     feat_prev = rng.normal(size=(c, h, w))
     motion = rng.uniform(-2, 2, (2, h, w))
     out_bias = rng.choice([-1.0, 1.0], 2 * k * k) * rng.uniform(0.3, 0.7, 2 * k * k)
     out_bias += rng.integers(-1, 2, 2 * k * k)
-    predictor = OffsetPredictor(
-        hidden=ConvLayer(rng.normal(size=(hidden, 2 * c + 2, 3, 3)) * 0.1,
-                         rng.normal(size=hidden) * 0.1, "relu"),
-        out=ConvLayer(rng.normal(size=(2 * k * k, hidden, 3, 3)) * 0.02, out_bias, "none"),
-    )
+    hidden = ConvLayer(rng.normal(size=(hidden_ch, 2 * c + 2, 3, 3)) * 0.1,
+                       rng.normal(size=hidden_ch) * 0.1, "relu")
+    out = ConvLayer(rng.normal(size=(2 * k * k, hidden_ch, 3, 3)) * 0.02, out_bias, "none")
     gather_w = rng.normal(size=(c, c, k, k))
     upstream = rng.normal(size=(c, h, w))
-    return feat_t, feat_prev, motion, predictor, gather_w, upstream
+    return feat_t, feat_prev, motion, hidden, out, gather_w, upstream
+
+
+def offset_gather(feat_t, feat_prev, motion, hidden, out, gather_w):
+    """One neighbour's alignment as the restorer composes it: the ``hidden``
+    and ``out`` convs predict offsets from ``concat(feat_t, feat_prev,
+    motion)``, and the gather samples ``feat_prev`` with them.
+
+    Returns the aligned map and the caches of both convs and the gather.
+    """
+    from mvcodec.alignment import deformable_gather_cached
+    from mvcodec.nn import conv_forward_cached
+
+    hidden_map, hidden_cache = conv_forward_cached(
+        hidden, np.concatenate([feat_t, feat_prev, motion])
+    )
+    offsets, out_cache = conv_forward_cached(out, hidden_map)
+    aligned, gather_cache = deformable_gather_cached(feat_prev, 3, offsets, gather_w)
+    return aligned, (hidden_cache, out_cache, gather_cache)
+
+
+def offset_gather_backward(upstream, hidden, out, gather_w, caches):
+    """Gradients of :func:`offset_gather` from the caches it returned:
+    ``(d_feat_t, d_feat_prev, d_gather_w, (dw_hidden, db_hidden, dw_out,
+    db_out))``."""
+    from mvcodec.alignment import deformable_gather_backward
+    from mvcodec.nn import conv_backward
+
+    hidden_cache, out_cache, gather_cache = caches
+    d_prev, d_offsets, d_gather_w = deformable_gather_backward(upstream, gather_w, gather_cache)
+    d_hidden, dw_out, db_out = conv_backward(out, d_offsets, out_cache)
+    d_cat, dw_hidden, db_hidden = conv_backward(hidden, d_hidden, hidden_cache)
+    c = d_prev.shape[0]
+    return d_cat[:c], d_prev + d_cat[c : 2 * c], d_gather_w, (dw_hidden, db_hidden, dw_out, db_out)
 
 
 def predictor_case_clear(case):
-    from mvcodec.alignment import predict_offsets
-
-    feat_t, feat_prev, motion, predictor, gather_w, _ = case
-    offsets, (hidden_cache, _, _) = predict_offsets(feat_t, feat_prev, motion, predictor)
+    feat_t = case[0]
+    _, (hidden_cache, out_cache, _) = offset_gather(*case[:6])
     if np.abs(hidden_cache.z).min() < 1e-3:
         return False
+    # the offset conv is linear, so its pre-activation is the offset field;
     # parameter perturbations of size h move the coordinates by O(h * |x|),
     # far less than the 0.05 kink margin coords_clear demands
-    px, py = tap_coords(3, offsets, feat_t.shape[1], feat_t.shape[2])
+    px, py = tap_coords(3, out_cache.z, feat_t.shape[1], feat_t.shape[2])
     return coords_clear(px, feat_t.shape[2]) and coords_clear(py, feat_t.shape[1])
 
 
 def fuse_case(rng, c=2, h=6, w=6):
-    from mvcodec.nn import ConvLayer
-
     fv = rng.normal(size=(c, h, w))
     fa = rng.normal(size=(c, h, w))
     fl = rng.normal(size=(c, h, w))
     ma = rng.uniform(0.05, 0.95, (1, h, w))
     ml = rng.uniform(0.05, 0.95, (1, h, w))
-    agg = [
-        ConvLayer(rng.normal(size=(c, 3 * c, 3, 3)) * 0.4, rng.normal(size=c) * 0.5, "relu"),
-        ConvLayer(rng.normal(size=(c, c, 3, 3)) * 0.4, rng.normal(size=c) * 0.5, "relu"),
-    ]
-    return fv, fa, fl, ma, ml, agg
-
-
-def fuse_case_clear(case):
-    from mvcodec.nn import conv_forward_cached
-
-    fv, fa, fl, ma, ml, agg = case
-    x = np.concatenate([fv, fa * ma, fl * ml], axis=0)
-    y1, c1 = conv_forward_cached(agg[0], x)
-    _, c2 = conv_forward_cached(agg[1], y1)
-    return min(float(np.abs(c1.z).min()), float(np.abs(c2.z).min())) > 1e-3
+    return fv, fa, fl, ma, ml

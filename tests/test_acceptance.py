@@ -17,9 +17,10 @@ from helpers import (
     draw_until,
     finite_diff,
     fuse_case,
-    fuse_case_clear,
     gather_case,
     gather_case_clear,
+    offset_gather,
+    offset_gather_backward,
     predictor_case,
     predictor_case_clear,
     preclip_reconstruction,
@@ -28,12 +29,7 @@ from helpers import (
     zero_restorer,
 )
 from mvcodec import fixtures
-from mvcodec.alignment import (
-    deformable_gather_backward,
-    deformable_gather_cached,
-    predict_offsets,
-    predict_offsets_backward,
-)
+from mvcodec.alignment import deformable_gather_backward, deformable_gather_cached
 from mvcodec.backproject import back_project, candidate_residual_coeffs, clamp_to_bounds, frame_bounds
 from mvcodec.bitio import BitReader, BitWriter
 from mvcodec.cli import main
@@ -154,21 +150,16 @@ def test_criterion_4_gradient_correctness():
         assert rel_error(dw, finite_diff(obj, layer.weights)) < GRAD_TOL
         assert rel_error(db, finite_diff(obj, layer.bias)) < GRAD_TOL
 
-    for seed in seeds:  # fusion block
-        fv, fa, fl, ma, ml, agg = draw_until(4000 + seed, fuse_case, fuse_case_clear)
-        up = np.random.default_rng(seed).normal(size=fv.shape)
-        obj = lambda: float((fuse(fv, fa, fl, ma, ml, agg)[0] * up).sum())
-        (d_fv, d_fa, d_fl, d_ma, d_ml), layer_grads = fuse_backward(
-            up, agg, fuse(fv, fa, fl, ma, ml, agg)[1]
-        )
+    for seed in seeds:  # fusion gating; the conv loop above covers the agg convs
+        fv, fa, fl, ma, ml = fuse_case(np.random.default_rng(4000 + seed))
+        up = np.random.default_rng(seed).normal(size=(3 * fv.shape[0],) + fv.shape[1:])
+        obj = lambda: float((fuse(fv, fa, fl, ma, ml) * up).sum())
+        d_fv, d_fa, d_fl, d_ma, d_ml = fuse_backward(up, fv, fa, fl, ma, ml)
         assert rel_error(d_fv, finite_diff(obj, fv)) < GRAD_TOL
         assert rel_error(d_fa, finite_diff(obj, fa)) < GRAD_TOL
         assert rel_error(d_fl, finite_diff(obj, fl)) < GRAD_TOL
         assert rel_error(d_ma, finite_diff(obj, ma)) < GRAD_TOL
         assert rel_error(d_ml, finite_diff(obj, ml)) < GRAD_TOL
-        for layer, (dw, db) in zip(agg, layer_grads):
-            assert rel_error(dw, finite_diff(obj, layer.weights)) < GRAD_TOL
-            assert rel_error(db, finite_diff(obj, layer.bias)) < GRAD_TOL
 
     for seed in seeds:  # bilinear / deformable gather
         fmap, offsets, weights, up = draw_until(5000 + seed, gather_case, gather_case_clear)
@@ -179,27 +170,19 @@ def test_criterion_4_gradient_correctness():
         assert rel_error(d_off, finite_diff(obj, offsets)) < GRAD_TOL
         assert rel_error(d_w, finite_diff(obj, weights)) < GRAD_TOL
 
-    for seed in seeds:  # offset predictor composed with the gather
-        feat_t, feat_prev, motion, predictor, gather_w, up = draw_until(
-            6000 + seed, predictor_case, predictor_case_clear
-        )
-
-        def obj():
-            offs = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
-            return float((deformable_gather_cached(feat_prev, 3, offs, gather_w)[0] * up).sum())
-
-        offs, offs_cache = predict_offsets(feat_t, feat_prev, motion, predictor)
-        _, gather_cache = deformable_gather_cached(feat_prev, 3, offs, gather_w)
-        d_prev_g, d_off, d_gw = deformable_gather_backward(up, gather_w, gather_cache)
-        (d_ft, d_prev_p, _), (dw_h, db_h, dw_o, db_o) = predict_offsets_backward(
-            d_off, predictor, offs_cache
+    for seed in seeds:  # offset convs composed with the gather
+        case = draw_until(6000 + seed, predictor_case, predictor_case_clear)
+        feat_t, feat_prev, motion, hidden, out, gather_w, up = case
+        obj = lambda: float((offset_gather(*case[:6])[0] * up).sum())
+        d_ft, d_prev, _, (dw_h, db_h, dw_o, db_o) = offset_gather_backward(
+            up, hidden, out, gather_w, offset_gather(*case[:6])[1]
         )
         assert rel_error(d_ft, finite_diff(obj, feat_t)) < GRAD_TOL
-        assert rel_error(d_prev_g + d_prev_p, finite_diff(obj, feat_prev)) < GRAD_TOL
-        assert rel_error(dw_h, finite_diff(obj, predictor.hidden.weights)) < GRAD_TOL
-        assert rel_error(db_h, finite_diff(obj, predictor.hidden.bias)) < GRAD_TOL
-        assert rel_error(dw_o, finite_diff(obj, predictor.out.weights)) < GRAD_TOL
-        assert rel_error(db_o, finite_diff(obj, predictor.out.bias)) < GRAD_TOL
+        assert rel_error(d_prev, finite_diff(obj, feat_prev)) < GRAD_TOL
+        assert rel_error(dw_h, finite_diff(obj, hidden.weights)) < GRAD_TOL
+        assert rel_error(db_h, finite_diff(obj, hidden.bias)) < GRAD_TOL
+        assert rel_error(dw_o, finite_diff(obj, out.weights)) < GRAD_TOL
+        assert rel_error(db_o, finite_diff(obj, out.bias)) < GRAD_TOL
 
     for seed in seeds:  # L1 loss
         rng = np.random.default_rng(7000 + seed)
@@ -273,11 +256,11 @@ def test_criterion_8_reduction_identities(both_fixtures):
         assert np.array_equal(out, decoded[t].as_float())
 
     # zero attention maps sever the auxiliary gradient path exactly
-    fv, fa, fl, ma, ml, agg = fuse_case(rng)
+    fv, fa, fl, ma, ml = fuse_case(rng)
     zero = np.zeros_like(ma)
-    up = rng.normal(size=fv.shape)
-    (_, d_fa, _, _, _), _ = fuse_backward(up, agg, fuse(fv, fa, fl, zero, ml, agg)[1])
-    (_, _, d_fl, _, _), _ = fuse_backward(up, agg, fuse(fv, fa, fl, ma, zero, agg)[1])
+    up = rng.normal(size=(3 * fv.shape[0],) + fv.shape[1:])
+    _, d_fa, _, _, _ = fuse_backward(up, fv, fa, fl, zero, ml)
+    _, _, d_fl, _, _ = fuse_backward(up, fv, fa, fl, ma, zero)
     assert not d_fa.any() and not d_fl.any()
     print("\nPASS criterion 8: zero-offset, zero-weight and zero-attention reductions")
 

@@ -15,18 +15,17 @@ from helpers import (
     gather_case_clear,
     gather_scatter_one_bincount,
     global_shift_pair,
+    offset_gather,
+    offset_gather_backward,
     predictor_case,
     predictor_case_clear,
     rel_error,
     tap_coords,
 )
 from mvcodec.alignment import (
-    OffsetPredictor,
     deformable_gather_backward,
     deformable_gather_cached,
     kernel_grid,
-    predict_offsets,
-    predict_offsets_backward,
     rasterize_motion,
     warp_mv,
     warp_mv_backward,
@@ -310,48 +309,27 @@ class TestDeformableGatherGradients:
 
 
 class TestPredictOffsets:
-    def test_zero_weights_give_zero_offsets(self):
-        c, h, w = 2, 6, 6
-        predictor = OffsetPredictor(
-            hidden=ConvLayer(np.zeros((4, 2 * c + 2, 3, 3)), np.zeros(4), "relu"),
-            out=ConvLayer(np.zeros((18, 4, 3, 3)), np.zeros(18), "none"),
-        )
-        offsets = predict_offsets(
-            np.ones((c, h, w)), np.ones((c, h, w)), np.zeros((2, h, w)), predictor
-        )[0]
-        assert offsets.shape == (18, h, w)
-        assert not offsets.any()
-
-    def test_output_shape_contract(self):
-        rng = np.random.default_rng(50)
-        case = predictor_case(rng)
-        offsets = predict_offsets(*case[:4])[0]
-        assert offsets.shape == (2 * 9, 5, 5)
+    """The restorer's offset convs (``off_hidden``, ``off_out``) composed
+    with the gather, as one neighbour's alignment."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients_through_predictor_and_gather(self, seed):
-        feat_t, feat_prev, motion, predictor, gather_w, upstream = draw_until(
-            seed + 100, predictor_case, predictor_case_clear
-        )
+        case = draw_until(seed + 100, predictor_case, predictor_case_clear)
+        feat_t, feat_prev, motion, hidden, out, gather_w, upstream = case
 
         def objective():
-            offsets = predict_offsets(feat_t, feat_prev, motion, predictor)[0]
-            out = deformable_gather_cached(feat_prev, 3, offsets, gather_w)[0]
-            return float((out * upstream).sum())
+            return float((offset_gather(*case[:6])[0] * upstream).sum())
 
-        offsets, offset_cache = predict_offsets(feat_t, feat_prev, motion, predictor)
-        _, gather_cache = deformable_gather_cached(feat_prev, 3, offsets, gather_w)
-        d_prev_g, d_off, d_gw = deformable_gather_backward(upstream, gather_w, gather_cache)
-        (d_ft, d_prev_p, _), (dw_h, db_h, dw_o, db_o) = predict_offsets_backward(
-            d_off, predictor, offset_cache
+        d_ft, d_prev, d_gw, (dw_h, db_h, dw_o, db_o) = offset_gather_backward(
+            upstream, hidden, out, gather_w, offset_gather(*case[:6])[1]
         )
         assert rel_error(d_ft, finite_diff(objective, feat_t)) < GRAD_TOL
-        assert rel_error(d_prev_g + d_prev_p, finite_diff(objective, feat_prev)) < GRAD_TOL
+        assert rel_error(d_prev, finite_diff(objective, feat_prev)) < GRAD_TOL
         assert rel_error(d_gw, finite_diff(objective, gather_w)) < GRAD_TOL
-        assert rel_error(dw_h, finite_diff(objective, predictor.hidden.weights)) < GRAD_TOL
-        assert rel_error(db_h, finite_diff(objective, predictor.hidden.bias)) < GRAD_TOL
-        assert rel_error(dw_o, finite_diff(objective, predictor.out.weights)) < GRAD_TOL
-        assert rel_error(db_o, finite_diff(objective, predictor.out.bias)) < GRAD_TOL
+        assert rel_error(dw_h, finite_diff(objective, hidden.weights)) < GRAD_TOL
+        assert rel_error(db_h, finite_diff(objective, hidden.bias)) < GRAD_TOL
+        assert rel_error(dw_o, finite_diff(objective, out.weights)) < GRAD_TOL
+        assert rel_error(db_o, finite_diff(objective, out.bias)) < GRAD_TOL
 
 
 class TestKernelGrid:

@@ -43,10 +43,23 @@ def _const(value, size=64):
 
 
 def _leaf_search(current, reference, leaf, radius):
-    """The vector the per-row search finds for one leaf."""
-    row = motion_search(current, reference, leaf.y // 16, radius)[leaf.size]
-    dx, dy = row[leaf.y % 16 // leaf.size][leaf.x // leaf.size]
+    """The vector the frame search finds for one leaf."""
+    vectors = motion_search(current, reference, radius)[leaf.size]
+    dx, dy = vectors[leaf.y // leaf.size][leaf.x // leaf.size]
     return dx, dy
+
+
+def _assert_matches_per_leaf_oracle(current, reference, radius):
+    """Every block vector of the frame search is the per-leaf oracle's."""
+    found = motion_search(current, reference, radius)
+    assert set(found) == {16, 8, 4}
+    height, width = reference.pixels.shape
+    for size, vectors in found.items():
+        assert vectors.shape == (height // size, width // size, 2)
+        for i, line in enumerate(vectors):
+            for j, (dx, dy) in enumerate(line):
+                leaf = Leaf(j * size, i * size, size)
+                assert (dx, dy) == motion_search_direct(current, reference, leaf, radius), leaf
 
 
 class TestMotionSearch:
@@ -79,15 +92,15 @@ class TestMotionSearch:
         make = {"texture": fixtures.translating_texture, "checker": fixtures.deforming_checker}
         ref, cur = make[clip](2, size=32)
         for a, b in ((cur, ref), (ref, cur)):
-            for row in range(2):
-                found = motion_search(a, b, row, radius)
-                assert set(found) == {16, 8, 4}
-                for size, vectors in found.items():
-                    assert len(vectors) == 16 // size and len(vectors[0]) == 32 // size
-                    for i, line in enumerate(vectors):
-                        for j, (dx, dy) in enumerate(line):
-                            leaf = Leaf(j * size, row * 16 + i * size, size)
-                            assert (dx, dy) == motion_search_direct(a, b, leaf, radius), leaf
+            _assert_matches_per_leaf_oracle(a, b, radius)
+
+    @pytest.mark.parametrize("height", [64, 80, 144])
+    def test_search_bands_match_per_leaf_oracle(self, height):
+        # one whole band, then frames whose last band is partial; the checker
+        # wobbles everywhere, across the band boundaries at rows 64 and 128 too
+        ref, cur = (Frame(f.pixels[:, :16]) for f in fixtures.deforming_checker(2, size=height))
+        for a, b in ((cur, ref), (ref, cur)):
+            _assert_matches_per_leaf_oracle(a, b, radius=5)
 
 
 class TestPartitionMapInvariants:

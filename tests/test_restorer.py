@@ -5,10 +5,8 @@ import pytest
 
 from helpers import (
     GRAD_TOL,
-    draw_until,
     finite_diff,
     fuse_case,
-    fuse_case_clear,
     padded_input,
     reconstruct_from_side_info,
     rel_error,
@@ -19,6 +17,7 @@ from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence
 from mvcodec.frames import Frame
 from mvcodec.nn import ConvLayer, TrainConfig, l1_loss
 from mvcodec.restorer import (
+    ARCH_FIELDS,
     TrainingDiverged,
     build_aux_planes,
     build_training_samples,
@@ -27,6 +26,7 @@ from mvcodec.restorer import (
     fuse_backward,
     init_restorer,
     load_model,
+    model_schedule,
     padded_window,
     restore_sequence,
     restorer_backward,
@@ -49,53 +49,42 @@ def tiny_coded():
 class TestFuse:
     def test_zero_attention_equals_zeroed_aux_channels(self):
         rng = np.random.default_rng(1)
-        fv, fa, fl, _, _, agg = fuse_case(rng)
+        fv, fa, fl, _, _ = fuse_case(rng)
         zeros = np.zeros((1, 6, 6))
-        gated = fuse(fv, fa, fl, zeros, zeros, agg)[0]
-        manual = fuse(fv, np.zeros_like(fa), np.zeros_like(fl), zeros + 1.0, zeros + 1.0, agg)[0]
+        gated = fuse(fv, fa, fl, zeros, zeros)
+        manual = fuse(fv, np.zeros_like(fa), np.zeros_like(fl), zeros + 1.0, zeros + 1.0)
         assert np.array_equal(gated, manual)
 
     def test_unit_attention_passes_features_through(self):
         rng = np.random.default_rng(2)
-        fv, fa, fl, _, _, agg = fuse_case(rng)
+        fv, fa, fl, _, _ = fuse_case(rng)
         ones = np.ones((1, 6, 6))
-        out = fuse(fv, fa, fl, ones, ones, agg)[0]
-        x = np.concatenate([fv, fa, fl], axis=0)
-        from mvcodec.nn import conv_forward_cached
-
-        manual = conv_forward_cached(agg[1], conv_forward_cached(agg[0], x)[0])[0]
-        assert np.array_equal(out, manual)
+        out = fuse(fv, fa, fl, ones, ones)
+        assert np.array_equal(out, np.concatenate([fv, fa, fl], axis=0))
 
     def test_zero_attention_severs_gradients_exactly(self):
         rng = np.random.default_rng(4)
-        fv, fa, fl, _, ml, agg = fuse_case(rng)
+        fv, fa, fl, _, ml = fuse_case(rng)
         ma = np.zeros((1, 6, 6))
-        upstream = rng.normal(size=fv.shape)
-        (d_fv, d_fa, d_fl, d_ma, d_ml), _ = fuse_backward(
-            upstream, agg, fuse(fv, fa, fl, ma, ml, agg)[1]
-        )
+        upstream = rng.normal(size=(6, 6, 6))
+        d_fv, d_fa, d_fl, d_ma, d_ml = fuse_backward(upstream, fv, fa, fl, ma, ml)
         assert not d_fa.any()  # exact zeros, not merely small
         assert d_fl.any()
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gradients(self, seed):
-        fv, fa, fl, ma, ml, agg = draw_until(900 + seed, fuse_case, fuse_case_clear)
-        upstream = np.random.default_rng(seed).normal(size=fv.shape)
+        fv, fa, fl, ma, ml = fuse_case(np.random.default_rng(900 + seed))
+        upstream = np.random.default_rng(seed).normal(size=(6, 6, 6))
 
         def objective():
-            return float((fuse(fv, fa, fl, ma, ml, agg)[0] * upstream).sum())
+            return float((fuse(fv, fa, fl, ma, ml) * upstream).sum())
 
-        (d_fv, d_fa, d_fl, d_ma, d_ml), layer_grads = fuse_backward(
-            upstream, agg, fuse(fv, fa, fl, ma, ml, agg)[1]
-        )
+        d_fv, d_fa, d_fl, d_ma, d_ml = fuse_backward(upstream, fv, fa, fl, ma, ml)
         assert rel_error(d_fv, finite_diff(objective, fv)) < GRAD_TOL
         assert rel_error(d_fa, finite_diff(objective, fa)) < GRAD_TOL
         assert rel_error(d_fl, finite_diff(objective, fl)) < GRAD_TOL
         assert rel_error(d_ma, finite_diff(objective, ma)) < GRAD_TOL
         assert rel_error(d_ml, finite_diff(objective, ml)) < GRAD_TOL
-        for layer, (dw, db) in zip(agg, layer_grads):
-            assert rel_error(dw, finite_diff(objective, layer.weights)) < GRAD_TOL
-            assert rel_error(db, finite_diff(objective, layer.bias)) < GRAD_TOL
 
 
 class TestAuxPlanes:
@@ -180,6 +169,27 @@ class TestRestorerForward:
             assert cache["convs"] and cache["neighbors"]
             assert np.array_equal(restorer_forward(window, sides[t], aux, model), out)
 
+    def test_every_conv_of_the_schedule_is_recorded(self, tiny_coded):
+        _, _, _, samples = tiny_coded
+        model = init_restorer(seed=5)
+        s = samples[2]
+        _, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
+        convs = cache["convs"]
+        arch = {name: getattr(model, name) for name in ARCH_FIELDS}
+        # every parameter with a bias belongs to a conv; gather.w has none
+        layers = {name[:-2] for name, _ in model_schedule(**arch) if name.endswith(".b")}
+        assert {name for name, _, _ in convs.values()} == layers
+        n = model.half_window
+        neighbours = [j for j in range(model.window) if j != n]
+        assert set(convs) == (
+            {f"feat{j}" for j in range(model.window)}
+            | {f"{name}{j}" for name in ("off_hidden", "off_out") for j in neighbours}
+            | (layers - {"feat", "off_hidden", "off_out"})
+        )
+        for name, layer, _ in convs.values():
+            assert layer.weights is model.params[f"{name}.w"], name
+            assert layer.bias is model.params[f"{name}.b"], name
+
     def test_window_length_validated(self, tiny_coded):
         _, _, _, samples = tiny_coded
         model = init_restorer(seed=5)
@@ -242,17 +252,13 @@ class TestRestorerGradients:
                 model.params[f"{name}.b"] += 0.7
             model.params["off_out.b"] += 0.4
             out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
-            # every relu pre-activation: the registered convs, each neighbour's
-            # offset-predictor hidden layer and both fusion layers
-            relu_z = [
-                cc.z for _, layer, cc in cache["convs"].values() if layer.activation == "relu"
-            ]
-            relu_z += [offset_cache[0].z for _, offset_cache, _ in cache["neighbors"]]
-            relu_z += [cc.z for cc in cache["fuse"][-1]]
+            # every relu pre-activation, all in the one conv registry
+            convs = cache["convs"]
+            relu_z = [cc.z for _, layer, cc in convs.values() if layer.activation == "relu"]
             assert len(relu_z) == 14  # 3 feat, 2 off_hidden, 9 single layers
             min_z = min(float(np.abs(z).min()) for z in relu_z)
             # the offset layer is linear, so its pre-activation is the offset field
-            offs = np.concatenate([oc[1].z.ravel() for _, oc, _ in cache["neighbors"]])
+            offs = np.concatenate([convs[f"off_out{j}"][2].z.ravel() for j, _ in cache["neighbors"]])
             frac = np.abs(offs - np.round(offs))
             assert min_z > 0.05, "pre-activations not clear of relu corners"
             assert frac.min() > 0.1 and np.abs(offs).max() < 0.9, "offsets not mid-cell"
@@ -294,9 +300,11 @@ class TestRestorerGradients:
         assert s.window[0] is s.window[1] is s.window[2]
         model = init_restorer(seed=6)
         out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
-        convs, neighbors = cache["convs"], {j: rest for j, *rest in cache["neighbors"]}
+        convs, neighbors = cache["convs"], dict(cache["neighbors"])
         assert convs["feat0"] is convs["feat1"] is convs["feat2"]
-        assert [a is b for a, b in zip(neighbors[0], neighbors[1])] == [True, True]
+        assert convs["off_hidden0"] is convs["off_hidden1"]
+        assert convs["off_out0"] is convs["off_out1"]
+        assert neighbors[0] is neighbors[1]
         upstream = np.random.default_rng(2).normal(size=out.shape)
         writable = restorer_backward(upstream, restorer_forward_cached(
             s.window, s.side, s.aux, model)[1], model)
@@ -455,7 +463,7 @@ class TestRestoreSequence:
         from mvcodec import restorer
 
         model = init_restorer(seed=4)
-        calls = {"gather": 0, "offsets": 0, "feat": 0}
+        calls = {"gather": 0, "off_hidden": 0, "feat": 0}
 
         def counted(key, real, counts=lambda *args: True):
             def call(*args):
@@ -463,13 +471,14 @@ class TestRestoreSequence:
                 return real(*args)
             return call
 
+        def conv_of(name):
+            return lambda layer, x: layer.weights is model.params[f"{name}.w"]
+
         monkeypatch.setattr(restorer, "deformable_gather_cached",
                             counted("gather", restorer.deformable_gather_cached))
-        monkeypatch.setattr(restorer, "predict_offsets",
-                            counted("offsets", restorer.predict_offsets))
-        monkeypatch.setattr(restorer, "conv_forward_cached", counted(
-            "feat", restorer.conv_forward_cached,
-            lambda layer, x: layer.weights is model.params["feat.w"]))
+        conv = counted("off_hidden", restorer.conv_forward_cached, conv_of("off_hidden"))
+        monkeypatch.setattr(restorer, "conv_forward_cached",
+                            counted("feat", conv, conv_of("feat")))
         restore_sequence(decoded, sides, model)
 
         n = model.half_window
@@ -480,7 +489,7 @@ class TestRestoreSequence:
 
         aligned = sum(distinct(w[:n] + w[n + 1 :]) for w in windows)
         assert (aligned, sum(len(w) - 1 for w in windows)) == (12, 16)
-        assert calls["gather"] == calls["offsets"] == aligned
+        assert calls["gather"] == calls["off_hidden"] == aligned
         assert calls["feat"] == sum(distinct(w) for w in windows) == 14
 
     def test_equal_pixel_copies_change_work_never_results(self, tiny_coded, monkeypatch):
