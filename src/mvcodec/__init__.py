@@ -20,7 +20,7 @@ from .codec import (
     decode_sequence,
     encode_sequence,
 )
-from .backproject import back_project, back_project_frame, clamp_to_bounds
+from .backproject import back_project, back_project_frame
 from .restorer import (
     RestorerModel,
     TrainConfig,
@@ -53,7 +53,6 @@ __all__ = [
     "decode_sequence",
     "back_project",
     "back_project_frame",
-    "clamp_to_bounds",
     "RestorerModel",
     "TrainConfig",
     "init_restorer",

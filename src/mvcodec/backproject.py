@@ -2,15 +2,15 @@
 
 Any real-valued candidate reconstruction of a coded frame implies residual
 DCT coefficients relative to the frame's prediction.  Each coefficient of
-the original frame is known to lie in a half-step interval around the
-dequantized value, so clamping the candidate's coefficients into those
-intervals can only move the candidate closer to the truth (the DCT is
-orthonormal).
+the original frame is known to lie within half a quantization step of its
+coded level, so clamping the candidate's coefficients into those intervals
+can only move the candidate closer to the truth (the DCT is orthonormal).
 
 One pass is three frame-wide steps on the levels-plane layout of
 :class:`~mvcodec.codec.SideInfo`: one forward transform of the candidate's
 residual (:func:`~mvcodec.codec.transform_frame`), one ``np.clip`` of the
-coefficient plane against the bound planes, and one inverse transform of the
+coefficient plane against the bounds that :func:`~mvcodec.transform.coeff_bounds`
+reads straight from ``SideInfo.levels``, and one inverse transform of the
 clamp delta, which is added back in the pixel domain.  Candidates that
 already satisfy every bound come back bit-for-bit unchanged.
 """
@@ -23,15 +23,7 @@ import numpy as np
 
 from .codec import SideInfo, transform_frame
 from .frames import Frame
-from .transform import (
-    CoeffBounds,
-    QuantTable,
-    coeff_bounds,
-    dct2d,
-    dequantize,
-    idct2d,
-    round_to_uint8,
-)
+from .transform import QuantTable, coeff_bounds, dct2d, idct2d, round_to_uint8
 
 
 @dataclass(frozen=True)
@@ -44,62 +36,32 @@ class ProjectionReport:
     mse_after: float | None = None
 
 
-def _as_candidate(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:
-    arr = candidate.as_float() if isinstance(candidate, Frame) else np.asarray(
-        candidate, dtype=np.float64
-    )
+def _project(candidate: np.ndarray, side: SideInfo):
+    """One projection pass: (candidate, coefficient clamp delta, projection)."""
+    arr = np.asarray(candidate, dtype=np.float64)
     if arr.shape != side.prediction.pixels.shape:
         raise ValueError(
             f"candidate shape {arr.shape} does not match coded frame "
             f"{side.prediction.pixels.shape}"
         )
-    return arr
-
-
-def candidate_residual_coeffs(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:
-    """Residual DCT coefficients of a candidate as one frame-sized plane.
-
-    Every transform tile is transformed independently and its coefficients
-    sit in place, matching the layout of ``SideInfo.levels``.
-    """
-    resid = _as_candidate(candidate, side) - side.prediction.as_float()
-    return transform_frame(resid, side.sizes, dct2d)
-
-
-def clamp_to_bounds(coeffs: np.ndarray, bounds: CoeffBounds) -> np.ndarray:
-    """Elementwise clamp of coefficients into [lower, upper]."""
-    if np.any(bounds.lower > bounds.upper):
-        raise ValueError("bounds must satisfy lower <= upper")
-    return np.clip(coeffs, bounds.lower, bounds.upper)
-
-
-def frame_bounds(side: SideInfo) -> CoeffBounds:
-    """Quantization-interval bounds of every coefficient of a coded frame."""
-    qt = QuantTable(side.qp)
-    return coeff_bounds(dequantize(side.levels, qt), qt)
-
-
-def _project(candidate: Frame | np.ndarray, side: SideInfo):
-    """One projection pass: (candidate, coefficient clamp delta, projection)."""
-    arr = _as_candidate(candidate, side)
-    coeffs = candidate_residual_coeffs(arr, side)
-    delta = clamp_to_bounds(coeffs, frame_bounds(side)) - coeffs
+    coeffs = transform_frame(arr - side.prediction.as_float(), side.sizes, dct2d)
+    delta = np.clip(coeffs, *coeff_bounds(side.levels, QuantTable(side.qp))) - coeffs
     return arr, delta, arr + transform_frame(delta, side.sizes, idct2d)
 
 
-def back_project(candidate: Frame | np.ndarray, side: SideInfo) -> np.ndarray:
+def back_project(candidate: np.ndarray, side: SideInfo) -> np.ndarray:
     """One projection pass; returns the corrected frame as unrounded reals."""
     return _project(candidate, side)[2]
 
 
-def back_project_frame(candidate: Frame | np.ndarray, side: SideInfo) -> Frame:
+def back_project_frame(candidate: np.ndarray, side: SideInfo) -> Frame:
     """Projection followed by the final rounding and clip to [0, 255]."""
     arr = back_project(candidate, side)
     return Frame(round_to_uint8(arr))
 
 
 def projection_report(
-    candidate: Frame | np.ndarray,
+    candidate: np.ndarray,
     side: SideInfo,
     truth: Frame | None = None,
 ) -> ProjectionReport:

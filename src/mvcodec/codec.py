@@ -140,10 +140,12 @@ class CodecConfig:
             raise ValueError(f"search radius {self.search_radius} outside [0, 127]")
         if not 0 <= self.split_threshold < np.inf:
             raise ValueError("split threshold must be finite and non-negative")
-        # the stream header stores tenths, so the encoder uses the value it records
-        object.__setattr__(self, "split_threshold", round(self.split_threshold * 10) / 10)
-        if not 0 <= round(self.split_threshold * 10) <= 0xFFFF:
+        # the stream header stores tenths, so the encoder uses the value it records;
+        # tenths from 0xFFFF + 0.5 up (inf among them) round past 16 bits
+        tenths = self.split_threshold * 10
+        if tenths >= 0xFFFF + 0.5:
             raise ValueError("split threshold too large for the stream header")
+        object.__setattr__(self, "split_threshold", round(tenths) / 10)
         if self.intra_period < 0:
             raise ValueError("intra period must be non-negative")
 
@@ -566,6 +568,8 @@ def encode_with_reconstruction(
     for f in frames[1:]:
         if f.width != width or f.height != height:
             raise ValueError("all frames must share dimensions")
+    if width > 0xFFFF or height > 0xFFFF:
+        raise ValueError(f"frame size {width}x{height} too large for the stream header")
     qt = QuantTable(config.qp)
     writer = BitWriter()
     recons: list[Frame] = []

@@ -1,8 +1,8 @@
 """Orthonormal block DCT, scalar quantization, and quantization-interval bounds.
 
 Residual blocks are transformed with the orthonormal 2-D DCT-II, quantized
-with a single flat step per QP, and every decoded coefficient comes with the
-half-step interval that is guaranteed to contain the original value.
+with a single flat step per QP, and every level comes with the half-step
+interval that is guaranteed to contain the original coefficient.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ class QuantTable:
     @property
     def step(self) -> float:
         return quant_step(self.qp)
-
-
-@dataclass(frozen=True)
-class CoeffBounds:
-    """Elementwise interval [lower, upper] around dequantized coefficients."""
-
-    lower: np.ndarray
-    upper: np.ndarray
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -105,8 +97,8 @@ def quantize(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
     """Quantize coefficients to integer levels: round(c / step), ties away from zero.
 
     A level is nudged by one when float rounding of the quotient would leave
-    the coefficient outside [(level - 0.5) * step, (level + 0.5) * step]; the
-    containment guarantee behind :func:`coeff_bounds` must hold exactly.
+    the coefficient outside [(level - 0.5) * step, (level + 0.5) * step], so
+    the interval :func:`coeff_bounds` builds from the level always holds it.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if not np.all(np.isfinite(coeffs)):
@@ -128,17 +120,15 @@ def dequantize(levels: np.ndarray, table: QuantTable) -> np.ndarray:
     return levels.astype(np.float64) * table.step
 
 
-def coeff_bounds(decoded: np.ndarray, table: QuantTable) -> CoeffBounds:
-    """Half-step interval around dequantized coefficients.
+def coeff_bounds(levels: np.ndarray, table: QuantTable) -> tuple[np.ndarray, np.ndarray]:
+    """Half-step interval ``(lower, upper)`` around every quantization level.
 
-    ``decoded`` must come from :func:`dequantize`; the integer level is
-    recovered from it so that lower/upper use the same float expressions as
-    the containment check inside :func:`quantize`.
+    ``lower`` and ``upper`` are ``(levels -/+ 0.5) * step``, the float
+    expressions of the containment check inside :func:`quantize`, so every
+    coefficient that quantized to a level lies inside its interval exactly.
     """
-    decoded = np.asarray(decoded, dtype=np.float64)
     step = table.step
-    levels = np.rint(decoded / step)
-    return CoeffBounds(lower=(levels - 0.5) * step, upper=(levels + 0.5) * step)
+    return (levels - 0.5) * step, (levels + 0.5) * step
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from mvcodec.bitio import (
     signed_to_unsigned,
     unsigned_to_signed,
 )
-from mvcodec.codec import SideInfo, _pack_header, motion_search, residual_plane
+from mvcodec.codec import SideInfo, _pack_header, motion_search, residual_plane, transform_frame
 from mvcodec.fixtures import _texture
 from mvcodec.frames import Frame
 from mvcodec.nn import sigmoid
@@ -203,6 +203,11 @@ def predict_frame(intra_frame: bool, reference, side, decoded) -> Frame:
 def reconstruct_from_side_info(side) -> Frame:
     """Rebuild the decoded frame from side information alone."""
     return Frame(round_to_uint8(side.prediction.pixels + residual_plane(side)))
+
+
+def residual_coeffs(candidate: np.ndarray, side) -> np.ndarray:
+    """Residual DCT coefficient plane of a candidate against the coded prediction."""
+    return transform_frame(candidate - side.prediction.as_float(), side.sizes, dct2d)
 
 
 def zero_restorer(**kwargs) -> RestorerModel:

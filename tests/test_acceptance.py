@@ -26,11 +26,12 @@ from helpers import (
     preclip_reconstruction,
     reconstruct_from_side_info,
     rel_error,
+    residual_coeffs,
     zero_restorer,
 )
 from mvcodec import fixtures
 from mvcodec.alignment import deformable_gather_backward, deformable_gather_cached
-from mvcodec.backproject import back_project, candidate_residual_coeffs, clamp_to_bounds, frame_bounds
+from mvcodec.backproject import back_project
 from mvcodec.bitio import BitReader, BitWriter
 from mvcodec.cli import main
 from mvcodec.codec import (
@@ -48,6 +49,7 @@ from mvcodec.restorer import (
     padded_window,
     restorer_forward,
 )
+from mvcodec.transform import QuantTable, coeff_bounds
 
 
 @pytest.fixture(scope="module")
@@ -64,11 +66,6 @@ def _coded(frames, qp):
     return data, decoded, sides
 
 
-def _true_coeffs(original, side):
-    """Residual DCT coefficients of the original frame against the coded prediction."""
-    return candidate_residual_coeffs(original, side)
-
-
 def test_criterion_1_backprojection_non_expansiveness(both_fixtures):
     started = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -79,12 +76,12 @@ def test_criterion_1_backprojection_non_expansiveness(both_fixtures):
             per_pair = -(-1000 // (3 * len(frames)))  # >= 1000 per fixture overall
             for orig, dec, side in zip(frames, decoded, sides):
                 truth = orig.as_float()
-                e = _true_coeffs(orig, side)
-                bounds = frame_bounds(side)
+                e = residual_coeffs(truth, side)
+                lower, upper = coeff_bounds(side.levels, QuantTable(side.qp))
                 for _ in range(per_pair):
                     candidate = dec.as_float() + rng.uniform(-30, 30, truth.shape)
-                    c = candidate_residual_coeffs(candidate, side)
-                    f = clamp_to_bounds(c, bounds)
+                    c = residual_coeffs(candidate, side)
+                    f = np.clip(c, lower, upper)
                     assert (np.abs(f - e) <= np.abs(c - e)).all()
                     projected = back_project(candidate, side)
                     mse_before = float(np.mean((candidate - truth) ** 2))
@@ -103,9 +100,9 @@ def test_criterion_2_truth_containment(both_fixtures):
         for qp in (8, 16, 24, 32, 40):
             _, _, sides = _coded(frames, qp)
             for orig, side in zip(frames, sides):
-                e = _true_coeffs(orig, side)
-                b = frame_bounds(side)
-                assert (b.lower <= e).all() and (e <= b.upper).all(), (name, qp)
+                e = residual_coeffs(orig.as_float(), side)
+                lower, upper = coeff_bounds(side.levels, QuantTable(side.qp))
+                assert (lower <= e).all() and (e <= upper).all(), (name, qp)
     print("\nPASS criterion 2: true residual coefficients inside [L, U], exact")
 
 

@@ -1,53 +1,23 @@
 import numpy as np
 import pytest
 
-from helpers import preclip_reconstruction
-from mvcodec.backproject import (
-    back_project,
-    back_project_frame,
-    candidate_residual_coeffs,
-    clamp_to_bounds,
-    projection_report,
-)
-from mvcodec.transform import CoeffBounds, QuantTable, dequantize
-
-
-class TestClamp:
-    def test_three_branches(self):
-        bounds = CoeffBounds(lower=np.array([[25.0]]), upper=np.array([[35.0]]))
-        assert clamp_to_bounds(np.array([[38.0]]), bounds)[0, 0] == 35.0
-        assert clamp_to_bounds(np.array([[30.0]]), bounds)[0, 0] == 30.0
-        assert clamp_to_bounds(np.array([[20.0]]), bounds)[0, 0] == 25.0
-
-    def test_invalid_bounds_rejected(self):
-        bounds = CoeffBounds(lower=np.array([[1.0]]), upper=np.array([[0.0]]))
-        with pytest.raises(ValueError):
-            clamp_to_bounds(np.array([[0.5]]), bounds)
-
-    def test_non_expansive_toward_contained_truth(self):
-        rng = np.random.default_rng(21)
-        lower = rng.uniform(-50, 0, (8, 8))
-        upper = lower + rng.uniform(0.1, 30, (8, 8))
-        bounds = CoeffBounds(lower=lower, upper=upper)
-        truth = rng.uniform(lower, upper)
-        for _ in range(200):
-            x = rng.uniform(-100, 100, (8, 8))
-            f = clamp_to_bounds(x, bounds)
-            assert (np.abs(f - truth) <= np.abs(x - truth)).all()
+from helpers import preclip_reconstruction, residual_coeffs
+from mvcodec.backproject import back_project, back_project_frame, projection_report
+from mvcodec.transform import QuantTable, dequantize
 
 
 class TestResidualCoeffs:
     def test_prediction_candidate_gives_zero(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
         side = sides[1]
-        coeffs = candidate_residual_coeffs(side.prediction, side)
+        coeffs = residual_coeffs(side.prediction.as_float(), side)
         assert np.abs(coeffs).max() < 1e-9
 
     def test_preclip_reconstruction_recovers_levels(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
         side = sides[2]
         qt = QuantTable(side.qp)
-        coeffs = candidate_residual_coeffs(preclip_reconstruction(side), side)
+        coeffs = residual_coeffs(preclip_reconstruction(side), side)
         np.testing.assert_allclose(coeffs, dequantize(side.levels, qt), atol=1e-9)
 
     def test_linearity(self, coded_texture_qp24):
@@ -58,16 +28,16 @@ class TestResidualCoeffs:
         c1 = rng.uniform(0, 255, shape)
         c2 = rng.uniform(0, 255, shape)
         pred = side.prediction.as_float()
-        lhs = candidate_residual_coeffs(c1 + c2 - pred, side)
-        a = candidate_residual_coeffs(c1, side)
-        b = candidate_residual_coeffs(c2, side)
-        z = candidate_residual_coeffs(pred, side)
+        lhs = residual_coeffs(c1 + c2 - pred, side)
+        a = residual_coeffs(c1, side)
+        b = residual_coeffs(c2, side)
+        z = residual_coeffs(pred, side)
         np.testing.assert_allclose(lhs, a + b - z, atol=1e-9)
 
     def test_dimension_mismatch(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
         with pytest.raises(ValueError):
-            candidate_residual_coeffs(np.zeros((16, 16)), sides[0])
+            back_project(np.zeros((16, 16)), sides[0])
 
 
 class TestBackProjection:
@@ -81,7 +51,7 @@ class TestBackProjection:
         # truth containment means the original's coefficients are never clamped
         _, _, _, sides = coded_texture_qp24
         for orig, side in zip(texture_frames, sides):
-            projected = back_project_frame(orig, side)
+            projected = back_project_frame(orig.as_float(), side)
             assert np.array_equal(projected.pixels, orig.pixels)
 
     def test_idempotent_before_rounding(self, coded_texture_qp24):

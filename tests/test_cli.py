@@ -49,6 +49,14 @@ class TestEncode:
         _, manifest, _ = seq_dir
         assert main(["encode", str(manifest), "--qp", "60", "-o", str(tmp_path / "x.mvc")]) == 2
 
+    def test_frame_wider_than_the_stream_header_is_exit_2(self, tmp_path, capsys):
+        manifest = write_sequence(tmp_path / "wide", [Frame(np.full((16, 0x10000), 128, np.uint8))])
+        out = tmp_path / "x.mvc"
+        assert main(["encode", str(manifest), "--qp", "30", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too large" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_lower_qp_gives_bigger_file(self, seq_dir, tmp_path):
         _, manifest, _ = seq_dir
         lo = tmp_path / "lo.mvc"
@@ -385,6 +393,18 @@ def test_non_finite_tau_is_exit_2(seq_dir, tmp_path, capsys, command, tau):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tau", ["6553.55", "1e307", "1e308"])
+@pytest.mark.parametrize("command", [["encode", "--qp", "32"], ["rdcurve"]])
+def test_tau_beyond_the_stream_header_is_exit_2(seq_dir, tmp_path, capsys, command, tau):
+    _, manifest, _ = seq_dir
+    out = tmp_path / "out"
+    argv = [command[0], str(manifest), *command[1:], "--tau", tau, "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "too large" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -395,6 +396,11 @@ class TestSyntaxRoundTrip:
     @pytest.mark.parametrize("tau", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_split_threshold_rejected(self, tau):
         with pytest.raises(ValueError, match="finite"):
+            CodecConfig(qp=10, split_threshold=tau)
+
+    @pytest.mark.parametrize("tau", [6553.55, 1e307, 1e308, sys.float_info.max])
+    def test_split_threshold_beyond_the_header_rejected(self, tau):
+        with pytest.raises(ValueError, match="too large for the stream header"):
             CodecConfig(qp=10, split_threshold=tau)
 
     def test_split_threshold_is_used_as_the_header_records_it(self):

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import dct2d_direct, inverse_zigzag
 from mvcodec.transform import (
+    LEVEL_LIMIT,
     QuantTable,
     coeff_bounds,
     dct2d,
@@ -121,13 +122,13 @@ class TestQuantize:
 class TestCoeffBounds:
     def test_half_step_interval(self):
         qt = QuantTable(10)  # step 2.0
-        b = coeff_bounds(np.array([[6.0]]), qt)
-        assert b.lower[0, 0] == 5.0 and b.upper[0, 0] == 7.0
+        lower, upper = coeff_bounds(np.array([[3]]), qt)
+        assert lower[0, 0] == 5.0 and upper[0, 0] == 7.0
 
     def test_zero_coefficient_interval(self):
         qt = QuantTable(10)
-        b = coeff_bounds(np.array([[0.0]]), qt)
-        assert b.lower[0, 0] == -1.0 and b.upper[0, 0] == 1.0
+        lower, upper = coeff_bounds(np.array([[0]]), qt)
+        assert lower[0, 0] == -1.0 and upper[0, 0] == 1.0
 
     def test_matches_dequantized_plus_minus_half_step(self):
         rng = np.random.default_rng(5)
@@ -135,10 +136,21 @@ class TestCoeffBounds:
             qt = QuantTable(qp)
             levels = rng.integers(-500, 500, (8, 8))
             d = dequantize(levels, qt)
-            b = coeff_bounds(d, qt)
-            np.testing.assert_allclose(b.lower, d - qt.step / 2, rtol=1e-12)
-            np.testing.assert_allclose(b.upper, d + qt.step / 2, rtol=1e-12)
-            assert (b.lower <= b.upper).all()
+            lower, upper = coeff_bounds(levels, qt)
+            np.testing.assert_allclose(lower, d - qt.step / 2, rtol=1e-12)
+            np.testing.assert_allclose(upper, d + qt.step / 2, rtol=1e-12)
+            assert (lower <= upper).all()
+
+    @pytest.mark.parametrize("qp", range(0, 52))
+    def test_every_level_matches_the_dequantized_round_trip(self, qp):
+        # bounds read from the levels equal, bit for bit, the ones recovered
+        # from dequantized values with rint(decoded / step)
+        qt = QuantTable(qp)
+        levels = np.arange(-LEVEL_LIMIT, LEVEL_LIMIT + 1, dtype=np.int32)
+        recovered = np.rint(dequantize(levels, qt) / qt.step)
+        lower, upper = coeff_bounds(levels, qt)
+        assert np.array_equal(lower, (recovered - 0.5) * qt.step)
+        assert np.array_equal(upper, (recovered + 0.5) * qt.step)
 
     def test_containment_sweep_all_qps(self):
         # the load-bearing property: e always lands inside its interval, exactly
@@ -146,9 +158,8 @@ class TestCoeffBounds:
         coeffs = rng.uniform(-2000.0, 2000.0, 100_000)
         for qp in range(0, 52):
             qt = QuantTable(qp)
-            d = dequantize(quantize(coeffs, qt), qt)
-            b = coeff_bounds(d, qt)
-            assert (b.lower <= coeffs).all() and (coeffs <= b.upper).all()
+            lower, upper = coeff_bounds(quantize(coeffs, qt), qt)
+            assert (lower <= coeffs).all() and (coeffs <= upper).all()
 
 
 class TestRounding:
