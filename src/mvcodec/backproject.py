@@ -28,16 +28,14 @@ from .transform import QuantTable, coeff_bounds, dct2d, idct2d, round_to_uint8
 
 @dataclass(frozen=True)
 class ProjectionReport:
-    """What one projection pass did, and the MSE effect if truth is known."""
+    """What one projection pass did to the candidate's coefficients."""
 
     coefficients_clamped: int
     max_clamp_magnitude: float
-    mse_before: float | None = None
-    mse_after: float | None = None
 
 
 def _project(candidate: np.ndarray, side: SideInfo):
-    """One projection pass: (candidate, coefficient clamp delta, projection)."""
+    """One projection pass: (coefficient clamp delta, projection)."""
     arr = np.asarray(candidate, dtype=np.float64)
     if arr.shape != side.prediction.pixels.shape:
         raise ValueError(
@@ -46,12 +44,12 @@ def _project(candidate: np.ndarray, side: SideInfo):
         )
     coeffs = transform_frame(arr - side.prediction.as_float(), side.sizes, dct2d)
     delta = np.clip(coeffs, *coeff_bounds(side.levels, QuantTable(side.qp))) - coeffs
-    return arr, delta, arr + transform_frame(delta, side.sizes, idct2d)
+    return delta, arr + transform_frame(delta, side.sizes, idct2d)
 
 
 def back_project(candidate: np.ndarray, side: SideInfo) -> np.ndarray:
     """One projection pass; returns the corrected frame as unrounded reals."""
-    return _project(candidate, side)[2]
+    return _project(candidate, side)[1]
 
 
 def back_project_frame(candidate: np.ndarray, side: SideInfo) -> Frame:
@@ -60,18 +58,9 @@ def back_project_frame(candidate: np.ndarray, side: SideInfo) -> Frame:
     return Frame(round_to_uint8(arr))
 
 
-def projection_report(
-    candidate: np.ndarray,
-    side: SideInfo,
-    truth: Frame | None = None,
-) -> ProjectionReport:
+def projection_report(candidate: np.ndarray, side: SideInfo) -> ProjectionReport:
     """Run one projection and summarize the clamping it performed."""
-    arr, delta, projected = _project(candidate, side)
+    delta = _project(candidate, side)[0]
     clamped = int(np.count_nonzero(delta))
     max_mag = float(np.abs(delta).max()) if clamped else 0.0
-    mse_before = mse_after = None
-    if truth is not None:
-        ref = truth.as_float()
-        mse_before = float(np.mean((arr - ref) ** 2))
-        mse_after = float(np.mean((projected - ref) ** 2))
-    return ProjectionReport(clamped, max_mag, mse_before, mse_after)
+    return ProjectionReport(clamped, max_mag)

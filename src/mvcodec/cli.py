@@ -190,8 +190,8 @@ def cmd_train(args) -> int:
     loss_csv = Path(str(args.output) + ".loss.csv")
     rows = "".join(f"{i},{loss:.8f}\n" for i, loss in enumerate(losses))
     write_atomic(loss_csv, ("iteration,loss\n" + rows).encode("ascii"))
-    last = losses[-1] if losses else float("nan")
-    print(f"trained on {len(samples)} samples; final loss {last:.6f}")
+    last = f"{losses[-1]:.6f}" if losses else "n/a"
+    print(f"trained on {len(samples)} samples; final loss {last}")
     print(f"model -> {args.output}; loss trace -> {loss_csv}")
     return 0
 

@@ -270,9 +270,7 @@ def _dc_predict(recon: np.ndarray, x: int, y: int, size: int) -> int:
 
 
 def motion_search(
-    current: Frame | np.ndarray,
-    reference: Frame | np.ndarray,
-    radius: int,
+    current: np.ndarray, reference: np.ndarray, radius: int
 ) -> dict[int, np.ndarray]:
     """Exhaustive integer-pel SAD search over [-radius, radius]^2 of every
     16/8/4 block of a frame: ``result[size][i, j]`` is the ``(dx, dy)`` of
@@ -282,9 +280,7 @@ def motion_search(
     The cost volume is built ``SEARCH_BAND`` rows at a time, which bounds its
     memory: one pass over the displacements computes a band's 4x4 SADs, and
     the 8x8 and 16x16 SADs are their exact 2x2 sums."""
-    cur = current.pixels if isinstance(current, Frame) else current
-    ref = reference.pixels if isinstance(reference, Frame) else reference
-    h, w = ref.shape
+    h, w = reference.shape
     n = 2 * radius + 1
     # the (dy, dx) grid in tie-break order, so the first minimum wins
     dys, dxs = np.indices((n, n)).reshape(2, -1) - radius
@@ -292,9 +288,9 @@ def motion_search(
     found: dict[int, list[np.ndarray]] = {size: [] for size in LEAF_SIZES}
     for top in range(0, h, SEARCH_BAND):
         rows = min(SEARCH_BAND, h - top)
-        block = cur[top : top + rows].astype(np.int16)
+        block = current[top : top + rows].astype(np.int16)
         ys = np.clip(np.arange(top - radius, top + rows + radius), 0, h - 1)
-        window = np.pad(ref[ys].astype(np.int16), ((0, 0), (radius, radius)), mode="edge")
+        window = np.pad(reference[ys].astype(np.int16), ((0, 0), (radius, radius)), mode="edge")
         # shifted[i, dx + radius] is window row i read at columns x - dx + radius
         shifted = sliding_window_view(window, w, axis=1)[:, ::-1]
         diff = np.empty((rows, n, w), dtype=np.int16)

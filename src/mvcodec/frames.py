@@ -77,7 +77,6 @@ class FrameSequenceManifest:
 
     width: int
     height: int
-    fps: int
     paths: tuple[Path, ...]
 
 
@@ -163,18 +162,17 @@ def load_manifest(path: Path | str) -> FrameSequenceManifest:
     if len(head) != 3:
         raise SequenceError(f"{path}: manifest header must be 'W H FPS'")
     try:
-        width, height, fps = (int(tok) for tok in head)
+        width, height, _ = (int(tok) for tok in head)  # the frame rate goes unused
     except ValueError as exc:
         raise SequenceError(f"{path}: non-integer manifest header") from exc
     base = path.parent
     paths = tuple(base / ln for ln in lines[1:])
-    return FrameSequenceManifest(width, height, fps, paths)
+    return FrameSequenceManifest(width, height, paths)
 
 
-def load_sequence(manifest: FrameSequenceManifest | Path | str) -> list[Frame]:
-    """Load every frame named by a manifest, validating dimensions."""
-    if not isinstance(manifest, FrameSequenceManifest):
-        manifest = load_manifest(manifest)
+def load_sequence(path: Path | str) -> list[Frame]:
+    """Load every frame named by a manifest file, validating dimensions."""
+    manifest = load_manifest(path)
     frames = []
     for p in manifest.paths:
         if not p.exists():

@@ -17,11 +17,14 @@ too.  Its input gradient is the full correlation of the zero-padded upstream
 gradient with the flipped, transposed kernel (:func:`_correlate` again),
 folded back from the padded border.  Its weight gradient is one GEMM per tap
 on the padded rows, so it builds no column buffer either.
+
+:func:`adam_step` is bias-corrected Adam with one fixed setting, the module
+constants: learning rate 1e-4, betas 0.9 and 0.999, epsilon 1e-8.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -252,34 +255,19 @@ def l1_loss_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 # Adam
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer and loop settings for restorer training."""
-
-    learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    batch_size: int = 2
-    iterations: int = 2000
-    seed: int = 1
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.batch_size < 1 or self.iterations < 0:
-            raise ValueError("batch size must be >= 1 and iterations >= 0")
+ADAM_LR = 1e-4
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class AdamState:
     """First/second moment estimates per parameter, plus the step count."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    t: int = 0
+    m: dict[str, np.ndarray]
+    v: dict[str, np.ndarray]
+    t: int
 
 
 def adam_init(params: dict[str, np.ndarray]) -> AdamState:
@@ -294,13 +282,12 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
-    config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
+) -> None:
     """One bias-corrected Adam update, applied in place."""
     if set(params) != set(grads):
         raise ValueError("params and grads must have identical keys")
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for name, p in params.items():
@@ -313,5 +300,4 @@ def adam_step(
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
-    return params, state
+        p -= ADAM_LR * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -16,6 +16,9 @@ the conv layers (the offset predictor, each attention map and the fusion
 convs among them), the deformable gather and the attention gating.  Each
 unit's backward reads only its upstream gradient, its parameters and the
 cache its forward returned, so training runs exactly the checked code.
+
+:class:`TrainConfig` holds the loop settings of :func:`train_restorer` (batch
+size, iterations, seed); Adam's hyper-parameters are ``nn`` constants.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .frames import Frame, write_atomic
 from .nn import (
     ConvCache,
     ConvLayer,
-    TrainConfig,
     adam_init,
     adam_step,
     conv_backward,
@@ -463,16 +465,26 @@ def build_training_samples(
     return samples
 
 
+@dataclass(frozen=True)
+class TrainConfig:
+    """Loop settings of :func:`train_restorer`; Adam's are ``nn`` constants."""
+
+    batch_size: int = 2
+    iterations: int = 2000
+    seed: int = 1
+
+    def __post_init__(self):
+        if self.batch_size < 1 or self.iterations < 0:
+            raise ValueError("batch size must be >= 1 and iterations >= 0")
+
+
 def train_restorer(
-    dataset: list[TrainSample],
-    config: TrainConfig,
-    model: RestorerModel | None = None,
+    dataset: list[TrainSample], config: TrainConfig
 ) -> tuple[RestorerModel, list[float]]:
-    """Mini-batch Adam on L1 loss; fully deterministic for a given seed."""
+    """Seeded, deterministic mini-batch Adam on L1 loss from ``init_restorer``."""
     if not dataset:
         raise ValueError("training dataset is empty")
-    if model is None:
-        model = init_restorer(seed=config.seed)
+    model = init_restorer(seed=config.seed)
     # epoch permutations, concatenated and chunked into batches: a fixed
     # seed-derived order whose windows mix samples evenly (smooth loss trace)
     rng = np.random.default_rng(config.seed)
@@ -501,7 +513,7 @@ def train_restorer(
         losses.append(loss)
         for name in grads:
             grads[name] /= config.batch_size
-        adam_step(model.params, grads, state, config)
+        adam_step(model.params, grads, state)
     return model, losses
 
 

@@ -325,7 +325,7 @@ def encode_per_leaf(frames: list[Frame], config) -> tuple[bytes, list[Frame]]:
             recon[y : y + size, x : x + size] = rebuilt
 
         if not intra:
-            found = motion_search(cur, recons[-1], radius)
+            found = motion_search(cur, recons[-1].pixels, radius)
             vectors = {size: v.tolist() for size, v in found.items()}
         for my in range(0, height, 16):
             for mx in range(0, width, 16):

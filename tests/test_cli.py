@@ -424,12 +424,16 @@ class TestTrainCommand:
         assert loss_rows[0] == "iteration,loss"
         assert len(loss_rows) == 1 + 6
 
-    def test_zero_iterations_write_the_initial_model_and_a_header_only_trace(self, tmp_path):
+    def test_zero_iterations_write_the_initial_model_and_a_header_only_trace(
+        self, tmp_path, capsys
+    ):
         seq_manifest = write_sequence(tmp_path / "seq", fixtures.translating_texture(3, seed=7))
         dataset = tmp_path / "dataset.txt"
         dataset.write_text(str(seq_manifest) + "\n")
         out = tmp_path / "m.mvdr"
         assert main(["train", str(dataset), "--iters", "0", "--seed", "2", "-o", str(out)]) == 0
+        # no loss was computed, and "nan" would read as a numerical abort
+        assert capsys.readouterr().out.splitlines()[0] == "trained on 12 samples; final loss n/a"
         initial = init_restorer(seed=2)
         for name, p in load_model(out).params.items():
             assert np.array_equal(p, initial.params[name]), name

@@ -45,14 +45,14 @@ def _const(value, size=64):
 
 def _leaf_search(current, reference, leaf, radius):
     """The vector the frame search finds for one leaf."""
-    vectors = motion_search(current, reference, radius)[leaf.size]
+    vectors = motion_search(current.pixels, reference.pixels, radius)[leaf.size]
     dx, dy = vectors[leaf.y // leaf.size][leaf.x // leaf.size]
     return dx, dy
 
 
 def _assert_matches_per_leaf_oracle(current, reference, radius):
     """Every block vector of the frame search is the per-leaf oracle's."""
-    found = motion_search(current, reference, radius)
+    found = motion_search(current.pixels, reference.pixels, radius)
     assert set(found) == {16, 8, 4}
     height, width = reference.pixels.shape
     for size, vectors in found.items():

@@ -16,7 +16,7 @@ import pytest
 from mvcodec import fixtures
 from mvcodec.backproject import back_project_frame
 from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence, side_info_to_json
-from mvcodec.nn import TrainConfig
+from mvcodec.restorer import TrainConfig
 from mvcodec.restorer import (
     build_training_samples,
     init_restorer,

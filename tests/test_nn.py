@@ -14,8 +14,8 @@ from helpers import (
     rel_error,
 )
 from mvcodec.nn import (
+    ADAM_LR,
     ConvLayer,
-    TrainConfig,
     adam_init,
     adam_step,
     conv_backward,
@@ -227,7 +227,7 @@ class TestAdam:
         before = {k: v.copy() for k, v in params.items()}
         state = adam_init(params)
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        adam_step(params, grads, state, TrainConfig())
+        adam_step(params, grads, state)
         for k in params:
             assert np.array_equal(params[k], before[k])
             assert not state.m[k].any() and not state.v[k].any()
@@ -238,20 +238,17 @@ class TestAdam:
         state.m["w"][:] = 1.0
         state.v["w"][:] = 2.0
         grads = {k: np.zeros_like(v) for k, v in params.items()}
-        adam_step(params, grads, state, TrainConfig())
+        adam_step(params, grads, state)
         np.testing.assert_allclose(state.m["w"], 0.9)
         np.testing.assert_allclose(state.v["w"], 2.0 * 0.999)
 
     def test_first_step_magnitude_is_learning_rate(self):
-        config = TrainConfig(learning_rate=1e-4)
         params = {"w": np.array([1.0, 1.0])}
         state = adam_init(params)
         grads = {"w": np.array([0.7, -2.3])}
-        adam_step(params, grads, state, config)
+        adam_step(params, grads, state)
         step = params["w"] - 1.0
-        np.testing.assert_allclose(
-            step, -config.learning_rate * np.sign(grads["w"]), rtol=1e-6
-        )
+        np.testing.assert_allclose(step, -ADAM_LR * np.sign(grads["w"]), rtol=1e-6)
 
     def test_two_runs_are_bit_identical(self):
         rng = np.random.default_rng(8)
@@ -262,14 +259,6 @@ class TestAdam:
             g_rng = np.random.default_rng(123)
             for _ in range(25):
                 grads = {"w": g_rng.normal(size=10)}
-                adam_step(params, grads, state, TrainConfig())
+                adam_step(params, grads, state)
             trajectories.append(params["w"].copy())
         assert np.array_equal(trajectories[0], trajectories[1])
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(beta1=1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=0)

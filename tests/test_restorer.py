@@ -15,9 +15,10 @@ from helpers import (
 from mvcodec import fixtures
 from mvcodec.codec import CodecConfig, decode_sequence, encode_sequence
 from mvcodec.frames import Frame
-from mvcodec.nn import ConvLayer, TrainConfig, l1_loss
+from mvcodec.nn import ConvLayer, l1_loss
 from mvcodec.restorer import (
     ARCH_FIELDS,
+    TrainConfig,
     TrainingDiverged,
     build_aux_planes,
     build_training_samples,
@@ -362,15 +363,26 @@ class TestTraining:
             train_restorer([], TrainConfig(iterations=1))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_aborts_with_diagnostic(self, tiny_coded):
+    def test_nan_aborts_with_diagnostic(self, tiny_coded, monkeypatch):
         # deliberately overflow the forward pass; the resulting non-finite
         # loss must abort with the dedicated exception
         _, _, _, samples = tiny_coded
+        from mvcodec import restorer
+
         model = init_restorer(seed=1)
         model.params["rec2.w"][:] = 1e300
         model.params["vmix.w"][:] = 1e300
+        monkeypatch.setattr(restorer, "init_restorer", lambda seed: model)
         with pytest.raises(TrainingDiverged):
-            train_restorer(samples, TrainConfig(iterations=2, batch_size=1), model=model)
+            train_restorer(samples, TrainConfig(iterations=2, batch_size=1))
+
+    def test_config_validation(self):
+        with pytest.raises(ValueError):
+            TrainConfig(batch_size=0)
+
+    def test_config_holds_only_the_loop_settings(self):
+        names = [f.name for f in dataclasses.fields(TrainConfig)]
+        assert names == ["batch_size", "iterations", "seed"]
 
 
 class TestCrops:
