@@ -6,7 +6,8 @@ and channel 2t+1 the vertical displacement of tap t, taps in row-major grid
 order.  All sampling clamps coordinates to the map; the coordinate gradient
 is zero wherever the clamp saturates.  The gather builds its sampling
 coordinates, corner indices and weights in place, in the arrays its cache
-keeps.
+keeps; a gather that keeps no cache builds them one band of output rows at
+a time.
 
 The warp follows the codec's motion convention: a leaf with vector (dx, dy)
 reads its content from (x - dx, y - dy) in the map being warped.
@@ -93,18 +94,91 @@ class GatherCache(NamedTuple):
     sampled: np.ndarray  # (c, taps, h, w) bilinear samples
 
 
+# output rows per band of a gather that keeps no cache
+GATHER_BAND = 32
+
+
+def _sample_rows(
+    flat: np.ndarray, h: int, w: int, kernel_size: int, offsets: np.ndarray, y0: int
+) -> tuple[np.ndarray, ...]:
+    """Bilinear samples of the output rows from ``y0`` that ``offsets``
+    (``(2 * taps, rows, w)``) covers, read from ``flat`` (``(c, h * w)``).
+
+    Returns ``(sampled, index, corner_w, fx, fy, sat_x, sat_y)`` shaped as
+    the fields of :class:`GatherCache` for those rows.
+    """
+    c = flat.shape[0]
+    rows = offsets.shape[1]
+    taps = kernel_size * kernel_size
+    n = taps * rows * w
+    # every tap's sampling point, clamped in place once its saturation is noted
+    gx, gy = kernel_grid(kernel_size)
+    px = (np.arange(w, dtype=np.float64) + gx[:, None])[:, None, :] + offsets[0::2]
+    py = (np.arange(y0, y0 + rows, dtype=np.float64) + gy[:, None])[:, :, None] + offsets[1::2]
+    sat_x = px < 0.0
+    sat_x |= px > w - 1.0
+    sat_y = py < 0.0
+    sat_y |= py > h - 1.0
+    np.clip(px, 0.0, w - 1.0, out=px)
+    np.clip(py, 0.0, h - 1.0, out=py)
+    # corner 00 is the capped floor (see GatherCache); subtracting the floor
+    # leaves the fractions in px and py
+    index = np.empty((4, n), dtype=np.intp)
+    ci = index.reshape(4, taps, rows, w)
+    np.floor(py, out=ci[0], casting="unsafe")
+    np.minimum(ci[0], max(h - 2, 0), out=ci[0])
+    py -= ci[0]
+    np.floor(px, out=ci[1], casting="unsafe")
+    np.minimum(ci[1], max(w - 2, 0), out=ci[1])
+    px -= ci[1]
+    ci[0] *= w
+    ci[0] += ci[1]
+    step_x, step_y = int(w > 1), w * int(h > 1)
+    np.add(index[0], step_x, out=index[1])
+    np.add(index[0], step_y, out=index[2])
+    np.add(index[0], step_x + step_y, out=index[3])
+    # bilinear weights; rows 1 and 2 hold 1 - fy and 1 - fx until their
+    # products overwrite them
+    corner_w = np.empty((4, n))
+    cw = corner_w.reshape(4, taps, rows, w)
+    np.subtract(1.0, py, out=cw[1])
+    np.subtract(1.0, px, out=cw[2])
+    np.multiply(cw[2], cw[1], out=cw[0])
+    cw[1] *= px
+    cw[2] *= py
+    np.multiply(px, py, out=cw[3])
+    sampled = np.take(flat, index[0], axis=1)
+    sampled *= corner_w[0]
+    # the other corners go through one channel-sized buffer; every index is
+    # in range, and mode="clip" lets take write into it without buffering
+    corner = np.empty(n)
+    for ch in range(c):
+        for k in range(1, 4):
+            np.take(flat[ch], index[k], out=corner, mode="clip")
+            corner *= corner_w[k]
+            sampled[ch] += corner
+    return sampled, index, corner_w, px, py, sat_x, sat_y
+
+
 def deformable_gather_cached(
     fmap: np.ndarray,
     kernel_size: int,
     offsets: np.ndarray,
     weights: np.ndarray,
-) -> tuple[np.ndarray, GatherCache]:
+    _record: bool = True,
+) -> tuple[np.ndarray, GatherCache | None]:
     """Convolution whose taps are displaced by per-position offsets.
 
     With all-zero offsets this is an ordinary cross-correlation with
     clamp-to-edge padding.  ``weights`` is (out_ch, in_ch, k, k); there is
     no bias term.  Returns ``(output, cache)``; the cache is what
     :func:`deformable_gather_backward` reads.
+
+    The restorer's inference forward passes ``_record`` false: the gather
+    then keeps no cache and returns None for it, and it works through
+    :data:`GATHER_BAND` output rows at a time, each band with its own
+    indices, weights, samples and product, so its working set stays that of
+    one band.  The output is bitwise the same either way.
     """
     fmap = _check_map(fmap)
     offsets = np.asarray(offsets, dtype=np.float64)
@@ -120,57 +194,21 @@ def deformable_gather_cached(
             f"offsets must be ({2 * taps}, {h}, {w}) for kernel {kernel_size}, "
             f"got {offsets.shape}"
         )
-    # every tap's sampling point, clamped in place once its saturation is noted
-    gx, gy = kernel_grid(kernel_size)
-    px = (np.arange(w, dtype=np.float64) + gx[:, None])[:, None, :] + offsets[0::2]
-    py = (np.arange(h, dtype=np.float64) + gy[:, None])[:, :, None] + offsets[1::2]
-    sat_x = px < 0.0
-    sat_x |= px > w - 1.0
-    sat_y = py < 0.0
-    sat_y |= py > h - 1.0
-    np.clip(px, 0.0, w - 1.0, out=px)
-    np.clip(py, 0.0, h - 1.0, out=py)
-    # corner 00 is the capped floor (see GatherCache); subtracting the floor
-    # leaves the fractions in px and py
-    index = np.empty((4, taps * h * w), dtype=np.intp)
-    ci = index.reshape(4, taps, h, w)
-    np.floor(py, out=ci[0], casting="unsafe")
-    np.minimum(ci[0], max(h - 2, 0), out=ci[0])
-    py -= ci[0]
-    np.floor(px, out=ci[1], casting="unsafe")
-    np.minimum(ci[1], max(w - 2, 0), out=ci[1])
-    px -= ci[1]
-    ci[0] *= w
-    ci[0] += ci[1]
-    step_x, step_y = int(w > 1), w * int(h > 1)
-    np.add(index[0], step_x, out=index[1])
-    np.add(index[0], step_y, out=index[2])
-    np.add(index[0], step_x + step_y, out=index[3])
-    # bilinear weights; rows 1 and 2 hold 1 - fy and 1 - fx until their
-    # products overwrite them
-    corner_w = np.empty((4, taps * h * w))
-    cw = corner_w.reshape(4, taps, h, w)
-    np.subtract(1.0, py, out=cw[1])
-    np.subtract(1.0, px, out=cw[2])
-    np.multiply(cw[2], cw[1], out=cw[0])
-    cw[1] *= px
-    cw[2] *= py
-    np.multiply(px, py, out=cw[3])
     flat = fmap.reshape(c, h * w)
-    sampled = np.take(flat, index[0], axis=1)
-    sampled *= corner_w[0]
-    # the other corners go through one channel-sized buffer; every index is
-    # in range, and mode="clip" lets take write into it without buffering
-    corner = np.empty(taps * h * w)
-    for ch in range(c):
-        for k in range(1, 4):
-            np.take(flat[ch], index[k], out=corner, mode="clip")
-            corner *= corner_w[k]
-            sampled[ch] += corner
-    out = weights.reshape(weights.shape[0], c * taps) @ sampled.reshape(c * taps, h * w)
-    sampled = sampled.reshape(c, taps, h, w)
-    cache = GatherCache(flat, index, corner_w, px, py, sat_x, sat_y, sampled)
-    return out.reshape(weights.shape[0], h, w), cache
+    wr = weights.reshape(weights.shape[0], c * taps)
+    if _record:
+        sampled, *fields = _sample_rows(flat, h, w, kernel_size, offsets, 0)
+        out = wr @ sampled.reshape(c * taps, h * w)
+        cache = GatherCache(flat, *fields, sampled.reshape(c, taps, h, w))
+        return out.reshape(weights.shape[0], h, w), cache
+    out = np.empty((weights.shape[0], h, w))
+    for y0 in range(0, h, GATHER_BAND):
+        band = offsets[:, y0 : y0 + GATHER_BAND]
+        rows = band.shape[1]
+        sampled = _sample_rows(flat, h, w, kernel_size, band, y0)[0]
+        out[:, y0 : y0 + rows] = (wr @ sampled.reshape(c * taps, rows * w)).reshape(-1, rows, w)
+        del sampled  # before the next band builds its own
+    return out, None
 
 
 def deformable_gather_backward(

@@ -4,19 +4,22 @@ Feature maps are float64 arrays shaped (channels, height, width).  Every conv
 runs on one flat layout: the input is edge-padded into rows of stride
 ``Wp = w + k - 1``, so tap ``(i, j)`` of output pixel ``(y, x)`` reads flat
 element ``y * Wp + x + i * Wp + j`` and each tap is one contiguous slice at
-offset ``i * Wp + j``.  :func:`_correlate` picks a GEMM form from the
-layer's shape.  With fewer output than input channels it runs kn2row: one
-``(k*k*out, in)`` product over the padded rows, then k*k shifted adds of its
-rows (Vasudevan et al. 2017), so no ``in*k*k``-row column buffer is built.
-Otherwise it copies the k*k tap slices into columns and runs one GEMM, which
-is cheaper when the shifted adds would outweigh the columns.
+offset ``i * Wp + j``.  An input given as several channel groups is padded
+group by group into that one buffer, never stacked first.
+:func:`_correlate` picks a GEMM form from the layer's shape.  With fewer
+output than input channels it runs kn2row: one ``(k*k*out, in)`` product
+over the padded rows, then k*k shifted adds of its rows (Vasudevan et al.
+2017), so no ``in*k*k``-row column buffer is built.  Otherwise it copies the
+k*k tap slices into columns and runs one GEMM, which is cheaper when the
+shifted adds would outweigh the columns.
 
 :func:`conv_backward` reads only the upstream gradient, the layer and the
 cache that :func:`conv_forward_cached` returned, and takes the smaller side
 too.  Its input gradient is the full correlation of the zero-padded upstream
 gradient with the flipped, transposed kernel (:func:`_correlate` again),
-folded back from the padded border.  Its weight gradient is one GEMM per tap
-on the padded rows, so it builds no column buffer either.
+folded back from the padded border through an index built once per shape; a
+caller that needs no input gradient skips it.  Its weight gradient is one
+GEMM per tap on the padded rows, so it builds no column buffer either.
 
 :func:`adam_step` is bias-corrected Adam with one fixed setting, the module
 constants: learning rate 1e-4, betas 0.9 and 0.999, epsilon 1e-8.
@@ -25,6 +28,7 @@ constants: learning rate 1e-4, betas 0.9 and 0.999, epsilon 1e-8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -77,33 +81,47 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_input(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise ValueError(f"feature map must be (channels, h, w), got {x.shape}")
-    if x.shape[0] != layer.weights.shape[1]:
+def _check_input(layer: ConvLayer, groups: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    groups = [np.asarray(g, dtype=np.float64) for g in groups]
+    for g in groups:
+        if g.ndim != 3:
+            raise ValueError(f"feature map must be (channels, h, w), got {g.shape}")
+        if g.shape[1:] != groups[0].shape[1:]:
+            raise ValueError(
+                f"channel groups must share one size, got {g.shape[1:]} and {groups[0].shape[1:]}"
+            )
+    channels = sum(g.shape[0] for g in groups)
+    if channels != layer.weights.shape[1]:
         raise ValueError(
-            f"input has {x.shape[0]} channels, layer expects {layer.weights.shape[1]}"
+            f"input has {channels} channels, layer expects {layer.weights.shape[1]}"
         )
-    return x
+    return groups
 
 
-def _edge_pad(x: np.ndarray, pad: int) -> np.ndarray:
-    """Clamp-to-edge padding of ``x`` as flat rows of stride ``w + 2 * pad``.
+def _edge_pad(groups: list[np.ndarray], pad: int) -> np.ndarray:
+    """Clamp-to-edge padding of the channel groups, stacked in order, as flat
+    rows of stride ``w + 2 * pad``.
 
-    The ``2 * pad`` zeros after the last row keep every tap's ``h``-row slice
-    inside the buffer.
+    Each group is padded straight into its channels of the buffer, so no
+    stacked copy of the input is built.  The ``2 * pad`` zeros after the last
+    row keep every tap's ``h``-row slice inside the buffer.
     """
-    c, h, w = x.shape
+    c = sum(g.shape[0] for g in groups)
+    h, w = groups[0].shape[1:]
     if pad == 0:
+        x = groups[0] if len(groups) == 1 else np.concatenate(groups)
         return x.reshape(c, h * w)
     size = (h + 2 * pad) * (w + 2 * pad)
     flat = np.empty((c, size + 2 * pad))
     flat[:, size:] = 0.0
     xp = flat[:, :size].reshape(c, h + 2 * pad, w + 2 * pad)
-    xp[:, pad:-pad, pad:-pad] = x
-    xp[:, pad:-pad, :pad] = x[:, :, :1]
-    xp[:, pad:-pad, -pad:] = x[:, :, -1:]
+    start = 0
+    for g in groups:
+        gp = xp[start : start + g.shape[0]]
+        gp[:, pad:-pad, pad:-pad] = g
+        gp[:, pad:-pad, :pad] = g[:, :, :1]
+        gp[:, pad:-pad, -pad:] = g[:, :, -1:]
+        start += g.shape[0]
     xp[:, :pad] = xp[:, pad : pad + 1]
     xp[:, -pad:] = xp[:, -pad - 1 : -pad]
     return flat
@@ -167,23 +185,46 @@ def _correlate(
     return acc
 
 
-def conv_forward_cached(layer: ConvLayer, x: np.ndarray) -> tuple[np.ndarray, ConvCache]:
+def conv_forward_cached(
+    layer: ConvLayer, x: np.ndarray, *more: np.ndarray
+) -> tuple[np.ndarray, ConvCache]:
     """Output feature map (same spatial size as the input) and the
-    padded-input/pre-activation cache :func:`conv_backward` reads."""
-    x = _check_input(layer, x)
+    padded-input/pre-activation cache :func:`conv_backward` reads.
+
+    The input is ``x`` stacked along channels with any further groups in
+    ``more``, all of one height and width; the stack is never built.
+    """
+    groups = _check_input(layer, (x, *more))
     out_ch, _, k, _ = layer.weights.shape
-    _, h, w = x.shape
+    _, h, w = groups[0].shape
     stride = w + k - 1
-    flat = _edge_pad(x, k // 2)
+    flat = _edge_pad(groups, k // 2)
     z = _correlate(layer.weights, flat, k, stride, h * stride).reshape(out_ch, h, stride)
     z = z[:, :, :w] + layer.bias[:, None, None]
     return _activate(z, layer.activation), ConvCache(flat=flat, z=z)
 
 
+@lru_cache(maxsize=64)
+def _fold_index(channels: int, h: int, w: int, pad: int) -> np.ndarray:
+    """Flat index of the input pixel that each element of a ``(channels,
+    h + 2 * pad, w + 2 * pad)`` edge-padded map replicates; read-only, since
+    every caller shares it."""
+    iy = np.clip(np.arange(h + 2 * pad) - pad, 0, h - 1)
+    ix = np.clip(np.arange(w + 2 * pad) - pad, 0, w - 1)
+    index = ((iy[:, None] * w + ix).ravel() + h * w * np.arange(channels)[:, None]).ravel()
+    index.flags.writeable = False
+    return index
+
+
 def conv_backward(
-    layer: ConvLayer, upstream: np.ndarray, cache: ConvCache
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (d_input, d_weights, d_bias) of the forward that returned ``cache``."""
+    layer: ConvLayer, upstream: np.ndarray, cache: ConvCache, *, input_grad: bool = True
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Gradients (d_input, d_weights, d_bias) of the forward that returned ``cache``.
+
+    With ``input_grad`` false, d_input is None and is not computed: the
+    restorer passes that for the convs whose inputs are pixels or prior
+    planes.
+    """
     upstream = np.asarray(upstream, dtype=np.float64)
     out_ch, in_ch, k, _ = layer.weights.shape
     pad = k // 2
@@ -210,6 +251,8 @@ def conv_backward(
         for j in range(k):
             start = i * stride + j
             d_weights[:, :, i, j] = dz_rows @ cache.flat[:, start : start + span].T
+    if not input_grad:
+        return None, d_weights, d_bias
 
     # gradient w.r.t. the padded input: full correlation of dz, zero-padded
     # by k - 1, with the flipped and transposed kernel
@@ -222,10 +265,8 @@ def conv_backward(
         return g_padded, d_weights, d_bias
     # fold the replicated border back onto the edge pixels: one bincount over
     # every channel's clamped flat index
-    iy = np.clip(np.arange(h + 2 * pad) - pad, 0, h - 1)
-    ix = np.clip(np.arange(w + 2 * pad) - pad, 0, w - 1)
-    index = (iy[:, None] * w + ix).ravel() + h * w * np.arange(in_ch)[:, None]
-    d_input = np.bincount(index.ravel(), g_padded.ravel(), in_ch * h * w).reshape(in_ch, h, w)
+    index = _fold_index(in_ch, h, w, pad)
+    d_input = np.bincount(index, g_padded.ravel(), in_ch * h * w).reshape(in_ch, h, w)
     return d_input, d_weights, d_bias
 
 

@@ -94,12 +94,12 @@ def build_aux_planes(side: SideInfo) -> np.ndarray:
 
 def fuse(
     fv: np.ndarray, fa: np.ndarray, fl: np.ndarray, ma: np.ndarray, ml: np.ndarray
-) -> np.ndarray:
-    """Gate the two auxiliary feature groups and stack them after the video
-    features: ``concat(fv, fa * ma, fl * ml)``."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate the two auxiliary feature groups: the channel groups
+    ``(fv, fa * ma, fl * ml)`` that the fusion conv reads as one stack."""
     if ma.shape != (1,) + fa.shape[1:] or ml.shape != (1,) + fl.shape[1:]:
         raise ValueError("attention maps must be (1, h, w) matching the features")
-    return np.concatenate([fv, fa * ma, fl * ml], axis=0)
+    return fv, fa * ma, fl * ml
 
 
 def fuse_backward(
@@ -111,7 +111,7 @@ def fuse_backward(
     ml: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Gradients ``(d_fv, d_fa, d_fl, d_ma, d_ml)`` of :func:`fuse` at the
-    same inputs."""
+    same inputs; ``upstream`` is the gradient of its groups' stack."""
     cv, ca = fv.shape[0], fa.shape[0]
     d_fv = upstream[:cv]
     d_fa = upstream[cv : cv + ca] * ma
@@ -250,16 +250,18 @@ def restorer_forward_cached(
 
     :func:`restorer_forward` runs this same composition with ``_record``
     false: the conv registry and the neighbour list then stay empty, so each
-    unit's cache is freed as soon as the unit returns, and the returned cache
-    is empty.
+    unit's cache is freed as soon as the unit returns, the gather runs in
+    row bands and keeps no cache, and the returned cache is empty.
     """
     _check_window(window, side, model)
     n = model.half_window
     convs: dict[str, tuple[str, ConvLayer, ConvCache]] = {}
 
-    def conv(name: str, activation: str, x: np.ndarray, key: str | None = None) -> np.ndarray:
+    def conv(
+        name: str, activation: str, *groups: np.ndarray, key: str | None = None
+    ) -> np.ndarray:
         layer = model.layer(name, activation)
-        y, cc = conv_forward_cached(layer, x)
+        y, cc = conv_forward_cached(layer, *groups)
         if _record:
             convs[key or name] = (name, layer, cc)
         return y
@@ -290,27 +292,29 @@ def restorer_forward_cached(
                     convs[f"{name}{j}"] = convs[f"{name}{i}"]
             continue
         warped = warp_mv(feats[j], mv_planes)
-        # nested, so the hidden map and its input die before the gather
+        # nested, so the hidden map dies before the gather
         offsets = conv("off_out", "none", conv(
-            "off_hidden", "relu", np.concatenate([feats[n], warped, mv_planes]),
-            key=f"off_hidden{j}",
+            "off_hidden", "relu", feats[n], warped, mv_planes, key=f"off_hidden{j}",
         ), key=f"off_out{j}")
         slots[j], gather_cache = deformable_gather_cached(
-            warped, model.kernel_size, offsets, gather_w
+            warped, model.kernel_size, offsets, gather_w, _record
         )
         if _record:
             gathers[j] = gather_cache
-        # the offsets and an unrecorded cache die here, before the next
-        # neighbour builds its own
-        del gather_cache, offsets
+        # the offsets and the warped map die here unless the cache keeps
+        # them, before the next neighbour builds its own
+        del gather_cache, offsets, warped
 
-    fv = conv("vres", "relu", conv("vmix", "relu", np.concatenate(slots, axis=0)))
+    fv = conv("vmix", "relu", *slots)
+    # the window's features are dead once vmix has read them
+    del feats, slots
+    fv = conv("vres", "relu", fv)
     structure = np.stack([np.hypot(*mv_planes) / MV_NORM, side.sizes / SIZE_NORM])
     fa = conv("auxa2", "relu", conv("auxa1", "relu", aux))
     fl = conv("auxl2", "relu", conv("auxl1", "relu", structure))
-    ma = conv("attn_a", "sigmoid", np.concatenate([fv, fa], axis=0))
-    ml = conv("attn_l", "sigmoid", np.concatenate([fv, fl], axis=0))
-    fused = conv("agg2", "relu", conv("agg1", "relu", fuse(fv, fa, fl, ma, ml)))
+    ma = conv("attn_a", "sigmoid", fv, fa)
+    ml = conv("attn_l", "sigmoid", fv, fl)
+    fused = conv("agg2", "relu", conv("agg1", "relu", *fuse(fv, fa, fl, ma, ml)))
 
     resid = conv("rec2", "none", conv("rec1", "relu", fused))
     out = window[n].as_float() + PIXEL_NORM * resid[0]
@@ -346,9 +350,9 @@ def restorer_backward(
     c = model.channels
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
 
-    def conv_back(key: str, up: np.ndarray) -> np.ndarray:
+    def conv_back(key: str, up: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         name, layer, cc = cache["convs"][key]
-        dx, dw, db = conv_backward(layer, up, cc)
+        dx, dw, db = conv_backward(layer, up, cc, input_grad=input_grad)
         grads[f"{name}.w"] += dw
         grads[f"{name}.b"] += db
         return dx
@@ -360,8 +364,9 @@ def restorer_backward(
     d_cat_a = conv_back("attn_a", d_ma)
     d_cat_l = conv_back("attn_l", d_ml)
     d_fv = d_fv + d_cat_a[:c] + d_cat_l[:c]
-    conv_back("auxa1", conv_back("auxa2", d_fa + d_cat_a[c:]))
-    conv_back("auxl1", conv_back("auxl2", d_fl + d_cat_l[c:]))
+    # the inputs of feat, auxa1 and auxl1 are pixels and prior planes
+    conv_back("auxa1", conv_back("auxa2", d_fa + d_cat_a[c:]), input_grad=False)
+    conv_back("auxl1", conv_back("auxl2", d_fl + d_cat_l[c:]), input_grad=False)
     d_stacked = conv_back("vmix", conv_back("vres", d_fv))
 
     gather_w = model.params["gather.w"]
@@ -377,7 +382,7 @@ def restorer_backward(
         d_feats[j] += warp_mv_backward(d_warped + d_cat[c : 2 * c], cache["mv_planes"])
 
     for j, d_feat in enumerate(d_feats):
-        conv_back(f"feat{j}", d_feat)
+        conv_back(f"feat{j}", d_feat, input_grad=False)
     return grads
 
 
@@ -505,6 +510,8 @@ def train_restorer(
             target = sample.target.as_float()
             loss_sum += l1_loss(out, target)
             sample_grads = restorer_backward(l1_loss_grad(out, target), cache, model)
+            # one sample's cache alive at a time
+            del out, cache
             for name in grads:
                 grads[name] += sample_grads[name]
         loss = loss_sum / config.batch_size

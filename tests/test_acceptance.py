@@ -150,7 +150,7 @@ def test_criterion_4_gradient_correctness():
     for seed in seeds:  # fusion gating; the conv loop above covers the agg convs
         fv, fa, fl, ma, ml = fuse_case(np.random.default_rng(4000 + seed))
         up = np.random.default_rng(seed).normal(size=(3 * fv.shape[0],) + fv.shape[1:])
-        obj = lambda: float((fuse(fv, fa, fl, ma, ml) * up).sum())
+        obj = lambda: float((np.concatenate(fuse(fv, fa, fl, ma, ml)) * up).sum())
         d_fv, d_fa, d_fl, d_ma, d_ml = fuse_backward(up, fv, fa, fl, ma, ml)
         assert rel_error(d_fv, finite_diff(obj, fv)) < GRAD_TOL
         assert rel_error(d_fa, finite_diff(obj, fa)) < GRAD_TOL

@@ -163,6 +163,19 @@ class TestDeformableGatherForward:
         with pytest.raises(ValueError):
             deformable_gather_cached(np.zeros((2, 5, 5)), 3, np.zeros((18, 5, 5)), weights)
 
+    @pytest.mark.parametrize("size", [32, 48, 64, 96, 128])
+    def test_banded_gather_equals_the_cached_gather(self, size):
+        # without a cache the gather runs alignment.GATHER_BAND (32) output
+        # rows at a time; 48 and 96 px end in a short band
+        rng = np.random.default_rng(size)
+        fmap = rng.normal(size=(8, size, size))
+        offsets = rng.normal(scale=3.0, size=(18, size, size))
+        weights = rng.normal(size=(8, 8, 3, 3))
+        want = deformable_gather_cached(fmap, 3, offsets, weights)[0]
+        got, cache = deformable_gather_cached(fmap, 3, offsets, weights, False)
+        assert cache is None
+        assert np.array_equal(got, want)
+
 
 
 

@@ -90,6 +90,31 @@ DEFAULT_CONV_SHAPES = sorted(
 )
 
 
+class TestChannelGroups:
+    @pytest.mark.parametrize("size", [32, 64, 128])
+    @pytest.mark.parametrize("shape", DEFAULT_CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_groups_equal_the_stacked_input(self, shape, size):
+        # the restorer passes stacked inputs as channel groups; padded group
+        # by group, they give the bits of the stack
+        out_ch, in_ch, k = shape
+        rng = np.random.default_rng(out_ch * 1000 + in_ch * 10 + k + size)
+        layer = ConvLayer(rng.normal(size=(out_ch, in_ch, k, k)), rng.normal(size=out_ch), "relu")
+        x = rng.normal(size=(in_ch, size, size))
+        want, want_cache = conv_forward_cached(layer, x)
+        for groups in (np.split(x, in_ch), np.array_split(x, min(3, in_ch))):
+            got, cache = conv_forward_cached(layer, *groups)
+            assert np.array_equal(got, want)
+            assert np.array_equal(cache.flat, want_cache.flat)
+            assert np.array_equal(cache.z, want_cache.z)
+
+    def test_groups_must_share_one_size(self):
+        layer = ConvLayer(np.zeros((1, 2, 3, 3)), np.zeros(1), "none")
+        with pytest.raises(ValueError, match="one size"):
+            conv_forward_cached(layer, np.zeros((1, 4, 4)), np.zeros((1, 4, 5)))
+        with pytest.raises(ValueError, match="expects 2"):
+            conv_forward_cached(layer, np.zeros((1, 4, 4)), np.zeros((2, 4, 4)))
+
+
 class TestConvGradients:
     @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
     @pytest.mark.parametrize(
@@ -150,6 +175,21 @@ class TestConvGradients:
                                  conv_backward_im2col(layer, upstream, x)):
             assert g.shape == want.shape, name
             np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("activation", ["none", "relu", "sigmoid"])
+    @pytest.mark.parametrize("shape", DEFAULT_CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_weight_only_backward_matches(self, shape, activation):
+        out_ch, in_ch, k = shape
+        rng = np.random.default_rng(out_ch * 1000 + in_ch * 10 + k)
+        layer = ConvLayer(
+            rng.normal(size=(out_ch, in_ch, k, k)), rng.normal(size=out_ch), activation
+        )
+        cache = conv_forward_cached(layer, rng.normal(size=(in_ch, 19, 24)))[1]
+        upstream = rng.normal(size=(out_ch, 19, 24))
+        _, dw, db = conv_backward(layer, upstream, cache)
+        d_input, dw_only, db_only = conv_backward(layer, upstream, cache, input_grad=False)
+        assert d_input is None
+        assert np.array_equal(dw_only, dw) and np.array_equal(db_only, db)
 
     def test_backward_builds_no_input_column_buffer(self):
         # 1x16x7 at 32x32: im2col columns of the padded input would be one

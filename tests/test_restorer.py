@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,15 +53,17 @@ class TestFuse:
         rng = np.random.default_rng(1)
         fv, fa, fl, _, _ = fuse_case(rng)
         zeros = np.zeros((1, 6, 6))
-        gated = fuse(fv, fa, fl, zeros, zeros)
-        manual = fuse(fv, np.zeros_like(fa), np.zeros_like(fl), zeros + 1.0, zeros + 1.0)
+        gated = np.concatenate(fuse(fv, fa, fl, zeros, zeros))
+        manual = np.concatenate(
+            fuse(fv, np.zeros_like(fa), np.zeros_like(fl), zeros + 1.0, zeros + 1.0)
+        )
         assert np.array_equal(gated, manual)
 
     def test_unit_attention_passes_features_through(self):
         rng = np.random.default_rng(2)
         fv, fa, fl, _, _ = fuse_case(rng)
         ones = np.ones((1, 6, 6))
-        out = fuse(fv, fa, fl, ones, ones)
+        out = np.concatenate(fuse(fv, fa, fl, ones, ones))
         assert np.array_equal(out, np.concatenate([fv, fa, fl], axis=0))
 
     def test_zero_attention_severs_gradients_exactly(self):
@@ -78,7 +81,7 @@ class TestFuse:
         upstream = np.random.default_rng(seed).normal(size=(6, 6, 6))
 
         def objective():
-            return float((fuse(fv, fa, fl, ma, ml) * upstream).sum())
+            return float((np.concatenate(fuse(fv, fa, fl, ma, ml)) * upstream).sum())
 
         d_fv, d_fa, d_fl, d_ma, d_ml = fuse_backward(upstream, fv, fa, fl, ma, ml)
         assert rel_error(d_fv, finite_diff(objective, fv)) < GRAD_TOL
@@ -385,6 +388,38 @@ class TestTraining:
         assert names == ["batch_size", "iterations", "seed"]
 
 
+def traced_peak(call) -> int:
+    """tracemalloc's peak over one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    def test_inference_forward_peak_at_128_px(self):
+        # 30.2 MiB when the gather built its full-frame index, weights and
+        # samples and every stacked conv input was built before its padding
+        frames = fixtures.translating_texture(3, size=128)
+        decoded, sides = decode_sequence(encode_sequence(frames, CodecConfig(qp=36)))
+        model = init_restorer(seed=1)
+        window = padded_window(decoded, 1, model.half_window)
+        aux = build_aux_planes(sides[1])
+        peak = traced_peak(lambda: restorer_forward(window, sides[1], aux, model))
+        assert peak <= 23 * 2**20
+
+    def test_training_keeps_one_sample_alive(self, tiny_coded):
+        # 21.1 MiB while the previous sample's output and cache lived through
+        # the next sample's forward
+        frames, decoded, sides, _ = tiny_coded
+        samples = build_training_samples(frames, decoded, sides, half_window=2, crop=32)
+        peak = traced_peak(lambda: train_restorer(samples, TrainConfig(iterations=8, seed=1)))
+        assert peak <= 15 * 2**20
+
+
 class TestCrops:
     def test_crop_side_info_preserves_reconstruction(self, tiny_coded):
         _, decoded, sides, _ = tiny_coded
@@ -484,7 +519,7 @@ class TestRestoreSequence:
             return call
 
         def conv_of(name):
-            return lambda layer, x: layer.weights is model.params[f"{name}.w"]
+            return lambda layer, *groups: layer.weights is model.params[f"{name}.w"]
 
         monkeypatch.setattr(restorer, "deformable_gather_cached",
                             counted("gather", restorer.deformable_gather_cached))
