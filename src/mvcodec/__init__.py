@@ -12,7 +12,7 @@ The package splits into:
 - :mod:`mvcodec.cli` - the ``mvcodec`` command-line tool
 """
 
-from .frames import Frame, FrameSequenceManifest, load_sequence, psnr, ssim, write_sequence
+from .frames import Frame, load_sequence, psnr, ssim, write_sequence
 from .transform import QuantTable, coeff_bounds, dct2d, dequantize, idct2d, quantize
 from .codec import (
     CodecConfig,
@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Frame",
-    "FrameSequenceManifest",
     "load_sequence",
     "write_sequence",
     "psnr",

@@ -18,6 +18,7 @@ The offsets themselves come from two plain conv layers of the restorer
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -98,21 +99,21 @@ class GatherCache(NamedTuple):
 GATHER_BAND = 32
 
 
-def _sample_rows(
-    flat: np.ndarray, h: int, w: int, kernel_size: int, offsets: np.ndarray, y0: int
-) -> tuple[np.ndarray, ...]:
-    """Bilinear samples of the output rows from ``y0`` that ``offsets``
-    (``(2 * taps, rows, w)``) covers, read from ``flat`` (``(c, h * w)``).
+def _gather_rows(
+    flat: np.ndarray, h: int, w: int, offsets: np.ndarray, wr: np.ndarray, y0: int
+) -> tuple[np.ndarray, GatherCache]:
+    """Gather output of the rows from ``y0`` that ``offsets`` (``(2 * taps,
+    rows, w)``) covers, read from ``flat`` (``(c, h * w)``) with the
+    ``(out, c * taps)`` weights ``wr``.
 
-    Returns ``(sampled, index, corner_w, fx, fy, sat_x, sat_y)`` shaped as
-    the fields of :class:`GatherCache` for those rows.
+    Returns ``(out, cache)``: the ``(out, rows, w)`` output and the
+    :class:`GatherCache` of those rows.
     """
     c = flat.shape[0]
-    rows = offsets.shape[1]
-    taps = kernel_size * kernel_size
+    taps, rows = offsets.shape[0] // 2, offsets.shape[1]
     n = taps * rows * w
     # every tap's sampling point, clamped in place once its saturation is noted
-    gx, gy = kernel_grid(kernel_size)
+    gx, gy = kernel_grid(math.isqrt(taps))
     px = (np.arange(w, dtype=np.float64) + gx[:, None])[:, None, :] + offsets[0::2]
     py = (np.arange(y0, y0 + rows, dtype=np.float64) + gy[:, None])[:, :, None] + offsets[1::2]
     sat_x = px < 0.0
@@ -157,7 +158,9 @@ def _sample_rows(
             np.take(flat[ch], index[k], out=corner, mode="clip")
             corner *= corner_w[k]
             sampled[ch] += corner
-    return sampled, index, corner_w, px, py, sat_x, sat_y
+    out = (wr @ sampled.reshape(c * taps, rows * w)).reshape(-1, rows, w)
+    sampled = sampled.reshape(c, taps, rows, w)
+    return out, GatherCache(flat, index, corner_w, px, py, sat_x, sat_y, sampled)
 
 
 def deformable_gather_cached(
@@ -197,17 +200,13 @@ def deformable_gather_cached(
     flat = fmap.reshape(c, h * w)
     wr = weights.reshape(weights.shape[0], c * taps)
     if _record:
-        sampled, *fields = _sample_rows(flat, h, w, kernel_size, offsets, 0)
-        out = wr @ sampled.reshape(c * taps, h * w)
-        cache = GatherCache(flat, *fields, sampled.reshape(c, taps, h, w))
-        return out.reshape(weights.shape[0], h, w), cache
+        return _gather_rows(flat, h, w, offsets, wr, 0)
     out = np.empty((weights.shape[0], h, w))
     for y0 in range(0, h, GATHER_BAND):
-        band = offsets[:, y0 : y0 + GATHER_BAND]
-        rows = band.shape[1]
-        sampled = _sample_rows(flat, h, w, kernel_size, band, y0)[0]
-        out[:, y0 : y0 + rows] = (wr @ sampled.reshape(c * taps, rows * w)).reshape(-1, rows, w)
-        del sampled  # before the next band builds its own
+        # the band's cache is dropped with the returned tuple
+        out[:, y0 : y0 + GATHER_BAND] = _gather_rows(
+            flat, h, w, offsets[:, y0 : y0 + GATHER_BAND], wr, y0
+        )[0]
     return out, None
 
 

@@ -271,7 +271,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except TrainingDiverged as exc:
+    except (TrainingDiverged, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (SequenceError, BitstreamError, ValueError) as exc:

@@ -71,15 +71,6 @@ class Frame:
         return f"Frame({self.width}x{self.height})"
 
 
-@dataclass(frozen=True)
-class FrameSequenceManifest:
-    """Ordered list of frame files plus the dimensions they must share."""
-
-    width: int
-    height: int
-    paths: tuple[Path, ...]
-
-
 def _require_same_dims(a: Frame, b: Frame) -> None:
     if a.width != b.width or a.height != b.height:
         raise ValueError(
@@ -151,8 +142,9 @@ def write_pgm(path: Path | str, frame: Frame) -> None:
 # Manifest handling
 # ---------------------------------------------------------------------------
 
-def load_manifest(path: Path | str) -> FrameSequenceManifest:
-    """Parse a sequence manifest; frame paths resolve relative to it."""
+def load_sequence(path: Path | str) -> list[Frame]:
+    """Load every frame named by a manifest file (paths relative to it),
+    validating dimensions."""
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text().splitlines()]
     lines = [ln for ln in lines if ln]
@@ -165,23 +157,15 @@ def load_manifest(path: Path | str) -> FrameSequenceManifest:
         width, height, _ = (int(tok) for tok in head)  # the frame rate goes unused
     except ValueError as exc:
         raise SequenceError(f"{path}: non-integer manifest header") from exc
-    base = path.parent
-    paths = tuple(base / ln for ln in lines[1:])
-    return FrameSequenceManifest(width, height, paths)
-
-
-def load_sequence(path: Path | str) -> list[Frame]:
-    """Load every frame named by a manifest file, validating dimensions."""
-    manifest = load_manifest(path)
     frames = []
-    for p in manifest.paths:
+    for p in (path.parent / ln for ln in lines[1:]):
         if not p.exists():
             raise FileNotFoundError(f"frame file missing: {p}")
         frame = read_pgm(p)
-        if frame.width != manifest.width or frame.height != manifest.height:
+        if frame.width != width or frame.height != height:
             raise SequenceError(
                 f"{p}: dimensions {frame.width}x{frame.height} do not match "
-                f"manifest {manifest.width}x{manifest.height}"
+                f"manifest {width}x{height}"
             )
         frames.append(frame)
     return frames

@@ -54,10 +54,6 @@ class ConvLayer:
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    @property
-    def kernel_size(self) -> int:
-        return self.weights.shape[2]
-
 
 @dataclass
 class ConvCache:
@@ -108,22 +104,19 @@ def _edge_pad(groups: list[np.ndarray], pad: int) -> np.ndarray:
     """
     c = sum(g.shape[0] for g in groups)
     h, w = groups[0].shape[1:]
-    if pad == 0:
-        x = groups[0] if len(groups) == 1 else np.concatenate(groups)
-        return x.reshape(c, h * w)
     size = (h + 2 * pad) * (w + 2 * pad)
     flat = np.empty((c, size + 2 * pad))
     flat[:, size:] = 0.0
     xp = flat[:, :size].reshape(c, h + 2 * pad, w + 2 * pad)
     start = 0
     for g in groups:
-        gp = xp[start : start + g.shape[0]]
-        gp[:, pad:-pad, pad:-pad] = g
-        gp[:, pad:-pad, :pad] = g[:, :, :1]
-        gp[:, pad:-pad, -pad:] = g[:, :, -1:]
+        gp = xp[start : start + g.shape[0], pad : pad + h]
+        gp[:, :, pad : pad + w] = g
+        gp[:, :, :pad] = g[:, :, :1]
+        gp[:, :, pad + w :] = g[:, :, -1:]
         start += g.shape[0]
     xp[:, :pad] = xp[:, pad : pad + 1]
-    xp[:, -pad:] = xp[:, -pad - 1 : -pad]
+    xp[:, pad + h :] = xp[:, pad + h - 1 : pad + h]
     return flat
 
 
@@ -261,8 +254,6 @@ def conv_backward(
     w_flip = layer.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     g_padded = _correlate(w_flip, dz_full, k, full, (h + 2 * pad) * full)
     g_padded = g_padded.reshape(in_ch, h + 2 * pad, full)[:, :, : w + 2 * pad]
-    if pad == 0:
-        return g_padded, d_weights, d_bias
     # fold the replicated border back onto the edge pixels: one bincount over
     # every channel's clamped flat index
     index = _fold_index(in_ch, h, w, pad)

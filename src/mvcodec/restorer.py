@@ -534,7 +534,10 @@ def restore_sequence(
     model: RestorerModel,
     back_projection: bool = True,
 ) -> list[Frame]:
-    """Restore every frame of a decoded sequence (sliding padded window)."""
+    """Restore every frame of a decoded sequence (sliding padded window).
+
+    Raises ``FloatingPointError`` if the model's output for a frame is not finite.
+    """
     if len(decoded) != len(sides):
         raise ValueError("decoded frames and side info must have equal lengths")
     restored = []
@@ -542,6 +545,8 @@ def restore_sequence(
         window = padded_window(decoded, t, model.half_window)
         aux = build_aux_planes(side)
         candidate = restorer_forward(window, side, aux, model)
+        if not np.isfinite(candidate).all():
+            raise FloatingPointError(f"restored frame {t} is not finite")
         if back_projection:
             restored.append(back_project_frame(candidate, side))
         else:

@@ -461,7 +461,7 @@ def im2col(x: np.ndarray, k: int) -> np.ndarray:
 def padded_input(layer, cache) -> np.ndarray:
     """The edge-padded input a conv forward cached, as an ``(in, h + k - 1,
     w + k - 1)`` view of the cache's flat rows."""
-    d = layer.kernel_size - 1
+    d = layer.weights.shape[2] - 1
     _, h, w = cache.z.shape
     return cache.flat[:, : (h + d) * (w + d)].reshape(-1, h + d, w + d)
 

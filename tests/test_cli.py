@@ -288,6 +288,29 @@ class TestRestore:
         assert "'rec2.b' is not finite" in capsys.readouterr().err
         assert not (out / "manifest.txt").exists()
 
+    @pytest.mark.parametrize("command", ["restore", "rdcurve"])
+    def test_overflowing_model_is_exit_3_and_writes_nothing(self, tmp_path, capsys, command):
+        # every parameter is finite, but the forward overflows to inf
+        manifest = write_sequence(tmp_path / "seq", fixtures.translating_texture(3))
+        stream = tmp_path / "s.mvc"
+        assert main(["encode", str(manifest), "--qp", "36", "-o", str(stream)]) == 0
+        model = init_restorer()
+        model.params["rec2.w"][...] = 1e300
+        model.params["vmix.w"][...] = 1e300
+        model_path = tmp_path / "big.mvdr"
+        save_model(model, model_path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "restore": ["restore", str(stream), "--model", str(model_path), "-o", str(out)],
+            "rdcurve": ["rdcurve", str(manifest), "--qps", "36", "--model", str(model_path),
+                        "-o", str(out)],
+        }[command]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(argv) == 3
+        assert "frame 0 is not finite" in capsys.readouterr().err
+        assert not out.exists()  # neither a sequence directory nor a csv
+
     def test_mutated_and_truncated_models_load_or_are_exit_2(self, tmp_path):
         manifest = write_sequence(tmp_path / "seq", fixtures.translating_texture(2, size=32))
         stream = tmp_path / "s.mvc"

@@ -92,15 +92,19 @@ DEFAULT_CONV_SHAPES = sorted(
 
 class TestChannelGroups:
     @pytest.mark.parametrize("size", [32, 64, 128])
-    @pytest.mark.parametrize("shape", DEFAULT_CONV_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize(
+        "shape", DEFAULT_CONV_SHAPES + [(3, 5, 1)], ids=lambda s: "x".join(map(str, s))
+    )
     def test_groups_equal_the_stacked_input(self, shape, size):
         # the restorer passes stacked inputs as channel groups; padded group
-        # by group, they give the bits of the stack
+        # by group, they give the bits of the stack.  A 1x1 kernel pads by
+        # zero through the same path, so its cache is a copy of the input too
         out_ch, in_ch, k = shape
         rng = np.random.default_rng(out_ch * 1000 + in_ch * 10 + k + size)
         layer = ConvLayer(rng.normal(size=(out_ch, in_ch, k, k)), rng.normal(size=out_ch), "relu")
         x = rng.normal(size=(in_ch, size, size))
         want, want_cache = conv_forward_cached(layer, x)
+        assert not np.shares_memory(want_cache.flat, x)
         for groups in (np.split(x, in_ch), np.array_split(x, min(3, in_ch))):
             got, cache = conv_forward_cached(layer, *groups)
             assert np.array_equal(got, want)

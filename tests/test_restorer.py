@@ -567,6 +567,18 @@ class TestRestoreSequence:
         for name in model.params:
             assert np.array_equal(grads_copies[name], grads_shared[name]), name
 
+    @pytest.mark.parametrize("back_projection", [True, False])
+    def test_overflowing_model_names_the_frame(self, tiny_coded, back_projection):
+        # finite parameters whose forward overflows to inf: back projection
+        # would clip that to a valid-looking frame, so restore stops first
+        _, decoded, sides, _ = tiny_coded
+        model = init_restorer(seed=4)
+        model.params["rec2.w"][...] = 1e300
+        model.params["vmix.w"][...] = 1e300
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match="frame 0 is not finite"):
+                restore_sequence(decoded, sides, model, back_projection)
+
     def test_both_projection_modes_produce_full_sequences(self, tiny_coded):
         _, decoded, sides, _ = tiny_coded
         model = init_restorer(seed=4)
