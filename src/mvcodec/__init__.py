@@ -13,7 +13,7 @@ The package splits into:
 """
 
 from .frames import Frame, load_sequence, psnr, ssim, write_sequence
-from .transform import QuantTable, coeff_bounds, dct2d, dequantize, idct2d, quantize
+from .transform import coeff_bounds, dct2d, dequantize, idct2d, quantize
 from .codec import (
     CodecConfig,
     SideInfo,
@@ -40,7 +40,6 @@ __all__ = [
     "write_sequence",
     "psnr",
     "ssim",
-    "QuantTable",
     "dct2d",
     "idct2d",
     "quantize",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import SideInfo, transform_frame
 from .frames import Frame
-from .transform import QuantTable, coeff_bounds, dct2d, idct2d, round_to_uint8
+from .transform import coeff_bounds, dct2d, idct2d, round_to_uint8
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def _project(candidate: np.ndarray, side: SideInfo):
             f"{side.prediction.pixels.shape}"
         )
     coeffs = transform_frame(arr - side.prediction.as_float(), side.sizes, dct2d)
-    delta = np.clip(coeffs, *coeff_bounds(side.levels, QuantTable(side.qp))) - coeffs
+    delta = np.clip(coeffs, *coeff_bounds(side.levels, side.qp)) - coeffs
     return delta, arr + transform_frame(delta, side.sizes, idct2d)
 
 

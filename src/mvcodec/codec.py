@@ -38,10 +38,10 @@ from .bitio import BitReader, BitstreamError, BitWriter, signed_to_unsigned, uns
 from .frames import MACROBLOCK, Frame
 from .transform import (
     LEVEL_LIMIT,
-    QuantTable,
     dct2d,
     dequantize,
     idct2d,
+    quant_step,
     quantize,
     round_to_uint8,
     zigzag,
@@ -135,7 +135,7 @@ class CodecConfig:
     intra_period: int = 0
 
     def __post_init__(self):
-        QuantTable(self.qp)  # range check
+        quant_step(self.qp)  # range check
         if not 0 <= self.search_radius <= 127:
             raise ValueError(f"search radius {self.search_radius} outside [0, 127]")
         if not 0 <= self.split_threshold < np.inf:
@@ -312,13 +312,13 @@ def motion_search(
     return {size: np.concatenate(bands) for size, bands in found.items()}
 
 
-def _residual(levels: np.ndarray, sizes: np.ndarray, qt: QuantTable) -> np.ndarray:
-    return transform_frame(dequantize(levels, qt), sizes, idct2d)
+def _residual(levels: np.ndarray, sizes: np.ndarray, qp: int) -> np.ndarray:
+    return transform_frame(dequantize(levels, qp), sizes, idct2d)
 
 
 def residual_plane(side: SideInfo) -> np.ndarray:
     """Dequantized, inverse-transformed residual of a whole coded frame."""
-    return _residual(side.levels, side.sizes, QuantTable(side.qp))
+    return _residual(side.levels, side.sizes, side.qp)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +452,7 @@ def _quadtree(width: int, height: int, split) -> Iterator[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 
 def _code_intra_frame(
-    cur: np.ndarray, config: CodecConfig, qt: QuantTable
+    cur: np.ndarray, config: CodecConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Leaf sizes, levels and reconstruction of an intra frame.
 
@@ -482,16 +482,16 @@ def _code_intra_frame(
     for x, y, size in _quadtree(width, height, split):
         pred, resid = kept.pop((x, y, size)) if size > 4 else residual(x, y, size)
         block = levels[y : y + size, x : x + size]
-        _leaf_tiles(block)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), qt)
+        _leaf_tiles(block)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), config.qp)
         leaf_resid = np.empty((size, size))
-        _leaf_tiles(leaf_resid)[...] = idct2d(dequantize(_leaf_tiles(block), qt))
+        _leaf_tiles(leaf_resid)[...] = idct2d(dequantize(_leaf_tiles(block), config.qp))
         recon[y : y + size, x : x + size] = round_to_uint8(pred + leaf_resid)
         sizes[y : y + size, x : x + size] = size
     return sizes, levels, recon
 
 
 def _code_inter_frame(
-    cur: np.ndarray, ref: np.ndarray, config: CodecConfig, qt: QuantTable
+    cur: np.ndarray, ref: np.ndarray, config: CodecConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Leaf sizes, levels, reconstruction and per-size vectors of an inter frame.
 
@@ -515,8 +515,8 @@ def _code_inter_frame(
             split &= mean > config.split_threshold
             sizes[_upsample(split, size)] = size // 2
             split = _upsample(split, 2)
-    levels = quantize(transform_frame((cur - pred).astype(np.float64), sizes, dct2d), qt)
-    recon = round_to_uint8(pred + _residual(levels, sizes, qt))
+    levels = quantize(transform_frame((cur - pred).astype(np.float64), sizes, dct2d), config.qp)
+    recon = round_to_uint8(pred + _residual(levels, sizes, config.qp))
     return sizes, levels, recon, vectors
 
 
@@ -566,7 +566,6 @@ def encode_with_reconstruction(
             raise ValueError("all frames must share dimensions")
     if width > 0xFFFF or height > 0xFFFF:
         raise ValueError(f"frame size {width}x{height} too large for the stream header")
-    qt = QuantTable(config.qp)
     writer = BitWriter()
     recons: list[Frame] = []
 
@@ -575,10 +574,10 @@ def encode_with_reconstruction(
         writer.write_bit(1 if intra else 0)
         cur = frame.pixels.astype(np.int32)
         if intra:
-            sizes, levels, recon = _code_intra_frame(cur, config, qt)
+            sizes, levels, recon = _code_intra_frame(cur, config)
             vectors = None
         else:
-            sizes, levels, recon, vectors = _code_inter_frame(cur, recons[-1].pixels, config, qt)
+            sizes, levels, recon, vectors = _code_inter_frame(cur, recons[-1].pixels, config)
         _write_frame(writer, sizes, levels, vectors)
         recons.append(Frame(recon))
 
@@ -646,7 +645,6 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
     leaves, and inter leaves never read the frame being decoded.
     """
     header = parse_header(data)
-    qt = QuantTable(header.qp)
     reader = BitReader(data, HEADER_SIZE)
     width, height = header.width, header.height
     frames: list[Frame] = []
@@ -662,7 +660,7 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
         sizes = _upsample(cells[0].astype(np.uint8), 4)
         motion = _upsample(cells[2:], 4)
         levels = _levels_from_runs(sizes, runs)
-        resid = _residual(levels, sizes, qt)
+        resid = _residual(levels, sizes, header.qp)
         pred = (
             np.zeros((height, width), dtype=np.uint8) if intra_frame else _compensate(prev, motion)
         )

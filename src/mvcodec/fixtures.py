@@ -16,6 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frames import Frame, write_sequence
+from .transform import round_half_away, round_to_uint8
 
 
 def _box_blur(arr: np.ndarray, k: int) -> np.ndarray:
@@ -37,7 +38,7 @@ def _texture(rng: np.random.Generator, h: int, w: int, lo: float, hi: float) -> 
 
 
 def _to_frame(img: np.ndarray) -> Frame:
-    return Frame(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+    return Frame(round_to_uint8(img))
 
 
 def translating_texture(
@@ -75,8 +76,8 @@ def deforming_checker(
     ys, xs = np.mgrid[0:size, 0:size]
     frames = []
     for t in range(frame_count):
-        wx = np.rint(amplitude * np.sin(2.0 * np.pi * ys / 24.0 + 0.7 * t)).astype(int)
-        wy = np.rint(amplitude * np.cos(2.0 * np.pi * xs / 24.0 + 0.5 * t)).astype(int)
+        wx = round_half_away(amplitude * np.sin(2.0 * np.pi * ys / 24.0 + 0.7 * t)).astype(int)
+        wy = round_half_away(amplitude * np.cos(2.0 * np.pi * xs / 24.0 + 0.5 * t)).astype(int)
         cells = ((xs + wx) // period + (ys + wy) // period) % 2
         img = np.where(cells == 1, 190.0, 60.0) + grain
         frames.append(_to_frame(img))

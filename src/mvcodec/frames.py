@@ -144,7 +144,7 @@ def write_pgm(path: Path | str, frame: Frame) -> None:
 
 def load_sequence(path: Path | str) -> list[Frame]:
     """Load every frame named by a manifest file (paths relative to it),
-    validating dimensions."""
+    validating dimensions; a manifest that lists no frames is rejected."""
     path = Path(path)
     lines = [ln.strip() for ln in path.read_text().splitlines()]
     lines = [ln for ln in lines if ln]
@@ -157,6 +157,8 @@ def load_sequence(path: Path | str) -> list[Frame]:
         width, height, _ = (int(tok) for tok in head)  # the frame rate goes unused
     except ValueError as exc:
         raise SequenceError(f"{path}: non-integer manifest header") from exc
+    if len(lines) == 1:
+        raise SequenceError(f"{path}: manifest lists no frames")
     frames = []
     for p in (path.parent / ln for ln in lines[1:]):
         if not p.exists():

@@ -8,7 +8,6 @@ interval that is guaranteed to contain the original coefficient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,20 +27,6 @@ def quant_step(qp: int) -> float:
     if not QP_MIN <= qp <= QP_MAX:
         raise ValueError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
     return _STEP_RESIDUALS[qp % 6] * float(2 ** (qp // 6))
-
-
-@dataclass(frozen=True)
-class QuantTable:
-    """Flat scalar quantizer derived from a QP."""
-
-    qp: int
-
-    def __post_init__(self):
-        quant_step(self.qp)  # range check
-
-    @property
-    def step(self) -> float:
-        return quant_step(self.qp)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -93,7 +78,7 @@ def idct2d(coeffs: np.ndarray) -> np.ndarray:
     return c.T @ coeffs @ c
 
 
-def quantize(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
+def quantize(coeffs: np.ndarray, qp: int) -> np.ndarray:
     """Quantize coefficients to integer levels: round(c / step), ties away from zero.
 
     A level is nudged by one when float rounding of the quotient would leave
@@ -103,31 +88,29 @@ def quantize(coeffs: np.ndarray, table: QuantTable) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must be finite")
-    step = table.step
+    step = quant_step(qp)
     levels = round_half_away(coeffs / step)
     levels += (coeffs > (levels + 0.5) * step).astype(np.float64)
     levels -= (coeffs < (levels - 0.5) * step).astype(np.float64)
     if np.any(np.abs(levels) > LEVEL_LIMIT):
-        raise ValueError(
-            f"quantized level exceeds signed 16-bit range at qp={table.qp}"
-        )
+        raise ValueError(f"quantized level exceeds signed 16-bit range at qp={qp}")
     return levels.astype(np.int32)
 
 
-def dequantize(levels: np.ndarray, table: QuantTable) -> np.ndarray:
+def dequantize(levels: np.ndarray, qp: int) -> np.ndarray:
     """Reconstruct coefficients as level * step."""
     levels = np.asarray(levels)
-    return levels.astype(np.float64) * table.step
+    return levels.astype(np.float64) * quant_step(qp)
 
 
-def coeff_bounds(levels: np.ndarray, table: QuantTable) -> tuple[np.ndarray, np.ndarray]:
+def coeff_bounds(levels: np.ndarray, qp: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-step interval ``(lower, upper)`` around every quantization level.
 
     ``lower`` and ``upper`` are ``(levels -/+ 0.5) * step``, the float
     expressions of the containment check inside :func:`quantize`, so every
     coefficient that quantized to a level lies inside its interval exactly.
     """
-    step = table.step
+    step = quant_step(qp)
     return (levels - 0.5) * step, (levels + 0.5) * step
 
 

@@ -26,7 +26,6 @@ from mvcodec.frames import Frame
 from mvcodec.nn import sigmoid
 from mvcodec.restorer import RestorerModel, init_restorer
 from mvcodec.transform import (
-    QuantTable,
     dct2d,
     dequantize,
     idct2d,
@@ -233,14 +232,13 @@ def preclip_reconstruction(side) -> np.ndarray:
     Walks every leaf's transform tiles itself (8x8, or the whole leaf when
     smaller), so it stays independent of the codec's batched tiling.
     """
-    qt = QuantTable(side.qp)
     out = side.prediction.as_float()
     for leaf in side.leaves():
         tile = min(leaf.size, 8)
         for y in range(leaf.y, leaf.y + leaf.size, tile):
             for x in range(leaf.x, leaf.x + leaf.size, tile):
                 out[y : y + tile, x : x + tile] += idct2d(
-                    dequantize(side.levels[y : y + tile, x : x + tile], qt)
+                    dequantize(side.levels[y : y + tile, x : x + tile], side.qp)
                 )
     return out
 
@@ -278,7 +276,6 @@ def encode_per_leaf(frames: list[Frame], config) -> tuple[bytes, list[Frame]]:
     frame-level inter path must produce the same bytes and reconstructions.
     """
     width, height = frames[0].width, frames[0].height
-    qt = QuantTable(config.qp)
     radius = config.search_radius
     writer = BitWriter()
     recons: list[Frame] = []
@@ -318,9 +315,9 @@ def encode_per_leaf(frames: list[Frame], config) -> tuple[bytes, list[Frame]]:
             for ty in range(0, size, tile):
                 for tx in range(0, size, tile):
                     part = np.s_[ty : ty + tile, tx : tx + tile]
-                    levels = quantize(dct2d(resid[part].astype(np.float64)), qt)
+                    levels = quantize(dct2d(resid[part].astype(np.float64)), config.qp)
                     write_scan(writer, zigzag(levels).tolist())
-                    coded[part] = idct2d(dequantize(levels, qt))
+                    coded[part] = idct2d(dequantize(levels, config.qp))
             rebuilt = np.clip(round_half_away(pred.astype(np.float64) + coded), 0, 255)
             recon[y : y + size, x : x + size] = rebuilt
 
@@ -539,12 +536,6 @@ def global_shift_pair(
     ref = base[margin : margin + size, margin : margin + size]
     cur = base[margin - dy : margin - dy + size, margin - dx : margin - dx + size]
     return Frame(ref.astype(np.uint8)), Frame(cur.astype(np.uint8))
-
-
-def fraction_clear(values: np.ndarray, margin: float) -> bool:
-    """True when every value's fractional part stays away from 0 and 1."""
-    frac = np.abs(values - np.round(values))
-    return bool((frac > margin).all())
 
 
 def coords_clear(raw: np.ndarray, dim: int, margin: float = 0.05) -> bool:

@@ -49,7 +49,7 @@ from mvcodec.restorer import (
     padded_window,
     restorer_forward,
 )
-from mvcodec.transform import QuantTable, coeff_bounds
+from mvcodec.transform import coeff_bounds
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_criterion_1_backprojection_non_expansiveness(both_fixtures):
             for orig, dec, side in zip(frames, decoded, sides):
                 truth = orig.as_float()
                 e = residual_coeffs(truth, side)
-                lower, upper = coeff_bounds(side.levels, QuantTable(side.qp))
+                lower, upper = coeff_bounds(side.levels, side.qp)
                 for _ in range(per_pair):
                     candidate = dec.as_float() + rng.uniform(-30, 30, truth.shape)
                     c = residual_coeffs(candidate, side)
@@ -101,7 +101,7 @@ def test_criterion_2_truth_containment(both_fixtures):
             _, _, sides = _coded(frames, qp)
             for orig, side in zip(frames, sides):
                 e = residual_coeffs(orig.as_float(), side)
-                lower, upper = coeff_bounds(side.levels, QuantTable(side.qp))
+                lower, upper = coeff_bounds(side.levels, side.qp)
                 assert (lower <= e).all() and (e <= upper).all(), (name, qp)
     print("\nPASS criterion 2: true residual coefficients inside [L, U], exact")
 

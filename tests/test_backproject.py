@@ -3,7 +3,7 @@ import pytest
 
 from helpers import preclip_reconstruction, residual_coeffs
 from mvcodec.backproject import back_project, back_project_frame, projection_report
-from mvcodec.transform import QuantTable, dequantize
+from mvcodec.transform import dequantize
 
 
 class TestResidualCoeffs:
@@ -16,9 +16,8 @@ class TestResidualCoeffs:
     def test_preclip_reconstruction_recovers_levels(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24
         side = sides[2]
-        qt = QuantTable(side.qp)
         coeffs = residual_coeffs(preclip_reconstruction(side), side)
-        np.testing.assert_allclose(coeffs, dequantize(side.levels, qt), atol=1e-9)
+        np.testing.assert_allclose(coeffs, dequantize(side.levels, side.qp), atol=1e-9)
 
     def test_linearity(self, coded_texture_qp24):
         _, _, _, sides = coded_texture_qp24

@@ -306,9 +306,9 @@ class TestRestore:
             "rdcurve": ["rdcurve", str(manifest), "--qps", "36", "--model", str(model_path),
                         "-o", str(out)],
         }[command]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(argv) == 3
-        assert "frame 0 is not finite" in capsys.readouterr().err
+        assert main(argv) == 3
+        # the error line alone: numpy's overflow warning does not reach stderr
+        assert capsys.readouterr().err == "error: restored frame 0 is not finite\n"
         assert not out.exists()  # neither a sequence directory nor a csv
 
     def test_mutated_and_truncated_models_load_or_are_exit_2(self, tmp_path):
@@ -375,14 +375,6 @@ class TestMetrics:
         short = write_sequence(tmp_path / "short", frames[:3])
         assert main(["metrics", "--reference", str(manifest), "--test", str(short), "-o", str(tmp_path / "r.json")]) == 2
 
-    def test_empty_sequences_are_exit_2(self, tmp_path, capsys):
-        empty = tmp_path / "empty.txt"
-        empty.write_text("64 64 25\n")
-        out = tmp_path / "r.json"
-        assert main(["metrics", "--reference", str(empty), "--test", str(empty), "-o", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not out.exists()
-
 
 class TestRdCurve:
     def test_monotone_columns_and_passthrough(self, seq_dir, tmp_path):
@@ -405,6 +397,34 @@ class TestRdCurve:
     def test_bad_qps_list_is_exit_2(self, seq_dir, tmp_path):
         _, manifest, _ = seq_dir
         assert main(["rdcurve", str(manifest), "--qps", "8,8", "-o", str(tmp_path / "c.csv")]) == 2
+
+
+@pytest.mark.parametrize("command", ["encode", "rdcurve", "metrics", "restore", "train"])
+def test_manifest_without_frames_is_exit_2(seq_dir, tmp_path, capsys, command):
+    _, manifest, _ = seq_dir
+    empty = tmp_path / "empty.txt"
+    empty.write_text("64 64 25\n")
+    if command == "restore":
+        stream = tmp_path / "s.mvc"
+        assert main(["encode", str(manifest), "--qp", "36", "-o", str(stream)]) == 0
+        model = tmp_path / "zero.mvdr"
+        save_model(zero_restorer(), model)
+        argv = ["restore", str(stream), "--model", str(model), "--reference", str(empty)]
+    elif command == "train":
+        dataset = tmp_path / "dataset.txt"
+        dataset.write_text(str(empty) + "\n")
+        argv = ["train", str(dataset), "--iters", "1"]
+    else:
+        argv = {
+            "encode": ["encode", str(empty), "--qp", "32"],
+            "rdcurve": ["rdcurve", str(empty)],
+            "metrics": ["metrics", "--reference", str(empty), "--test", str(empty)],
+        }[command]
+    inputs = set(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main([*argv, "-o", str(tmp_path / "out")]) == 2
+    assert "no frames" in capsys.readouterr().err
+    assert set(tmp_path.iterdir()) == inputs  # no output, no loss trace
 
 
 @pytest.mark.parametrize("tau", ["inf", "nan"])

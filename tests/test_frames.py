@@ -91,9 +91,10 @@ class TestManifest:
         with pytest.raises(FileNotFoundError, match="nope.pgm"):
             load_sequence(tmp_path / "manifest.txt")
 
-    def test_empty_manifest_is_empty_sequence(self, tmp_path):
+    def test_manifest_without_frames_is_rejected(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("64 64 25\n")
-        assert load_sequence(tmp_path / "manifest.txt") == []
+        with pytest.raises(SequenceError, match="manifest lists no frames"):
+            load_sequence(tmp_path / "manifest.txt")
 
     def test_malformed_header(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("64 64\n")

@@ -4,7 +4,6 @@ import pytest
 from helpers import dct2d_direct, inverse_zigzag
 from mvcodec.transform import (
     LEVEL_LIMIT,
-    QuantTable,
     coeff_bounds,
     dct2d,
     dequantize,
@@ -27,10 +26,18 @@ class TestQuantStep:
             assert quant_step(qp + 6) == 2.0 * quant_step(qp)
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
-            quant_step(52)
-        with pytest.raises(ValueError):
-            QuantTable(-1)
+        # every call that takes a QP checks its range
+        block = np.zeros((4, 4), dtype=np.int32)
+        calls = [
+            quant_step,
+            lambda qp: quantize(block, qp),
+            lambda qp: dequantize(block, qp),
+            lambda qp: coeff_bounds(block, qp),
+        ]
+        for call in calls:
+            for qp in (52, -1):
+                with pytest.raises(ValueError, match="outside"):
+                    call(qp)
 
 
 class TestDct:
@@ -87,78 +94,71 @@ class TestDct:
 class TestQuantize:
     def test_nearest_integer(self):
         # coeff/step = 2.7 rounds to level 3
-        levels = quantize(np.array([[5.4]]), QuantTable(10))  # step 2.0
+        levels = quantize(np.array([[5.4]]), 10)  # step 2.0
         assert levels[0, 0] == 3
 
     def test_ties_round_away_from_zero(self):
-        qt = QuantTable(4)  # step 1.0
-        levels = quantize(np.array([[2.5, -2.5], [0.5, -0.5]]), qt)
+        levels = quantize(np.array([[2.5, -2.5], [0.5, -0.5]]), 4)  # step 1.0
         assert levels.tolist() == [[3, -3], [1, -1]]
 
     def test_zero_maps_to_zero(self):
         for qp in (0, 4, 24, 51):
-            assert quantize(np.zeros((4, 4)), QuantTable(qp)).max() == 0
+            assert quantize(np.zeros((4, 4)), qp).max() == 0
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            quantize(np.array([[np.nan]]), QuantTable(10))
+            quantize(np.array([[np.nan]]), 10)
 
     def test_overflow_detected(self):
         with pytest.raises(ValueError, match="16-bit"):
-            quantize(np.array([[1e9]]), QuantTable(0))
+            quantize(np.array([[1e9]]), 0)
 
     def test_dequantize_then_quantize_is_identity(self):
-        qt = QuantTable(10)  # step 2.0
         levels = np.arange(-1000, 1001, dtype=np.int32).reshape(-1, 1)
-        round_trip = quantize(dequantize(levels, qt), qt)
+        round_trip = quantize(dequantize(levels, 10), 10)  # step 2.0
         assert np.array_equal(round_trip, levels)
 
     def test_dequantize_scales_by_step(self):
-        qt = QuantTable(10)
-        assert dequantize(np.array([[3]]), qt)[0, 0] == 6.0
-        assert dequantize(np.array([[0]]), qt)[0, 0] == 0.0
+        assert dequantize(np.array([[3]]), 10)[0, 0] == 6.0
+        assert dequantize(np.array([[0]]), 10)[0, 0] == 0.0
 
 
 class TestCoeffBounds:
     def test_half_step_interval(self):
-        qt = QuantTable(10)  # step 2.0
-        lower, upper = coeff_bounds(np.array([[3]]), qt)
+        lower, upper = coeff_bounds(np.array([[3]]), 10)  # step 2.0
         assert lower[0, 0] == 5.0 and upper[0, 0] == 7.0
 
     def test_zero_coefficient_interval(self):
-        qt = QuantTable(10)
-        lower, upper = coeff_bounds(np.array([[0]]), qt)
+        lower, upper = coeff_bounds(np.array([[0]]), 10)
         assert lower[0, 0] == -1.0 and upper[0, 0] == 1.0
 
     def test_matches_dequantized_plus_minus_half_step(self):
         rng = np.random.default_rng(5)
         for qp in (0, 7, 25, 51):
-            qt = QuantTable(qp)
             levels = rng.integers(-500, 500, (8, 8))
-            d = dequantize(levels, qt)
-            lower, upper = coeff_bounds(levels, qt)
-            np.testing.assert_allclose(lower, d - qt.step / 2, rtol=1e-12)
-            np.testing.assert_allclose(upper, d + qt.step / 2, rtol=1e-12)
+            d = dequantize(levels, qp)
+            lower, upper = coeff_bounds(levels, qp)
+            np.testing.assert_allclose(lower, d - quant_step(qp) / 2, rtol=1e-12)
+            np.testing.assert_allclose(upper, d + quant_step(qp) / 2, rtol=1e-12)
             assert (lower <= upper).all()
 
     @pytest.mark.parametrize("qp", range(0, 52))
     def test_every_level_matches_the_dequantized_round_trip(self, qp):
         # bounds read from the levels equal, bit for bit, the ones recovered
         # from dequantized values with rint(decoded / step)
-        qt = QuantTable(qp)
+        step = quant_step(qp)
         levels = np.arange(-LEVEL_LIMIT, LEVEL_LIMIT + 1, dtype=np.int32)
-        recovered = np.rint(dequantize(levels, qt) / qt.step)
-        lower, upper = coeff_bounds(levels, qt)
-        assert np.array_equal(lower, (recovered - 0.5) * qt.step)
-        assert np.array_equal(upper, (recovered + 0.5) * qt.step)
+        recovered = np.rint(dequantize(levels, qp) / step)
+        lower, upper = coeff_bounds(levels, qp)
+        assert np.array_equal(lower, (recovered - 0.5) * step)
+        assert np.array_equal(upper, (recovered + 0.5) * step)
 
     def test_containment_sweep_all_qps(self):
         # the load-bearing property: e always lands inside its interval, exactly
         rng = np.random.default_rng(123)
         coeffs = rng.uniform(-2000.0, 2000.0, 100_000)
         for qp in range(0, 52):
-            qt = QuantTable(qp)
-            lower, upper = coeff_bounds(quantize(coeffs, qt), qt)
+            lower, upper = coeff_bounds(quantize(coeffs, qp), qp)
             assert (lower <= coeffs).all() and (coeffs <= upper).all()
 
 
