@@ -165,7 +165,6 @@ def _gather_rows(
 
 def deformable_gather_cached(
     fmap: np.ndarray,
-    kernel_size: int,
     offsets: np.ndarray,
     weights: np.ndarray,
     _record: bool = True,
@@ -173,9 +172,9 @@ def deformable_gather_cached(
     """Convolution whose taps are displaced by per-position offsets.
 
     With all-zero offsets this is an ordinary cross-correlation with
-    clamp-to-edge padding.  ``weights`` is (out_ch, in_ch, k, k); there is
-    no bias term.  Returns ``(output, cache)``; the cache is what
-    :func:`deformable_gather_backward` reads.
+    clamp-to-edge padding.  ``weights`` is (out_ch, in_ch, k, k) and sets
+    the kernel size k; there is no bias term.  Returns ``(output, cache)``;
+    the cache is what :func:`deformable_gather_backward` reads.
 
     The restorer's inference forward passes ``_record`` false: the gather
     then keeps no cache and returns None for it, and it works through
@@ -187,15 +186,13 @@ def deformable_gather_cached(
     offsets = np.asarray(offsets, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     c, h, w = fmap.shape
-    taps = kernel_size * kernel_size
-    if weights.ndim != 4 or weights.shape[1:] != (c, kernel_size, kernel_size):
-        raise ValueError(
-            f"weights must be (out, {c}, {kernel_size}, {kernel_size}), got {weights.shape}"
-        )
+    if weights.ndim != 4 or weights.shape[1:] != (c, weights.shape[2], weights.shape[2]):
+        raise ValueError(f"weights must be (out, {c}, k, k), got {weights.shape}")
+    k = weights.shape[2]
+    taps = k * k
     if offsets.shape != (2 * taps, h, w):
         raise ValueError(
-            f"offsets must be ({2 * taps}, {h}, {w}) for kernel {kernel_size}, "
-            f"got {offsets.shape}"
+            f"offsets must be ({2 * taps}, {h}, {w}) for kernel {k}, got {offsets.shape}"
         )
     flat = fmap.reshape(c, h * w)
     wr = weights.reshape(weights.shape[0], c * taps)

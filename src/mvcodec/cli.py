@@ -30,6 +30,7 @@ from .frames import (
     write_sequence,
 )
 from .restorer import (
+    HALF_WINDOW,
     TrainConfig,
     TrainingDiverged,
     build_training_samples,
@@ -176,7 +177,7 @@ def cmd_train(args) -> int:
         # 32x32 tiles keep the loop fast; frames smaller than that train whole
         crop = 32 if originals[0].width >= 32 and originals[0].height >= 32 else None
         samples.extend(
-            build_training_samples(originals, decoded, sides, half_window=2, crop=crop)
+            build_training_samples(originals, decoded, sides, half_window=HALF_WINDOW, crop=crop)
         )
     train_config = TrainConfig(iterations=args.iters, seed=args.seed)
     model, losses = train_restorer(samples, train_config)

@@ -10,6 +10,12 @@ The codec planes (prediction, residual, QP) come from :func:`build_aux_planes`;
 the forward builds the structure planes (motion magnitude, leaf size) from the
 motion planes it rasterizes for the warp.
 
+There is one architecture: its shape is the module constants (``HALF_WINDOW``,
+``CHANNELS``, ``KERNEL_SIZE``, ``OFFSET_HIDDEN``, ``ATTN_KERNEL``), its
+parameter tensors are :data:`SCHEDULE`, and a model file's header is the one
+byte string :data:`MODEL_HEADER` that records them; any other header is
+rejected.
+
 All layers are plain numpy with hand-written gradients.  The model is a
 composition of the units the test suite checks against finite differences:
 the conv layers (the offset predictor, each attention map and the fusion
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -67,8 +72,15 @@ PIXEL_NORM = 255.0
 AUX_CODEC_CHANNELS = 3  # prediction, residual, qp
 AUX_STRUCT_CHANNELS = 2  # |mv|, leaf size
 
-# architecture fields of RestorerModel, recorded in the model file header
-ARCH_FIELDS = ("half_window", "channels", "kernel_size", "offset_hidden", "attn_kernel")
+# the one architecture: windows of WINDOW decoded frames, CHANNELS feature
+# channels, KERNEL_SIZE x KERNEL_SIZE convs and gather, an OFFSET_HIDDEN-channel
+# offset predictor and ATTN_KERNEL x ATTN_KERNEL attention convs
+HALF_WINDOW = 2
+WINDOW = 2 * HALF_WINDOW + 1
+CHANNELS = 8
+KERNEL_SIZE = 3
+OFFSET_HIDDEN = 8
+ATTN_KERNEL = 7
 
 
 class TrainingDiverged(RuntimeError):
@@ -127,90 +139,80 @@ def fuse_backward(
 
 @dataclass
 class RestorerModel:
-    """Parameter store plus the shape schedule it was built from."""
+    """The parameters of the one architecture, by :data:`SCHEDULE` name."""
 
-    half_window: int
-    channels: int
-    kernel_size: int
-    offset_hidden: int
-    attn_kernel: int
     params: dict[str, np.ndarray]
-
-    @property
-    def window(self) -> int:
-        return 2 * self.half_window + 1
 
     def layer(self, name: str, activation: str) -> ConvLayer:
         return ConvLayer(self.params[f"{name}.w"], self.params[f"{name}.b"], activation)
 
 
-def model_schedule(
-    half_window: int,
-    channels: int,
-    kernel_size: int,
-    offset_hidden: int,
-    attn_kernel: int,
-) -> list[tuple[str, tuple[int, ...]]]:
+def model_schedule() -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Ordered (name, shape) schedule for every parameter tensor."""
-    c = channels
-    k = kernel_size
-    win = 2 * half_window + 1
-    taps2 = 2 * k * k
+    c = CHANNELS
     sched: list[tuple[str, tuple[int, ...]]] = []
 
-    def conv(name: str, out_ch: int, in_ch: int, ksize: int = 3) -> None:
+    def conv(name: str, out_ch: int, in_ch: int, ksize: int = KERNEL_SIZE) -> None:
         sched.append((f"{name}.w", (out_ch, in_ch, ksize, ksize)))
         sched.append((f"{name}.b", (out_ch,)))
 
     conv("feat", c, 1)
-    conv("off_hidden", offset_hidden, 2 * c + 2)
-    conv("off_out", taps2, offset_hidden)
-    sched.append(("gather.w", (c, c, k, k)))
-    conv("vmix", c, win * c)
+    conv("off_hidden", OFFSET_HIDDEN, 2 * c + 2)
+    conv("off_out", 2 * KERNEL_SIZE * KERNEL_SIZE, OFFSET_HIDDEN)
+    sched.append(("gather.w", (c, c, KERNEL_SIZE, KERNEL_SIZE)))
+    conv("vmix", c, WINDOW * c)
     conv("vres", c, c)
     conv("auxa1", c, AUX_CODEC_CHANNELS)
     conv("auxa2", c, c)
     conv("auxl1", c, AUX_STRUCT_CHANNELS)
     conv("auxl2", c, c)
-    conv("attn_a", 1, 2 * c, attn_kernel)
-    conv("attn_l", 1, 2 * c, attn_kernel)
+    conv("attn_a", 1, 2 * c, ATTN_KERNEL)
+    conv("attn_l", 1, 2 * c, ATTN_KERNEL)
     conv("agg1", c, 3 * c)
     conv("agg2", c, c)
     conv("rec1", c, c)
     conv("rec2", 1, c)
-    return sched
+    return tuple(sched)
 
 
-def init_restorer(
-    half_window: int = 2,
-    channels: int = 8,
-    kernel_size: int = 3,
-    offset_hidden: int = 8,
-    attn_kernel: int = 7,
-    seed: int = 1,
-) -> RestorerModel:
+SCHEDULE = model_schedule()
+
+# the model file header: the architecture and its schedule as canonical JSON
+MODEL_HEADER = json.dumps(
+    {
+        "half_window": HALF_WINDOW,
+        "channels": CHANNELS,
+        "kernel_size": KERNEL_SIZE,
+        "offset_hidden": OFFSET_HIDDEN,
+        "attn_kernel": ATTN_KERNEL,
+        "schedule": [[name, list(shape)] for name, shape in SCHEDULE],
+    },
+    sort_keys=True,
+    separators=(",", ":"),
+).encode("utf-8")
+
+
+def init_restorer(seed: int = 1) -> RestorerModel:
     """Seeded initialization: weights uniform(-a, a) with a = 1/sqrt(fan_in)."""
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    for name, shape in model_schedule(
-        half_window, channels, kernel_size, offset_hidden, attn_kernel
-    ):
+    for name, shape in SCHEDULE:
         if name.endswith(".w"):
             fan_in = int(np.prod(shape[1:]))
             a = 1.0 / np.sqrt(fan_in)
             params[name] = rng.uniform(-a, a, shape)
         else:
             params[name] = np.zeros(shape)
-    return RestorerModel(half_window, channels, kernel_size, offset_hidden, attn_kernel, params)
+    return RestorerModel(params)
 
 
 # ---------------------------------------------------------------------------
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _check_window(window: list[Frame], side: SideInfo, model: RestorerModel) -> None:
-    if len(window) != model.window:
-        raise ValueError(f"window must hold {model.window} frames, got {len(window)}")
+def _check_window(window: list[Frame], side: SideInfo) -> None:
+    if len(window) != WINDOW:
+        raise ValueError(f"window must hold {WINDOW} frames, got {len(window)}")
     h, w = side.prediction.height, side.prediction.width
     for f in window:
         if f.height != h or f.width != w:
@@ -253,8 +255,8 @@ def restorer_forward_cached(
     unit's cache is freed as soon as the unit returns, the gather runs in
     row bands and keeps no cache, and the returned cache is empty.
     """
-    _check_window(window, side, model)
-    n = model.half_window
+    _check_window(window, side)
+    n = HALF_WINDOW
     convs: dict[str, tuple[str, ConvLayer, ConvCache]] = {}
 
     def conv(
@@ -280,7 +282,7 @@ def restorer_forward_cached(
     gathers: dict[int, GatherCache] = {}  # neighbour -> gather cache
     aligned: dict[int, int] = {}  # first equal frame -> the neighbour aligning it
     slots = list(feats)
-    for j in range(model.window):
+    for j in range(WINDOW):
         if j == n:
             continue
         i = aligned.setdefault(first[j], j)
@@ -296,9 +298,7 @@ def restorer_forward_cached(
         offsets = conv("off_out", "none", conv(
             "off_hidden", "relu", feats[n], warped, mv_planes, key=f"off_hidden{j}",
         ), key=f"off_out{j}")
-        slots[j], gather_cache = deformable_gather_cached(
-            warped, model.kernel_size, offsets, gather_w, _record
-        )
+        slots[j], gather_cache = deformable_gather_cached(warped, offsets, gather_w, _record)
         if _record:
             gathers[j] = gather_cache
         # the offsets and the warped map die here unless the cache keeps
@@ -346,8 +346,8 @@ def restorer_backward(
     d_out: np.ndarray, cache: dict, model: RestorerModel
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for a cached forward pass."""
-    n = model.half_window
-    c = model.channels
+    n = HALF_WINDOW
+    c = CHANNELS
     grads = {name: np.zeros_like(p) for name, p in model.params.items()}
 
     def conv_back(key: str, up: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -370,7 +370,7 @@ def restorer_backward(
     d_stacked = conv_back("vmix", conv_back("vres", d_fv))
 
     gather_w = model.params["gather.w"]
-    d_feats = [np.zeros_like(d_stacked[:c]) for _ in range(model.window)]
+    d_feats = [np.zeros_like(d_stacked[:c]) for _ in range(WINDOW)]
     d_feats[n] += d_stacked[n * c : (n + 1) * c]
     for j, gather_cache in cache["neighbors"]:
         d_warped, d_offsets, dw_gather = deformable_gather_backward(
@@ -542,7 +542,7 @@ def restore_sequence(
         raise ValueError("decoded frames and side info must have equal lengths")
     restored = []
     for t, side in enumerate(sides):
-        window = padded_window(decoded, t, model.half_window)
+        window = padded_window(decoded, t, HALF_WINDOW)
         aux = build_aux_planes(side)
         candidate = restorer_forward(window, side, aux, model)
         if not np.isfinite(candidate).all():
@@ -559,13 +559,10 @@ def restore_sequence(
 # ---------------------------------------------------------------------------
 
 def save_model(model: RestorerModel, path) -> None:
-    """Write magic, schedule header, then parameters as little-endian f64."""
-    arch = {name: getattr(model, name) for name in ARCH_FIELDS}
-    sched = model_schedule(**arch)
-    header = dict(arch, schedule=[[name, list(shape)] for name, shape in sched])
-    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    parts = [MODEL_MAGIC, struct.pack("<HI", MODEL_VERSION, len(blob)), blob]
-    for name, shape in sched:
+    """Write magic, version, :data:`MODEL_HEADER`, then parameters as
+    little-endian f64."""
+    parts = [MODEL_MAGIC, struct.pack("<HI", MODEL_VERSION, len(MODEL_HEADER)), MODEL_HEADER]
+    for name, shape in SCHEDULE:
         arr = model.params[name]
         if tuple(arr.shape) != tuple(shape):
             raise ValueError(f"parameter {name!r} has drifted from its schedule")
@@ -574,10 +571,10 @@ def save_model(model: RestorerModel, path) -> None:
 
 
 def load_model(path) -> RestorerModel:
-    """Read a model file; any malformed content, a non-finite parameter
-    included, raises ``ValueError``."""
+    """Read a model file; any malformed content, a header other than
+    :data:`MODEL_HEADER` or a non-finite parameter included, raises
+    ``ValueError``."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != MODEL_MAGIC:
             raise ValueError(f"not a restorer model file (magic {magic!r})")
@@ -587,35 +584,11 @@ def load_model(path) -> RestorerModel:
         version, hlen = struct.unpack("<HI", preamble)
         if version != MODEL_VERSION:
             raise ValueError(f"unsupported model version {version}")
-        if hlen > size - fh.tell():
-            raise ValueError("model file truncated in its header")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError("model header must be a JSON object")
-        for name in ARCH_FIELDS:
-            value = header.get(name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"model header field {name!r} must be an integer")
-        arch = {name: header[name] for name in ARCH_FIELDS}
-        if arch["half_window"] < 0:
-            raise ValueError("model half_window must be non-negative")
-        for name in ("channels", "offset_hidden"):
-            if arch[name] < 1:
-                raise ValueError(f"model {name} must be positive")
-        for name in ("kernel_size", "attn_kernel"):
-            if arch[name] < 1 or arch[name] % 2 == 0:
-                raise ValueError(f"model {name} must be odd and positive")
-        expected = model_schedule(**arch)
-        if [[n, list(s)] for n, s in expected] != header.get("schedule"):
-            raise ValueError("model schedule does not match its architecture fields")
-        declared = 8 * sum(math.prod(shape) for _, shape in expected)
-        remaining = size - fh.tell()
-        if declared > remaining:
-            raise ValueError(
-                f"model file truncated: parameters need {declared} bytes, {remaining} remain"
-            )
+        # the length is checked first, so a huge declared length reads nothing
+        if hlen != len(MODEL_HEADER) or fh.read(hlen) != MODEL_HEADER:
+            raise ValueError("model header is not the restorer architecture's")
         params: dict[str, np.ndarray] = {}
-        for name, shape in expected:
+        for name, shape in SCHEDULE:
             count = math.prod(shape)
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:
@@ -625,4 +598,4 @@ def load_model(path) -> RestorerModel:
                 raise ValueError(f"model parameter {name!r} is not finite")
         if fh.read(1):
             raise ValueError("trailing bytes after model parameters")
-    return RestorerModel(params=params, **arch)
+    return RestorerModel(params)

@@ -209,9 +209,9 @@ def residual_coeffs(candidate: np.ndarray, side) -> np.ndarray:
     return transform_frame(candidate - side.prediction.as_float(), side.sizes, dct2d)
 
 
-def zero_restorer(**kwargs) -> RestorerModel:
+def zero_restorer() -> RestorerModel:
     """All-zero parameters: the identity restorer."""
-    model = init_restorer(**kwargs)
+    model = init_restorer()
     for p in model.params.values():
         p[:] = 0.0
     return model
@@ -532,10 +532,10 @@ def global_shift_pair(
     dx, dy = shift
     margin = max(abs(dx), abs(dy)) + 4
     rng = np.random.default_rng(seed)
-    base = np.clip(np.rint(_texture(rng, size + 2 * margin, size + 2 * margin, 20.0, 235.0)), 0, 255)
+    base = round_to_uint8(_texture(rng, size + 2 * margin, size + 2 * margin, 20.0, 235.0))
     ref = base[margin : margin + size, margin : margin + size]
     cur = base[margin - dy : margin - dy + size, margin - dx : margin - dx + size]
-    return Frame(ref.astype(np.uint8)), Frame(cur.astype(np.uint8))
+    return Frame(ref), Frame(cur)
 
 
 def coords_clear(raw: np.ndarray, dim: int, margin: float = 0.05) -> bool:
@@ -632,7 +632,7 @@ def offset_gather(feat_t, feat_prev, motion, hidden, out, gather_w):
         hidden, np.concatenate([feat_t, feat_prev, motion])
     )
     offsets, out_cache = conv_forward_cached(out, hidden_map)
-    aligned, gather_cache = deformable_gather_cached(feat_prev, 3, offsets, gather_w)
+    aligned, gather_cache = deformable_gather_cached(feat_prev, offsets, gather_w)
     return aligned, (hidden_cache, out_cache, gather_cache)
 
 

@@ -43,6 +43,7 @@ from mvcodec.codec import (
 from mvcodec.frames import load_sequence, psnr
 from mvcodec.nn import ConvLayer, conv_backward, conv_forward_cached, l1_loss, l1_loss_grad
 from mvcodec.restorer import (
+    HALF_WINDOW,
     build_aux_planes,
     fuse,
     fuse_backward,
@@ -160,9 +161,9 @@ def test_criterion_4_gradient_correctness():
 
     for seed in seeds:  # bilinear / deformable gather
         fmap, offsets, weights, up = draw_until(5000 + seed, gather_case, gather_case_clear)
-        _, gather_cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, gather_cache = deformable_gather_cached(fmap, offsets, weights)
         d_map, d_off, d_w = deformable_gather_backward(up, weights, gather_cache)
-        obj = lambda: float((deformable_gather_cached(fmap, 3, offsets, weights)[0] * up).sum())
+        obj = lambda: float((deformable_gather_cached(fmap, offsets, weights)[0] * up).sum())
         assert rel_error(d_map, finite_diff(obj, fmap)) < GRAD_TOL
         assert rel_error(d_off, finite_diff(obj, offsets)) < GRAD_TOL
         assert rel_error(d_w, finite_diff(obj, weights)) < GRAD_TOL
@@ -241,14 +242,14 @@ def test_criterion_8_reduction_identities(both_fixtures):
         weights = rng.normal(size=(3, shape[0], 3, 3))
         offsets = np.zeros((18,) + shape[1:])
         plain = conv_forward_cached(ConvLayer(weights, np.zeros(3), "none"), fmap)[0]
-        assert np.abs(deformable_gather_cached(fmap, 3, offsets, weights)[0] - plain).max() < 1e-12
+        assert np.abs(deformable_gather_cached(fmap, offsets, weights)[0] - plain).max() < 1e-12
 
     # zero-weight restorer is the identity on decoded frames
     frames = both_fixtures["texture"]
     _, decoded, sides = _coded(frames, 36)
     model = zero_restorer()
     for t in (0, 2, 5):
-        window = padded_window(decoded, t, model.half_window)
+        window = padded_window(decoded, t, HALF_WINDOW)
         out = restorer_forward(window, sides[t], build_aux_planes(sides[t]), model)
         assert np.array_equal(out, decoded[t].as_float())
 

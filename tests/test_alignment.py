@@ -124,7 +124,7 @@ class TestDeformableGatherForward:
         fmap = rng.normal(size=(1, 6, 6))
         weights = np.zeros((1, 1, 3, 3))
         weights[0, 0, 1, 1] = 1.0
-        out = deformable_gather_cached(fmap, 3, _zero_offsets(3, 6, 6), weights)[0]
+        out = deformable_gather_cached(fmap, _zero_offsets(3, 6, 6), weights)[0]
         np.testing.assert_allclose(out, fmap, atol=1e-12)
 
     def test_constant_offset_is_a_shift(self):
@@ -134,7 +134,7 @@ class TestDeformableGatherForward:
         weights[0, 0, 1, 1] = 1.0
         offsets = _zero_offsets(3, 5, 8)
         offsets[0::2] = 1.0  # every tap shifted one column right
-        out = deformable_gather_cached(fmap, 3, offsets, weights)[0]
+        out = deformable_gather_cached(fmap, offsets, weights)[0]
         shifted = fmap[:, :, np.minimum(np.arange(8) + 1, 7)]
         np.testing.assert_allclose(out, shifted, atol=1e-12)
 
@@ -143,7 +143,7 @@ class TestDeformableGatherForward:
         for shape in ((1, 5, 5), (3, 8, 6), (2, 16, 16)):
             fmap = rng.normal(size=shape)
             weights = rng.normal(size=(2, shape[0], 3, 3))
-            out = deformable_gather_cached(fmap, 3, _zero_offsets(3, *shape[1:]), weights)[0]
+            out = deformable_gather_cached(fmap, _zero_offsets(3, *shape[1:]), weights)[0]
             layer = ConvLayer(weights, np.zeros(2), "none")
             np.testing.assert_allclose(out, conv_forward_cached(layer, fmap)[0], atol=1e-12)
 
@@ -152,16 +152,16 @@ class TestDeformableGatherForward:
         fmap = rng.normal(size=(1, 5, 5))
         offsets = rng.uniform(-1.5, 1.5, (18, 5, 5))
         weights = rng.normal(size=(2, 1, 3, 3))
-        out = deformable_gather_cached(fmap, 3, offsets, weights)[0]
+        out = deformable_gather_cached(fmap, offsets, weights)[0]
         oracle = deformable_gather_direct(fmap, 3, offsets, weights)
         np.testing.assert_allclose(out, oracle, atol=1e-12)
 
     def test_shape_validation(self):
         weights = np.zeros((1, 1, 3, 3))
         with pytest.raises(ValueError):
-            deformable_gather_cached(np.zeros((1, 5, 5)), 3, np.zeros((4, 5, 5)), weights)
+            deformable_gather_cached(np.zeros((1, 5, 5)), np.zeros((4, 5, 5)), weights)
         with pytest.raises(ValueError):
-            deformable_gather_cached(np.zeros((2, 5, 5)), 3, np.zeros((18, 5, 5)), weights)
+            deformable_gather_cached(np.zeros((2, 5, 5)), np.zeros((18, 5, 5)), weights)
 
     @pytest.mark.parametrize("size", [32, 48, 64, 96, 128])
     def test_banded_gather_equals_the_cached_gather(self, size):
@@ -171,8 +171,8 @@ class TestDeformableGatherForward:
         fmap = rng.normal(size=(8, size, size))
         offsets = rng.normal(scale=3.0, size=(18, size, size))
         weights = rng.normal(size=(8, 8, 3, 3))
-        want = deformable_gather_cached(fmap, 3, offsets, weights)[0]
-        got, cache = deformable_gather_cached(fmap, 3, offsets, weights, False)
+        want = deformable_gather_cached(fmap, offsets, weights)[0]
+        got, cache = deformable_gather_cached(fmap, offsets, weights, False)
         assert cache is None
         assert np.array_equal(got, want)
 
@@ -184,7 +184,7 @@ class TestGatherCornerConstruction:
 
     @staticmethod
     def assert_matches_reference(fmap, k, offsets, weights):
-        out, cache = deformable_gather_cached(fmap, k, offsets, weights)
+        out, cache = deformable_gather_cached(fmap, offsets, weights)
         ref_out, ref_cache = deformable_gather_reference(fmap, k, offsets, weights)
         assert np.array_equal(out, ref_out)
         for name in cache._fields:
@@ -235,11 +235,11 @@ class TestDeformableGatherGradients:
     @pytest.mark.parametrize("seed", range(6))
     def test_finite_difference_all_three(self, seed):
         fmap, offsets, weights, upstream = draw_until(seed, gather_case, gather_case_clear)
-        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, offsets, weights)
         d_map, d_off, d_w = deformable_gather_backward(upstream, weights, cache)
 
         def objective():
-            return float((deformable_gather_cached(fmap, 3, offsets, weights)[0] * upstream).sum())
+            return float((deformable_gather_cached(fmap, offsets, weights)[0] * upstream).sum())
 
         assert rel_error(d_map, finite_diff(objective, fmap)) < GRAD_TOL
         assert rel_error(d_off, finite_diff(objective, offsets)) < GRAD_TOL
@@ -248,7 +248,7 @@ class TestDeformableGatherGradients:
     def test_zero_upstream_zeroes_everything(self):
         rng = np.random.default_rng(33)
         fmap, offsets, weights, _ = gather_case(rng)
-        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, offsets, weights)
         d_map, d_off, d_w = deformable_gather_backward(np.zeros((2, 5, 6)), weights, cache)
         assert not d_map.any() and not d_off.any() and not d_w.any()
 
@@ -260,7 +260,7 @@ class TestDeformableGatherGradients:
         offsets = _zero_offsets(3, 5, 5)
         upstream = np.zeros((1, 5, 5))
         upstream[0, 2, 2] = 1.0  # output position (2,2); tap lands on (1,1)
-        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, offsets, weights)
         d_map, _, _ = deformable_gather_backward(upstream, weights, cache)
         expected = np.zeros((1, 5, 5))
         expected[0, 1, 1] = 1.0
@@ -273,7 +273,7 @@ class TestDeformableGatherGradients:
         offsets = _zero_offsets(3, 5, 5)
         offsets[0::2] = -20.0  # push every tap far off the left edge
         upstream = rng.normal(size=(1, 5, 5))
-        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, offsets, weights)
         _, d_off, _ = deformable_gather_backward(upstream, weights, cache)
         assert not d_off[0::2].any()
 
@@ -284,7 +284,7 @@ class TestDeformableGatherGradients:
         offsets = rng.normal(scale=2.0, size=(18, h, w))
         weights = rng.normal(size=(3, c, 3, 3))
         upstream = rng.normal(size=(3, h, w))
-        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, offsets, weights)
         d_map = deformable_gather_backward(upstream, weights, cache)[0]
         d_sampled = (weights.reshape(3, c * 9).T @ upstream.reshape(3, h * w)).reshape(c, -1)
         oracle = gather_scatter_one_bincount(cache.index, cache.corner_w, d_sampled, h, w)
@@ -300,7 +300,7 @@ class TestDeformableGatherGradients:
         offsets = rng.normal(scale=2.0, size=(18, h, w))
         weights = rng.normal(size=(c, c, 3, 3))
         upstream = rng.normal(size=(c, h, w))
-        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, offsets, weights)
         deformable_gather_backward(upstream, weights, cache)  # warm up numpy's caches
         tracemalloc.start()
         try:
@@ -313,7 +313,7 @@ class TestDeformableGatherGradients:
     def test_upstream_must_match_cached_output(self):
         rng = np.random.default_rng(33)
         fmap, offsets, weights, upstream = gather_case(rng)
-        _, cache = deformable_gather_cached(fmap, 3, offsets, weights)
+        _, cache = deformable_gather_cached(fmap, offsets, weights)
         for bad in (upstream[:, :-1], upstream[:1], upstream[None]):
             with pytest.raises(ValueError, match="upstream must be"):
                 deformable_gather_backward(bad, weights, cache)
