@@ -11,7 +11,7 @@ MAX_UE_ZEROS = 64
 _RUN_WINDOW_BYTES = 32
 
 
-class BitstreamError(Exception):
+class BitstreamError(ValueError):
     """Raised when a bitstream is malformed or ends early."""
 
 

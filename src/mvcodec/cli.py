@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bitio import BitstreamError
 from .codec import (
     CodecConfig,
     decode_sequence,
@@ -22,7 +21,6 @@ from .codec import (
 )
 from .frames import (
     Frame,
-    SequenceError,
     load_sequence,
     psnr,
     ssim,
@@ -32,7 +30,6 @@ from .frames import (
 from .restorer import (
     HALF_WINDOW,
     TrainConfig,
-    TrainingDiverged,
     build_training_samples,
     load_model,
     restore_sequence,
@@ -171,8 +168,8 @@ def cmd_train(args) -> int:
     config = CodecConfig(qp=args.qp)
     samples = []
     for entry in entries:
-        seq_manifest = (dataset_path.parent / entry) if not Path(entry).is_absolute() else Path(entry)
-        originals = load_sequence(seq_manifest)
+        # an absolute entry stays as it is
+        originals = load_sequence(dataset_path.parent / entry)
         decoded, sides = decode_sequence(encode_sequence(originals, config))
         # 32x32 tiles keep the loop fast; frames smaller than that train whole
         crop = 32 if originals[0].width >= 32 and originals[0].height >= 32 else None
@@ -269,10 +266,10 @@ def main(argv=None) -> int:
         # a non-finite result is already an exit-3 error, so numpy's warning adds nothing
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (TrainingDiverged, FloatingPointError) as exc:
+    except FloatingPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (SequenceError, BitstreamError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -38,6 +38,8 @@ from .bitio import BitReader, BitstreamError, BitWriter, signed_to_unsigned, uns
 from .frames import MACROBLOCK, Frame
 from .transform import (
     LEVEL_LIMIT,
+    QP_MAX,
+    QP_MIN,
     dct2d,
     dequantize,
     idct2d,
@@ -410,8 +412,8 @@ def parse_header(data: bytes) -> StreamHeader:
         raise BitstreamError(f"unsupported stream version {version}")
     if width == 0 or height == 0 or width % MACROBLOCK or height % MACROBLOCK:
         raise BitstreamError(f"illegal dimensions {width}x{height}")
-    if qp > 51:
-        raise BitstreamError(f"qp {qp} outside [0, 51]")
+    if qp > QP_MAX:
+        raise BitstreamError(f"qp {qp} outside [{QP_MIN}, {QP_MAX}]")
     if frame_count == 0:
         raise BitstreamError("stream carries no frames")
     return StreamHeader(width, height, frame_count, qp, radius, tau10 / 10.0)

@@ -26,7 +26,7 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 
 
-class SequenceError(Exception):
+class SequenceError(ValueError):
     """Malformed manifest or PGM input, or frames that do not match it."""
 
 

@@ -22,7 +22,8 @@ caller that needs no input gradient skips it.  Its weight gradient is one
 GEMM per tap on the padded rows, so it builds no column buffer either.
 
 :func:`adam_step` is bias-corrected Adam with one fixed setting, the module
-constants: learning rate 1e-4, betas 0.9 and 0.999, epsilon 1e-8.
+constants: learning rate 1e-4, betas 0.9 and 0.999, epsilon 1e-8.  It updates
+one parameter vector in place, and its moments are vectors of that shape.
 """
 
 from __future__ import annotations
@@ -295,41 +296,27 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment estimates per parameter, plus the step count."""
+    """First/second moment estimates of the parameter vector, plus the step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int
 
 
-def adam_init(params: dict[str, np.ndarray]) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
-        t=0,
-    )
+def adam_init(params: np.ndarray) -> AdamState:
+    return AdamState(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: AdamState,
-) -> None:
-    """One bias-corrected Adam update, applied in place."""
-    if set(params) != set(grads):
-        raise ValueError("params and grads must have identical keys")
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of the parameter vector, in place."""
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} does not match parameters {params.shape}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape mismatch for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= ADAM_LR * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    state.m *= b1
+    state.m += (1.0 - b1) * grads
+    state.v *= b2
+    state.v += (1.0 - b2) * grads * grads
+    params -= ADAM_LR * (state.m / bc1) / (np.sqrt(state.v / bc2) + ADAM_EPS)

@@ -14,7 +14,9 @@ There is one architecture: its shape is the module constants (``HALF_WINDOW``,
 ``CHANNELS``, ``KERNEL_SIZE``, ``OFFSET_HIDDEN``, ``ATTN_KERNEL``), its
 parameter tensors are :data:`SCHEDULE`, and a model file's header is the one
 byte string :data:`MODEL_HEADER` that records them; any other header is
-rejected.
+rejected.  The parameters are one float64 vector in :data:`SCHEDULE` order,
+whose tensors :func:`param_views` names; a gradient, Adam's moments and a
+model file's payload are vectors of that layout.
 
 All layers are plain numpy with hand-written gradients.  The model is a
 composition of the units the test suite checks against finite differences:
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +49,7 @@ from .alignment import (
 )
 from .backproject import back_project_frame
 from .codec import SideInfo, residual_plane
-from .frames import Frame, write_atomic
+from .frames import MACROBLOCK, Frame, write_atomic
 from .nn import (
     ConvCache,
     ConvLayer,
@@ -58,7 +60,7 @@ from .nn import (
     l1_loss,
     l1_loss_grad,
 )
-from .transform import round_to_uint8
+from .transform import QP_MAX, round_to_uint8
 
 MODEL_MAGIC = b"MVDR"
 MODEL_VERSION = 1
@@ -66,7 +68,7 @@ MODEL_VERSION = 1
 # prior-plane normalization constants
 MV_NORM = 16.0
 SIZE_NORM = 16.0
-QP_NORM = 51.0
+QP_NORM = float(QP_MAX)
 PIXEL_NORM = 255.0
 
 AUX_CODEC_CHANNELS = 3  # prediction, residual, qp
@@ -81,10 +83,6 @@ CHANNELS = 8
 KERNEL_SIZE = 3
 OFFSET_HIDDEN = 8
 ATTN_KERNEL = 7
-
-
-class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during training."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +137,16 @@ def fuse_backward(
 
 @dataclass
 class RestorerModel:
-    """The parameters of the one architecture, by :data:`SCHEDULE` name."""
+    """The parameter ``vector`` of the one architecture, and ``params``, its
+    views by :data:`SCHEDULE` name.  Edit a view in place (``params[name] *=
+    3.0``); an array bound to a name in its place is not part of ``vector``.
+    """
 
-    params: dict[str, np.ndarray]
+    vector: np.ndarray  # (PARAM_COUNT,) float64
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.params = param_views(self.vector)
 
     def layer(self, name: str, activation: str) -> ConvLayer:
         return ConvLayer(self.params[f"{name}.w"], self.params[f"{name}.b"], activation)
@@ -176,6 +181,7 @@ def model_schedule() -> tuple[tuple[str, tuple[int, ...]], ...]:
 
 
 SCHEDULE = model_schedule()
+PARAM_COUNT = sum(math.prod(shape) for _, shape in SCHEDULE)
 
 # the model file header: the architecture and its schedule as canonical JSON
 MODEL_HEADER = json.dumps(
@@ -192,18 +198,24 @@ MODEL_HEADER = json.dumps(
 ).encode("utf-8")
 
 
+def param_views(vector: np.ndarray) -> dict[str, np.ndarray]:
+    """Every tensor of :data:`SCHEDULE` as a view of a parameter-layout vector."""
+    if vector.dtype != np.float64 or vector.shape != (PARAM_COUNT,):
+        raise ValueError(f"a parameter vector is {PARAM_COUNT} float64 values")
+    ends = np.cumsum([math.prod(shape) for _, shape in SCHEDULE])
+    parts = np.split(vector, ends[:-1])
+    return {name: part.reshape(shape) for (name, shape), part in zip(SCHEDULE, parts)}
+
+
 def init_restorer(seed: int = 1) -> RestorerModel:
     """Seeded initialization: weights uniform(-a, a) with a = 1/sqrt(fan_in)."""
     rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
+    model = RestorerModel(np.zeros(PARAM_COUNT))
     for name, shape in SCHEDULE:
         if name.endswith(".w"):
-            fan_in = int(np.prod(shape[1:]))
-            a = 1.0 / np.sqrt(fan_in)
-            params[name] = rng.uniform(-a, a, shape)
-        else:
-            params[name] = np.zeros(shape)
-    return RestorerModel(params)
+            a = 1.0 / np.sqrt(math.prod(shape[1:]))
+            model.params[name][...] = rng.uniform(-a, a, shape)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +354,12 @@ def restorer_forward(
     return restorer_forward_cached(window, side, aux, model, _record=False)[0]
 
 
-def restorer_backward(
-    d_out: np.ndarray, cache: dict, model: RestorerModel
-) -> dict[str, np.ndarray]:
-    """Parameter gradients for a cached forward pass."""
+def restorer_backward(d_out: np.ndarray, cache: dict, model: RestorerModel) -> np.ndarray:
+    """Parameter gradient of a cached forward pass, laid out as ``model.vector``."""
     n = HALF_WINDOW
     c = CHANNELS
-    grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+    grad = np.zeros(PARAM_COUNT)
+    grads = param_views(grad)
 
     def conv_back(key: str, up: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         name, layer, cc = cache["convs"][key]
@@ -383,7 +394,7 @@ def restorer_backward(
 
     for j, d_feat in enumerate(d_feats):
         conv_back(f"feat{j}", d_feat, input_grad=False)
-    return grads
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +418,11 @@ def crop_side_info(side: SideInfo, x0: int, y0: int, size: int) -> SideInfo:
     """Side information restricted to a macroblock-aligned square crop.
 
     Partition leaves never straddle macroblock boundaries, so the planes of a
-    16-aligned crop inside the frame are a valid tiling of whole leaves.
+    macroblock-aligned crop inside the frame are a valid tiling of whole leaves.
     """
     height, width = side.sizes.shape
-    if x0 % 16 or y0 % 16 or size % 16:
-        raise ValueError("crops must be 16-aligned")
+    if x0 % MACROBLOCK or y0 % MACROBLOCK or size % MACROBLOCK:
+        raise ValueError(f"crops must be {MACROBLOCK}-aligned")
     if not (0 <= x0 and x0 + size <= width and 0 <= y0 and y0 + size <= height):
         raise ValueError("crop must fit inside the frame")
     window = (slice(y0, y0 + size), slice(x0, x0 + size))
@@ -434,17 +445,21 @@ def build_training_samples(
 ) -> list[TrainSample]:
     """Training tuples for a coded sequence, one per frame or per crop tile.
 
-    With ``crop`` set, each frame contributes one sample per 16-aligned
-    ``crop`` x ``crop`` tile; smaller tiles keep the training loop fast
-    without changing any of the restorer semantics.  A frame's codec planes
-    are built once and sliced per tile: a 16-aligned crop covers whole
-    leaves, so its planes equal that crop of the frame's.  Each decoded
-    frame is cropped once per tile, and every window of a tile is a
+    With ``crop`` set, each frame contributes one sample per
+    macroblock-aligned ``crop`` x ``crop`` tile; smaller tiles keep the
+    training loop fast without changing any of the restorer semantics.  A
+    frame's codec planes are built once and sliced per tile: an aligned crop
+    covers whole leaves, so its planes equal that crop of the frame's.  Each
+    decoded frame is cropped once per tile, and every window of a tile is a
     :func:`padded_window` of that tile's crops, so a window repeats a crop
     as the same object.
     """
     if not (len(originals) == len(decoded) == len(sides)):
         raise ValueError("originals, decoded and side info must have equal lengths")
+    if crop is not None and decoded:
+        width, height = decoded[0].width, decoded[0].height
+        if crop % MACROBLOCK or crop > width or crop > height:
+            raise ValueError(f"crop must be {MACROBLOCK}-aligned and fit inside the frame")
     samples = []
     crops: dict[tuple[int, int], list[Frame]] = {}  # tile origin -> crop of every frame
     for t in range(len(decoded)):
@@ -453,9 +468,6 @@ def build_training_samples(
             window = padded_window(decoded, t, half_window)
             samples.append(TrainSample(window, sides[t], aux, originals[t]))
             continue
-        width, height = decoded[t].width, decoded[t].height
-        if crop % 16 or crop > width or crop > height:
-            raise ValueError("crop must be 16-aligned and fit inside the frame")
         for y0 in range(0, height - crop + 1, crop):
             for x0 in range(0, width - crop + 1, crop):
                 tile = (slice(y0, y0 + crop), slice(x0, x0 + crop))
@@ -486,7 +498,8 @@ class TrainConfig:
 def train_restorer(
     dataset: list[TrainSample], config: TrainConfig
 ) -> tuple[RestorerModel, list[float]]:
-    """Seeded, deterministic mini-batch Adam on L1 loss from ``init_restorer``."""
+    """Seeded, deterministic mini-batch Adam on L1 loss from ``init_restorer``;
+    a batch loss that is not finite raises ``FloatingPointError``."""
     if not dataset:
         raise ValueError("training dataset is empty")
     model = init_restorer(seed=config.seed)
@@ -497,10 +510,10 @@ def train_restorer(
     epochs = math.ceil(need / len(dataset))
     order = np.array([rng.permutation(len(dataset)) for _ in range(epochs)], dtype=np.intp)
     batch_schedule = order.reshape(-1)[:need].reshape(config.iterations, config.batch_size)
-    state = adam_init(model.params)
+    state = adam_init(model.vector)
     losses: list[float] = []
     for it in range(config.iterations):
-        grads = {name: np.zeros_like(p) for name, p in model.params.items()}
+        grads = np.zeros(PARAM_COUNT)
         loss_sum = 0.0
         for idx in batch_schedule[it]:
             sample = dataset[int(idx)]
@@ -509,18 +522,15 @@ def train_restorer(
             )
             target = sample.target.as_float()
             loss_sum += l1_loss(out, target)
-            sample_grads = restorer_backward(l1_loss_grad(out, target), cache, model)
+            grads += restorer_backward(l1_loss_grad(out, target), cache, model)
             # one sample's cache alive at a time
             del out, cache
-            for name in grads:
-                grads[name] += sample_grads[name]
         loss = loss_sum / config.batch_size
         if not np.isfinite(loss):
-            raise TrainingDiverged(f"loss became non-finite at iteration {it}")
+            raise FloatingPointError(f"loss became non-finite at iteration {it}")
         losses.append(loss)
-        for name in grads:
-            grads[name] /= config.batch_size
-        adam_step(model.params, grads, state)
+        grads /= config.batch_size
+        adam_step(model.vector, grads, state)
     return model, losses
 
 
@@ -559,15 +569,10 @@ def restore_sequence(
 # ---------------------------------------------------------------------------
 
 def save_model(model: RestorerModel, path) -> None:
-    """Write magic, version, :data:`MODEL_HEADER`, then parameters as
-    little-endian f64."""
-    parts = [MODEL_MAGIC, struct.pack("<HI", MODEL_VERSION, len(MODEL_HEADER)), MODEL_HEADER]
-    for name, shape in SCHEDULE:
-        arr = model.params[name]
-        if tuple(arr.shape) != tuple(shape):
-            raise ValueError(f"parameter {name!r} has drifted from its schedule")
-        parts.append(arr.astype("<f8").tobytes())
-    write_atomic(path, b"".join(parts))
+    """Write magic, version, :data:`MODEL_HEADER`, then the parameter vector
+    as little-endian f64."""
+    header = MODEL_MAGIC + struct.pack("<HI", MODEL_VERSION, len(MODEL_HEADER)) + MODEL_HEADER
+    write_atomic(path, header + model.vector.astype("<f8").tobytes())
 
 
 def load_model(path) -> RestorerModel:
@@ -587,15 +592,14 @@ def load_model(path) -> RestorerModel:
         # the length is checked first, so a huge declared length reads nothing
         if hlen != len(MODEL_HEADER) or fh.read(hlen) != MODEL_HEADER:
             raise ValueError("model header is not the restorer architecture's")
-        params: dict[str, np.ndarray] = {}
-        for name, shape in SCHEDULE:
-            count = math.prod(shape)
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ValueError(f"model file truncated in parameter {name!r}")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-            if not np.isfinite(params[name]).all():
-                raise ValueError(f"model parameter {name!r} is not finite")
-        if fh.read(1):
-            raise ValueError("trailing bytes after model parameters")
-    return RestorerModel(params)
+        # one byte past the vector, so a longer file shows
+        payload = fh.read(8 * PARAM_COUNT + 1)
+    if len(payload) < 8 * PARAM_COUNT:
+        raise ValueError("model file truncated in its parameters")
+    if len(payload) > 8 * PARAM_COUNT:
+        raise ValueError("trailing bytes after model parameters")
+    model = RestorerModel(np.frombuffer(payload, "<f8", count=PARAM_COUNT).astype(np.float64))
+    for name, p in model.params.items():
+        if not np.isfinite(p).all():
+            raise ValueError(f"model parameter {name!r} is not finite")
+    return model

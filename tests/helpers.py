@@ -212,8 +212,7 @@ def residual_coeffs(candidate: np.ndarray, side) -> np.ndarray:
 def zero_restorer() -> RestorerModel:
     """All-zero parameters: the identity restorer."""
     model = init_restorer()
-    for p in model.params.values():
-        p[:] = 0.0
+    model.vector[:] = 0.0
     return model
 
 

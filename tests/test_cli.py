@@ -234,6 +234,8 @@ class TestRestore:
             "reformatted",
             # one digit of the saved header changed: same length, other bytes
             "same_length",
+            # the saved file with one byte appended after the parameters
+            "appended_byte",
         ],
     )
     def test_malformed_model_header_is_exit_2(self, seq_dir, tmp_path, capsys, case):
@@ -264,6 +266,8 @@ class TestRestore:
             bad = data[:5]
         elif case == "huge_header":
             bad = data[:4] + struct.pack("<HI", 1, 2**32 - 1) + data[10:]
+        elif case == "appended_byte":
+            bad = data + b"\0"
         model_path.write_bytes(bad)
         with pytest.raises(ValueError):  # at load time, before any decoding
             load_model(model_path)
@@ -502,10 +506,9 @@ class TestUsage:
         dataset = tmp_path / "dataset.txt"
         dataset.write_text(str(seq_manifest) + "\n")
         from mvcodec import cli
-        from mvcodec.restorer import TrainingDiverged
 
         def explode(*args, **kwargs):
-            raise TrainingDiverged("loss became non-finite at iteration 0")
+            raise FloatingPointError("loss became non-finite at iteration 0")
 
         monkeypatch.setattr(cli, "train_restorer", explode)
         assert main(["train", str(dataset), "--iters", "1", "-o", str(tmp_path / "m.mvdr")]) == 3

@@ -264,45 +264,45 @@ class TestL1Loss:
 
 class TestAdam:
     def _params(self):
-        return {"w": np.array([1.0, -2.0, 3.0]), "b": np.array([[0.5]])}
+        return np.array([1.0, -2.0, 3.0, 0.5])
 
     def test_zero_gradients_fresh_state_is_a_noop(self):
         params = self._params()
-        before = {k: v.copy() for k, v in params.items()}
+        before = params.copy()
         state = adam_init(params)
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        adam_step(params, grads, state)
-        for k in params:
-            assert np.array_equal(params[k], before[k])
-            assert not state.m[k].any() and not state.v[k].any()
+        adam_step(params, np.zeros_like(params), state)
+        assert np.array_equal(params, before)
+        assert not state.m.any() and not state.v.any()
 
     def test_moments_decay_under_zero_gradient(self):
         params = self._params()
         state = adam_init(params)
-        state.m["w"][:] = 1.0
-        state.v["w"][:] = 2.0
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        adam_step(params, grads, state)
-        np.testing.assert_allclose(state.m["w"], 0.9)
-        np.testing.assert_allclose(state.v["w"], 2.0 * 0.999)
+        state.m[:2] = 1.0
+        state.v[:2] = 2.0
+        adam_step(params, np.zeros_like(params), state)
+        np.testing.assert_allclose(state.m, [0.9, 0.9, 0.0, 0.0])
+        np.testing.assert_allclose(state.v, [2.0 * 0.999, 2.0 * 0.999, 0.0, 0.0])
 
     def test_first_step_magnitude_is_learning_rate(self):
-        params = {"w": np.array([1.0, 1.0])}
+        params = np.array([1.0, 1.0])
         state = adam_init(params)
-        grads = {"w": np.array([0.7, -2.3])}
+        grads = np.array([0.7, -2.3])
         adam_step(params, grads, state)
-        step = params["w"] - 1.0
-        np.testing.assert_allclose(step, -ADAM_LR * np.sign(grads["w"]), rtol=1e-6)
+        step = params - 1.0
+        np.testing.assert_allclose(step, -ADAM_LR * np.sign(grads), rtol=1e-6)
 
     def test_two_runs_are_bit_identical(self):
-        rng = np.random.default_rng(8)
         trajectories = []
         for _ in range(2):
-            params = {"w": np.linspace(-1, 1, 10)}
+            params = np.linspace(-1, 1, 10)
             state = adam_init(params)
             g_rng = np.random.default_rng(123)
             for _ in range(25):
-                grads = {"w": g_rng.normal(size=10)}
-                adam_step(params, grads, state)
-            trajectories.append(params["w"].copy())
+                adam_step(params, g_rng.normal(size=10), state)
+            trajectories.append(params.copy())
         assert np.array_equal(trajectories[0], trajectories[1])
+
+    def test_gradient_of_another_shape_rejected(self):
+        params = self._params()
+        with pytest.raises(ValueError, match="gradient shape"):
+            adam_step(params, np.zeros(3), adam_init(params))

@@ -19,10 +19,11 @@ from mvcodec.frames import Frame
 from mvcodec.nn import ConvLayer, l1_loss
 from mvcodec.restorer import (
     HALF_WINDOW,
+    MODEL_HEADER,
+    PARAM_COUNT,
     SCHEDULE,
     WINDOW,
     TrainConfig,
-    TrainingDiverged,
     build_aux_planes,
     build_training_samples,
     crop_side_info,
@@ -31,6 +32,7 @@ from mvcodec.restorer import (
     init_restorer,
     load_model,
     padded_window,
+    param_views,
     restore_sequence,
     restorer_backward,
     restorer_forward,
@@ -240,34 +242,40 @@ class TestRestorerGradients:
         samples = build_training_samples(frames, decoded, sides, half_window=HALF_WINDOW)
         # sample 0's window (f0, f0, f0, f1, f2) repeats the centre frame, so
         # its first two neighbours and the centre share one feat conv and its cache
+        relu_layers = ("feat", "off_hidden", "vmix", "vres", "auxa1", "auxa2",
+                       "auxl1", "auxl2", "agg1", "agg2", "rec1")
         for s in (samples[2], samples[0]):
             # constructed kink-free point: every relu unit is pushed active by a
             # bias lift (locally linear), offsets sit mid-cell, weights stay small
-            # so finite-difference perturbations cannot reach any corner
-            model = init_restorer(seed=1000)
-            relu_layers = ("feat", "off_hidden", "vmix", "vres", "auxa1", "auxa2",
-                           "auxl1", "auxl2", "agg1", "agg2", "rec1")
-            for name in model.params:
-                if name.endswith(".w"):
-                    model.params[name] *= 0.3
-            for name in relu_layers:
-                model.params[f"{name}.b"] += 0.7
-            model.params["off_out.b"] += 0.4
-            out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
-            # every relu pre-activation, all in the one conv registry
-            convs = cache["convs"]
-            relu_z = [cc.z for _, layer, cc in convs.values() if layer.activation == "relu"]
-            assert len(relu_z) == 18  # 5 feat, 4 off_hidden, 9 single layers
-            min_z = min(float(np.abs(z).min()) for z in relu_z)
-            # the offset layer is linear, so its pre-activation is the offset field
-            offs = np.concatenate([convs[f"off_out{j}"][2].z.ravel() for j, _ in cache["neighbors"]])
-            frac = np.abs(offs - np.round(offs))
+            # so finite-difference perturbations cannot reach any corner; the
+            # first init seed from 1000 up whose point is kink-free is checked
+            for seed in range(1000, 1020):
+                model = init_restorer(seed=seed)
+                for name in model.params:
+                    if name.endswith(".w"):
+                        model.params[name] *= 0.3
+                for name in relu_layers:
+                    model.params[f"{name}.b"] += 0.7
+                model.params["off_out.b"] += 0.4
+                out, cache = restorer_forward_cached(s.window, s.side, s.aux, model)
+                # every relu pre-activation, all in the one conv registry
+                convs = cache["convs"]
+                relu_z = [cc.z for _, layer, cc in convs.values() if layer.activation == "relu"]
+                assert len(relu_z) == 18  # 5 feat, 4 off_hidden, 9 single layers
+                min_z = min(float(np.abs(z).min()) for z in relu_z)
+                # the offset layer is linear, so its pre-activation is the offset field
+                offs = np.concatenate(
+                    [convs[f"off_out{j}"][2].z.ravel() for j, _ in cache["neighbors"]]
+                )
+                frac = np.abs(offs - np.round(offs))
+                if min_z > 0.05 and frac.min() > 0.1 and np.abs(offs).max() < 0.9:
+                    break
             assert min_z > 0.05, "pre-activations not clear of relu corners"
             assert frac.min() > 0.1 and np.abs(offs).max() < 0.9, "offsets not mid-cell"
 
             rng = np.random.default_rng(0)
             upstream = rng.normal(size=out.shape)
-            grads = restorer_backward(upstream, cache, model)
+            grads = param_views(restorer_backward(upstream, cache, model))
 
             # the constant center-frame skip term is subtracted to keep the
             # objective small; otherwise float cancellation drowns the quotient
@@ -313,8 +321,7 @@ class TestRestorerGradients:
             s.window, s.side, s.aux, model)[1], model)
         assert _freeze(cache) > 50
         frozen = restorer_backward(upstream, cache, model)
-        for name in model.params:
-            assert np.array_equal(frozen[name], writable[name]), name
+        assert np.array_equal(frozen, writable)
 
 
 def _dataset_loss(model, samples):
@@ -375,7 +382,7 @@ class TestTraining:
         model.params["rec2.w"][:] = 1e300
         model.params["vmix.w"][:] = 1e300
         monkeypatch.setattr(restorer, "init_restorer", lambda seed: model)
-        with pytest.raises(TrainingDiverged):
+        with pytest.raises(FloatingPointError, match="non-finite at iteration 0"):
             train_restorer(samples, TrainConfig(iterations=2, batch_size=1))
 
     def test_config_validation(self):
@@ -563,8 +570,7 @@ class TestRestoreSequence:
         (gathers_shared, out_shared, grads_shared), (gathers_copies, out_copies, grads_copies) = runs
         assert (gathers_shared, gathers_copies) == (3, 4)
         assert np.array_equal(out_copies, out_shared)
-        for name in model.params:
-            assert np.array_equal(grads_copies[name], grads_shared[name]), name
+        assert np.array_equal(grads_copies, grads_shared)
 
     @pytest.mark.parametrize("back_projection", [True, False])
     def test_overflowing_model_names_the_frame(self, tiny_coded, back_projection):
@@ -598,6 +604,25 @@ class TestModelIO:
         assert list(loaded.params) == list(model.params)
         for name in model.params:
             assert np.array_equal(loaded.params[name], model.params[name])
+
+    def test_params_are_views_of_the_saved_vector(self, tmp_path):
+        model = init_restorer(seed=11)
+        assert model.vector.shape == (PARAM_COUNT,)
+        assert list(model.params) == [name for name, _ in SCHEDULE]
+        for name, view in model.params.items():
+            assert np.shares_memory(view, model.vector), name
+        # rec2.b closes the schedule, so an edit through its view alone is
+        # the last float of the file
+        assert SCHEDULE[-1][0] == "rec2.b"
+        model.params["rec2.b"] += 0.25
+        path = tmp_path / "m.mvdr"
+        save_model(model, path)
+        data = path.read_bytes()
+        header = 4 + 6 + len(MODEL_HEADER)  # magic, version and length, header
+        assert data[10:header] == MODEL_HEADER
+        assert len(data) == header + 8 * PARAM_COUNT
+        assert data[header:] == model.vector.astype("<f8").tobytes()
+        assert np.frombuffer(data[-8:], "<f8")[0] == 0.25
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.mvdr"
