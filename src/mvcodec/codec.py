@@ -314,13 +314,9 @@ def motion_search(
     return {size: np.concatenate(bands) for size, bands in found.items()}
 
 
-def _residual(levels: np.ndarray, sizes: np.ndarray, qp: int) -> np.ndarray:
+def residual_plane(levels: np.ndarray, sizes: np.ndarray, qp: int) -> np.ndarray:
+    """Dequantized, inverse-transformed residual of a whole frame's levels plane."""
     return transform_frame(dequantize(levels, qp), sizes, idct2d)
-
-
-def residual_plane(side: SideInfo) -> np.ndarray:
-    """Dequantized, inverse-transformed residual of a whole coded frame."""
-    return _residual(side.levels, side.sizes, side.qp)
 
 
 # ---------------------------------------------------------------------------
@@ -466,29 +462,25 @@ def _code_intra_frame(
     levels = np.empty((height, width), dtype=np.int32)
     recon = np.zeros((height, width), dtype=np.uint8)
 
-    kept = {}  # block -> prediction and residual of the split test that kept it whole
-
-    def residual(x: int, y: int, size: int) -> tuple[int, np.ndarray]:
-        pred = _dc_predict(recon, x, y, size)
-        return pred, cur[y : y + size, x : x + size] - pred
-
     def split(x: int, y: int, size: int) -> bool:
-        pred, resid = residual(x, y, size)
-        if float(np.abs(resid).mean()) > config.split_threshold:
+        """Split the block, or code it as one leaf; a 4x4 block is a leaf."""
+        pred = _dc_predict(recon, x, y, size)
+        resid = cur[y : y + size, x : x + size] - pred
+        if size > 4 and float(np.abs(resid).mean()) > config.split_threshold:
             return True
-        kept[x, y, size] = pred, resid
-        return False
-
-    # _quadtree yields a block right after the split test that kept it, so
-    # nothing is reconstructed in between; 4x4 leaves have no split test
-    for x, y, size in _quadtree(width, height, split):
-        pred, resid = kept.pop((x, y, size)) if size > 4 else residual(x, y, size)
         block = levels[y : y + size, x : x + size]
         _leaf_tiles(block)[...] = quantize(dct2d(_leaf_tiles(resid.astype(np.float64))), config.qp)
         leaf_resid = np.empty((size, size))
         _leaf_tiles(leaf_resid)[...] = idct2d(dequantize(_leaf_tiles(block), config.qp))
         recon[y : y + size, x : x + size] = round_to_uint8(pred + leaf_resid)
         sizes[y : y + size, x : x + size] = size
+        return False
+
+    # a block the split test keeps whole is coded in that test, before the
+    # walk goes on; 4x4 leaves have no split test, so the walk codes them
+    for x, y, size in _quadtree(width, height, split):
+        if size == 4:
+            split(x, y, size)
     return sizes, levels, recon
 
 
@@ -518,7 +510,7 @@ def _code_inter_frame(
             sizes[_upsample(split, size)] = size // 2
             split = _upsample(split, 2)
     levels = quantize(transform_frame((cur - pred).astype(np.float64), sizes, dct2d), config.qp)
-    recon = round_to_uint8(pred + _residual(levels, sizes, config.qp))
+    recon = round_to_uint8(pred + residual_plane(levels, sizes, config.qp))
     return sizes, levels, recon, vectors
 
 
@@ -662,7 +654,7 @@ def decode_sequence(data: bytes) -> tuple[list[Frame], list[SideInfo]]:
         sizes = _upsample(cells[0].astype(np.uint8), 4)
         motion = _upsample(cells[2:], 4)
         levels = _levels_from_runs(sizes, runs)
-        resid = _residual(levels, sizes, header.qp)
+        resid = residual_plane(levels, sizes, header.qp)
         pred = (
             np.zeros((height, width), dtype=np.uint8) if intra_frame else _compensate(prev, motion)
         )

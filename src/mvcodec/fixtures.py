@@ -18,6 +18,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .frames import Frame, write_sequence
 from .transform import round_half_away, round_to_uint8
 
+CHECKER_PERIOD = 8  # cell side of deforming_checker, in pixels
+CHECKER_AMPLITUDE = 3.0  # largest displacement of its cell boundaries
+
 
 def _box_blur(arr: np.ndarray, k: int) -> np.ndarray:
     p = k // 2
@@ -63,22 +66,19 @@ def translating_texture(
     return frames
 
 
-def deforming_checker(
-    frame_count: int = 8,
-    size: int = 64,
-    seed: int = 3,
-    period: int = 8,
-    amplitude: float = 3.0,
-) -> list[Frame]:
-    """Checkerboard whose cell boundaries wobble over time."""
+def deforming_checker(frame_count: int = 8, size: int = 64, seed: int = 3) -> list[Frame]:
+    """Checkerboard of CHECKER_PERIOD-pixel cells whose boundaries wobble by
+    up to CHECKER_AMPLITUDE pixels over time."""
     rng = np.random.default_rng(seed)
     grain = _texture(rng, size, size, -12.0, 12.0)
     ys, xs = np.mgrid[0:size, 0:size]
     frames = []
     for t in range(frame_count):
-        wx = round_half_away(amplitude * np.sin(2.0 * np.pi * ys / 24.0 + 0.7 * t)).astype(int)
-        wy = round_half_away(amplitude * np.cos(2.0 * np.pi * xs / 24.0 + 0.5 * t)).astype(int)
-        cells = ((xs + wx) // period + (ys + wy) // period) % 2
+        wx = np.sin(2.0 * np.pi * ys / 24.0 + 0.7 * t)
+        wy = np.cos(2.0 * np.pi * xs / 24.0 + 0.5 * t)
+        wx = round_half_away(CHECKER_AMPLITUDE * wx).astype(int)
+        wy = round_half_away(CHECKER_AMPLITUDE * wy).astype(int)
+        cells = ((xs + wx) // CHECKER_PERIOD + (ys + wy) // CHECKER_PERIOD) % 2
         img = np.where(cells == 1, 190.0, 60.0) + grain
         frames.append(_to_frame(img))
     return frames

@@ -110,6 +110,8 @@ def read_pgm(path: Path | str) -> Frame:
         raise SequenceError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise SequenceError(f"{path}: unsupported maxval {maxval} (need 255)")
+    if width <= 0 or height <= 0:
+        raise SequenceError(f"{path}: PGM dimensions {width}x{height} are not positive")
     i += 1  # single whitespace byte separates header from raster
     raster = data[i : i + width * height]
     if len(raster) != width * height:

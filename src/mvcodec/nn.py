@@ -266,22 +266,15 @@ def conv_backward(
 # Loss
 # ---------------------------------------------------------------------------
 
-def l1_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean absolute error."""
+def l1_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean absolute error and its subgradient with respect to ``pred``
+    (sign(0) taken as 0)."""
     pred = np.asarray(pred, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    return float(np.mean(np.abs(pred - target)))
-
-
-def l1_loss_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Subgradient of the mean absolute error; sign(0) taken as 0."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    return np.sign(pred - target) / pred.size
+    diff = pred - target
+    return float(np.mean(np.abs(diff))), np.sign(diff) / diff.size
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,6 @@ from .nn import (
     conv_backward,
     conv_forward_cached,
     l1_loss,
-    l1_loss_grad,
 )
 from .transform import QP_MAX, round_to_uint8
 
@@ -93,7 +92,7 @@ def build_aux_planes(side: SideInfo) -> np.ndarray:
     """Normalized ``(3, H, W)`` codec planes of a frame: prediction, residual, QP."""
     return np.stack([
         side.prediction.as_float() / PIXEL_NORM,
-        residual_plane(side) / PIXEL_NORM,
+        residual_plane(side.levels, side.sizes, side.qp) / PIXEL_NORM,
         np.full(side.sizes.shape, side.qp / QP_NORM),
     ])
 
@@ -414,25 +413,26 @@ def padded_window(frames: list[Frame], center: int, half: int) -> list[Frame]:
     return [frames[min(max(center + d, 0), count - 1)] for d in range(-half, half + 1)]
 
 
-def crop_side_info(side: SideInfo, x0: int, y0: int, size: int) -> SideInfo:
-    """Side information restricted to a macroblock-aligned square crop.
+def crop_side_info(side: SideInfo, tile: tuple[slice, slice]) -> SideInfo:
+    """Side information restricted to a macroblock-aligned crop.
 
-    Partition leaves never straddle macroblock boundaries, so the planes of a
-    macroblock-aligned crop inside the frame are a valid tiling of whole leaves.
+    ``tile`` is the crop's row and column slices, each with an explicit start
+    and stop.  Partition leaves never straddle macroblock boundaries, so the
+    planes of a macroblock-aligned crop inside the frame are a valid tiling of
+    whole leaves.
     """
-    height, width = side.sizes.shape
-    if x0 % MACROBLOCK or y0 % MACROBLOCK or size % MACROBLOCK:
+    bounds = [(axis.start, axis.stop) for axis in tile]
+    if any(edge % MACROBLOCK for edges in bounds for edge in edges):
         raise ValueError(f"crops must be {MACROBLOCK}-aligned")
-    if not (0 <= x0 and x0 + size <= width and 0 <= y0 and y0 + size <= height):
+    if not all(0 <= start and stop <= n for (start, stop), n in zip(bounds, side.sizes.shape)):
         raise ValueError("crop must fit inside the frame")
-    window = (slice(y0, y0 + size), slice(x0, x0 + size))
     return SideInfo(
         qp=side.qp,
-        sizes=side.sizes[window],
-        motion=side.motion[(slice(None), *window)],
-        intra=side.intra[window],
-        prediction=Frame(side.prediction.pixels[window]),
-        levels=side.levels[window],
+        sizes=side.sizes[tile],
+        motion=side.motion[(slice(None), *tile)],
+        intra=side.intra[tile],
+        prediction=Frame(side.prediction.pixels[tile]),
+        levels=side.levels[tile],
     )
 
 
@@ -443,42 +443,41 @@ def build_training_samples(
     half_window: int,
     crop: int | None = None,
 ) -> list[TrainSample]:
-    """Training tuples for a coded sequence, one per frame or per crop tile.
+    """Training tuples for a coded sequence, one per frame and tile.
 
-    With ``crop`` set, each frame contributes one sample per
-    macroblock-aligned ``crop`` x ``crop`` tile; smaller tiles keep the
-    training loop fast without changing any of the restorer semantics.  A
-    frame's codec planes are built once and sliced per tile: an aligned crop
-    covers whole leaves, so its planes equal that crop of the frame's.  Each
-    decoded frame is cropped once per tile, and every window of a tile is a
-    :func:`padded_window` of that tile's crops, so a window repeats a crop
-    as the same object.
+    With ``crop`` set, the tiles are the macroblock-aligned ``crop`` x
+    ``crop`` tiles of the frame; smaller tiles keep the training loop fast
+    without changing any of the restorer semantics.  Without it, the one
+    tile is the whole frame.  A frame's codec planes are built once and
+    sliced per tile: an aligned crop covers whole leaves, so its planes equal
+    that crop of the frame's.  Each decoded frame is cropped once per tile,
+    and every window of a tile is a :func:`padded_window` of that tile's
+    crops, so a window repeats a crop as the same object.
     """
     if not (len(originals) == len(decoded) == len(sides)):
         raise ValueError("originals, decoded and side info must have equal lengths")
-    if crop is not None and decoded:
-        width, height = decoded[0].width, decoded[0].height
-        if crop % MACROBLOCK or crop > width or crop > height:
-            raise ValueError(f"crop must be {MACROBLOCK}-aligned and fit inside the frame")
+    if not decoded:
+        return []
+    height, width = decoded[0].height, decoded[0].width
+    rows, cols = (height, width) if crop is None else (crop, crop)
+    if rows % MACROBLOCK or cols % MACROBLOCK or not (0 < rows <= height and 0 < cols <= width):
+        raise ValueError(f"crop must be positive, {MACROBLOCK}-aligned and fit inside the frame")
+    tiles = [
+        (slice(y0, y0 + rows), slice(x0, x0 + cols))
+        for y0 in range(0, height - rows + 1, rows)
+        for x0 in range(0, width - cols + 1, cols)
+    ]
+    crops = [[Frame(f.pixels[tile]) for f in decoded] for tile in tiles]
     samples = []
-    crops: dict[tuple[int, int], list[Frame]] = {}  # tile origin -> crop of every frame
     for t in range(len(decoded)):
         aux = build_aux_planes(sides[t])
-        if crop is None:
-            window = padded_window(decoded, t, half_window)
-            samples.append(TrainSample(window, sides[t], aux, originals[t]))
-            continue
-        for y0 in range(0, height - crop + 1, crop):
-            for x0 in range(0, width - crop + 1, crop):
-                tile = (slice(y0, y0 + crop), slice(x0, x0 + crop))
-                if (x0, y0) not in crops:
-                    crops[x0, y0] = [Frame(f.pixels[tile]) for f in decoded]
-                samples.append(TrainSample(
-                    padded_window(crops[x0, y0], t, half_window),
-                    crop_side_info(sides[t], x0, y0, crop),
-                    aux[(slice(None), *tile)],
-                    Frame(originals[t].pixels[tile]),
-                ))
+        for tile, tile_frames in zip(tiles, crops):
+            samples.append(TrainSample(
+                padded_window(tile_frames, t, half_window),
+                crop_side_info(sides[t], tile),
+                aux[(slice(None), *tile)],
+                Frame(originals[t].pixels[tile]),
+            ))
     return samples
 
 
@@ -520,9 +519,9 @@ def train_restorer(
             out, cache = restorer_forward_cached(
                 sample.window, sample.side, sample.aux, model
             )
-            target = sample.target.as_float()
-            loss_sum += l1_loss(out, target)
-            grads += restorer_backward(l1_loss_grad(out, target), cache, model)
+            sample_loss, upstream = l1_loss(out, sample.target.as_float())
+            loss_sum += sample_loss
+            grads += restorer_backward(upstream, cache, model)
             # one sample's cache alive at a time
             del out, cache
         loss = loss_sum / config.batch_size

@@ -201,7 +201,8 @@ def predict_frame(intra_frame: bool, reference, side, decoded) -> Frame:
 
 def reconstruct_from_side_info(side) -> Frame:
     """Rebuild the decoded frame from side information alone."""
-    return Frame(round_to_uint8(side.prediction.pixels + residual_plane(side)))
+    residual = residual_plane(side.levels, side.sizes, side.qp)
+    return Frame(round_to_uint8(side.prediction.pixels + residual))
 
 
 def residual_coeffs(candidate: np.ndarray, side) -> np.ndarray:

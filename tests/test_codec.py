@@ -286,6 +286,11 @@ class TestEncodeDecode:
         with pytest.raises(ValueError):
             encode_sequence([], CodecConfig(qp=24))
 
+    def test_frames_of_two_sizes_rejected(self, texture_frames):
+        mixed = [texture_frames[0], Frame(texture_frames[1].pixels[:32])]
+        with pytest.raises(ValueError, match="share dimensions"):
+            encode_sequence(mixed, CodecConfig(qp=24))
+
     @pytest.mark.parametrize("radius", [0, 40])
     def test_round_trip_at_search_radius(self, radius):
         frames = fixtures.translating_texture(4, size=32, shift=(3, 2), patch=12)

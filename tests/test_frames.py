@@ -69,6 +69,13 @@ class TestPgmIO:
         with pytest.raises(SequenceError, match="short"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("dims", [b"-16 -16", b"16 -16", b"0 16"])
+    def test_non_positive_dimensions_name_the_file(self, tmp_path, dims):
+        p = tmp_path / "neg.pgm"
+        p.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(256))
+        with pytest.raises(SequenceError, match="neg.pgm: PGM dimensions .* not positive"):
+            read_pgm(p)
+
 
 class TestManifest:
     def test_load_sequence_in_order(self, tmp_path):

@@ -21,7 +21,6 @@ from mvcodec.nn import (
     conv_backward,
     conv_forward_cached,
     l1_loss,
-    l1_loss_grad,
     sigmoid,
 )
 from mvcodec.restorer import init_restorer
@@ -236,16 +235,16 @@ class TestSigmoid:
 class TestL1Loss:
     def test_zero_for_identical(self):
         x = np.arange(12.0).reshape(3, 4)
-        assert l1_loss(x, x) == 0.0
+        assert l1_loss(x, x)[0] == 0.0
 
     def test_constant_offset(self):
         x = np.zeros((4, 4))
-        assert l1_loss(x + 2.0, x) == 2.0
+        assert l1_loss(x + 2.0, x)[0] == 2.0
 
     def test_gradient_sign_rule(self):
         pred = np.array([[1.0, -3.0, 5.0]])
         target = np.array([[0.0, -3.0, 9.0]])
-        grad = l1_loss_grad(pred, target)
+        grad = l1_loss(pred, target)[1]
         assert grad.tolist() == [[1.0 / 3.0, 0.0, -1.0 / 3.0]]
 
     def test_matches_finite_differences(self):
@@ -253,8 +252,8 @@ class TestL1Loss:
         pred = rng.normal(size=(5, 5)) * 3.0
         target = rng.normal(size=(5, 5)) * 3.0
         assert np.abs(pred - target).min() > 1e-3  # away from the corner
-        grad = l1_loss_grad(pred, target)
-        fd = finite_diff(lambda: l1_loss(pred, target), pred)
+        grad = l1_loss(pred, target)[1]
+        fd = finite_diff(lambda: l1_loss(pred, target)[0], pred)
         assert rel_error(grad, fd) < GRAD_TOL
 
     def test_shape_mismatch(self):

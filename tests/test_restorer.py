@@ -136,11 +136,10 @@ class TestAuxPlanes:
             for y0 in (0, 32):
                 for x0 in (0, 32):
                     tile = planes[:, y0 : y0 + 32, x0 : x0 + 32]
-                    assert np.array_equal(
-                        build_aux_planes(crop_side_info(side, x0, y0, 32)), tile
-                    )
+                    window = np.s_[y0 : y0 + 32, x0 : x0 + 32]
+                    assert np.array_equal(build_aux_planes(crop_side_info(side, window)), tile)
                     assert np.array_equal(next(samples).aux, tile)
-            crop = crop_side_info(side, 16, 16, 32)
+            crop = crop_side_info(side, np.s_[16:48, 16:48])
             assert np.array_equal(build_aux_planes(crop), planes[:, 16:48, 16:48])
 
 
@@ -328,7 +327,7 @@ def _dataset_loss(model, samples):
     total = 0.0
     for s in samples:
         out = restorer_forward(s.window, s.side, s.aux, model)
-        total += l1_loss(out, s.target.as_float())
+        total += l1_loss(out, s.target.as_float())[0]
     return total / len(samples)
 
 
@@ -431,7 +430,7 @@ class TestCrops:
         _, decoded, sides, _ = tiny_coded
         side = sides[2]
         for x0, y0 in ((0, 0), (32, 0), (16, 16)):
-            cropped = crop_side_info(side, x0, y0, 32)
+            cropped = crop_side_info(side, np.s_[y0 : y0 + 32, x0 : x0 + 32])
             rebuilt = reconstruct_from_side_info(cropped)
             assert np.array_equal(
                 rebuilt.pixels, decoded[2].pixels[y0 : y0 + 32, x0 : x0 + 32]
@@ -440,7 +439,7 @@ class TestCrops:
     def test_unaligned_crop_rejected(self, tiny_coded):
         _, _, sides, _ = tiny_coded
         with pytest.raises(ValueError):
-            crop_side_info(sides[0], 8, 0, 32)
+            crop_side_info(sides[0], np.s_[0:32, 8:40])
 
     def test_crop_planes_are_slices_of_the_frame_planes(self, tiny_coded):
         _, _, sides, _ = tiny_coded
@@ -454,8 +453,8 @@ class TestCrops:
         )
         for side in [*sides, mixed]:
             for x0, y0 in ((0, 0), (32, 0), (16, 16), (32, 32)):
-                crop = crop_side_info(side, x0, y0, 32)
                 window = np.s_[y0 : y0 + 32, x0 : x0 + 32]
+                crop = crop_side_info(side, window)
                 assert np.array_equal(crop.sizes, side.sizes[window])
                 assert np.array_equal(crop.motion, side.motion[(slice(None), *window)])
                 assert np.array_equal(crop.intra, side.intra[window])
@@ -466,7 +465,7 @@ class TestCrops:
         _, _, sides, _ = tiny_coded
         for x0, y0 in ((48, 0), (0, 48), (-16, 0)):
             with pytest.raises(ValueError, match="inside the frame"):
-                crop_side_info(sides[1], x0, y0, 32)
+                crop_side_info(sides[1], np.s_[y0 : y0 + 32, x0 : x0 + 32])
 
     def test_build_with_crop_multiplies_samples(self, tiny_coded):
         frames, decoded, sides, samples = tiny_coded
@@ -487,6 +486,33 @@ class TestCrops:
             y0, x0 = 32 * (tile // 2), 32 * (tile % 2)
             assert np.array_equal(f.pixels, decoded[source].pixels[y0 : y0 + 32, x0 : x0 + 32])
 
+    @pytest.mark.parametrize("crop", [24, 128, 0, -16])
+    def test_crop_that_tiles_no_aligned_square_rejected(self, tiny_coded, crop):
+        frames, decoded, sides, _ = tiny_coded
+        with pytest.raises(ValueError, match="crop must be positive"):
+            build_training_samples(frames, decoded, sides, half_window=2, crop=crop)
+
+    def test_unequal_list_lengths_rejected(self, tiny_coded):
+        frames, decoded, sides, _ = tiny_coded
+        for args in ((frames[:-1], decoded, sides), (frames, decoded, sides[:-1])):
+            with pytest.raises(ValueError, match="equal lengths"):
+                build_training_samples(*args, half_window=2)
+
+    def test_whole_frame_samples_of_a_non_square_clip(self):
+        # 64 wide, 32 tall: the one tile of a frame is the whole frame
+        frames = [Frame(f.pixels[:32]) for f in fixtures.translating_texture(4, seed=7)]
+        decoded, sides = decode_sequence(encode_sequence(frames, CodecConfig(qp=36)))
+        samples = build_training_samples(frames, decoded, sides, half_window=2)
+        assert len(samples) == len(frames)
+        for t, s in enumerate(samples):
+            assert np.array_equal(s.aux, build_aux_planes(sides[t]))
+            for name in ("sizes", "motion", "intra", "levels"):
+                assert np.array_equal(getattr(s.side, name), getattr(sides[t], name))
+            assert np.array_equal(s.side.prediction.pixels, sides[t].prediction.pixels)
+            assert np.array_equal(s.target.pixels, frames[t].pixels)
+            for f, source in zip(s.window, padded_window(decoded, t, 2)):
+                assert np.array_equal(f.pixels, source.pixels)
+
 
 class TestRestoreSequence:
     def test_zero_model_with_projection_reproduces_decoded(self, tiny_coded):
@@ -494,6 +520,11 @@ class TestRestoreSequence:
         out = restore_sequence(decoded, sides, zero_restorer())
         for a, b in zip(out, decoded):
             assert np.array_equal(a.pixels, b.pixels)
+
+    def test_fewer_side_infos_than_frames_rejected(self, tiny_coded):
+        _, decoded, sides, _ = tiny_coded
+        with pytest.raises(ValueError, match="equal lengths"):
+            restore_sequence(decoded, sides[:-1], zero_restorer())
 
     def test_motion_is_rasterized_once_per_frame(self, tiny_coded, monkeypatch):
         _, decoded, sides, _ = tiny_coded
