@@ -23,6 +23,7 @@ from .frames import (
     Frame,
     load_sequence,
     psnr,
+    require_same_size,
     ssim,
     write_atomic,
     write_sequence,
@@ -42,11 +43,7 @@ def _check_pairable(reference: list[Frame], test: list[Frame]) -> None:
         raise ValueError(
             f"frame count mismatch: {len(reference)} reference vs {len(test)} test"
         )
-    if (reference[0].width, reference[0].height) != (test[0].width, test[0].height):
-        raise ValueError(
-            f"frame size mismatch: {reference[0].width}x{reference[0].height} reference "
-            f"vs {test[0].width}x{test[0].height} test"
-        )
+    require_same_size(reference[0], test[0])
 
 
 def _pair_metrics(reference: list[Frame], test: list[Frame]) -> dict:

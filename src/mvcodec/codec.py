@@ -35,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bitio import BitReader, BitstreamError, BitWriter, signed_to_unsigned, unsigned_to_signed
-from .frames import MACROBLOCK, Frame
+from .frames import MACROBLOCK, Frame, sequence_size
 from .transform import (
     LEVEL_LIMIT,
     QP_MAX,
@@ -201,27 +201,28 @@ def _coding_order(plane: np.ndarray, t: int) -> np.ndarray:
     return view.transpose(axes).reshape(-1, t, t)
 
 
+def _is_coded_tile(leaf_sizes: np.ndarray, t: int) -> np.ndarray:
+    """Whether the t x t tile in a leaf of each given size is a transform
+    tile: a leaf is tiled by transforms of its own side, at most 8."""
+    return np.minimum(leaf_sizes, MAX_TRANSFORM) == t
+
+
 def _coded_tiles(plane: np.ndarray, sizes: np.ndarray, t: int) -> np.ndarray:
     """The t x t tiles of a plane that are transform tiles, in coding order."""
-    leaf_sizes = _coding_order(sizes, t)[:, 0, 0]
-    return _coding_order(plane, t)[np.minimum(leaf_sizes, MAX_TRANSFORM) == t]
+    return _coding_order(plane, t)[_is_coded_tile(_coding_order(sizes, t)[:, 0, 0], t)]
 
 
 def transform_frame(plane: np.ndarray, sizes: np.ndarray, fn) -> np.ndarray:
     """Apply ``dct2d`` or ``idct2d`` to every transform tile of a frame.
 
     ``sizes`` is the uint8 plane of each pixel's leaf size
-    (``SideInfo.sizes``).  Leaves of 8 and 16 pixels are tiled by 8x8
-    transforms, and 4x4 leaves only come from splitting an 8x8 block, so
-    every 8x8 block of the frame is either one 8x8 tile or four 4x4 tiles.
-    ``fn`` runs once per tile size on the stacked tiles.
+    (``SideInfo.sizes``).  ``fn`` runs once per tile size, 8 then 4, on the
+    stacked tiles of that size in raster order.
     """
-    split = sizes[::MAX_TRANSFORM, ::MAX_TRANSFORM] < MAX_TRANSFORM
-    split_small = _upsample(split, 2)
-    small = MAX_TRANSFORM // 2
     out = np.empty(plane.shape)
-    tiles(out, MAX_TRANSFORM)[~split] = fn(tiles(plane, MAX_TRANSFORM)[~split])
-    tiles(out, small)[split_small] = fn(tiles(plane, small)[split_small])
+    for t in (MAX_TRANSFORM, MAX_TRANSFORM // 2):
+        coded = _is_coded_tile(sizes[::t, ::t], t)
+        tiles(out, t)[coded] = fn(tiles(plane, t)[coded])
     return out
 
 
@@ -552,12 +553,7 @@ def encode_with_reconstruction(
     frames: list[Frame], config: CodecConfig
 ) -> tuple[bytes, list[Frame]]:
     """Encode and also return the encoder's closed-loop reconstructions."""
-    if not frames:
-        raise ValueError("need at least one frame")
-    width, height = frames[0].width, frames[0].height
-    for f in frames[1:]:
-        if f.width != width or f.height != height:
-            raise ValueError("all frames must share dimensions")
+    width, height = sequence_size(frames)
     if width > 0xFFFF or height > 0xFFFF:
         raise ValueError(f"frame size {width}x{height} too large for the stream header")
     writer = BitWriter()

@@ -40,10 +40,6 @@ def _texture(rng: np.random.Generator, h: int, w: int, lo: float, hi: float) -> 
     return lo + mix * (hi - lo)
 
 
-def _to_frame(img: np.ndarray) -> Frame:
-    return Frame(round_to_uint8(img))
-
-
 def translating_texture(
     frame_count: int = 12,
     size: int = 64,
@@ -62,7 +58,7 @@ def translating_texture(
         py = min(max(y0 + t * shift[1], 0), size - patch)
         img = background.copy()
         img[py : py + patch, px : px + patch] = patch_tex
-        frames.append(_to_frame(img))
+        frames.append(Frame(round_to_uint8(img)))
     return frames
 
 
@@ -80,7 +76,7 @@ def deforming_checker(frame_count: int = 8, size: int = 64, seed: int = 3) -> li
         wy = round_half_away(CHECKER_AMPLITUDE * wy).astype(int)
         cells = ((xs + wx) // CHECKER_PERIOD + (ys + wy) // CHECKER_PERIOD) % 2
         img = np.where(cells == 1, 190.0, 60.0) + grain
-        frames.append(_to_frame(img))
+        frames.append(Frame(round_to_uint8(img)))
     return frames
 
 

@@ -71,11 +71,21 @@ class Frame:
         return f"Frame({self.width}x{self.height})"
 
 
-def _require_same_dims(a: Frame, b: Frame) -> None:
+def require_same_size(a: Frame, b: Frame) -> None:
+    """Reject two frames of different dimensions."""
     if a.width != b.width or a.height != b.height:
         raise ValueError(
-            f"frame dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
+            f"frames must share dimensions: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
+
+
+def sequence_size(frames: list[Frame]) -> tuple[int, int]:
+    """``(width, height)`` of a non-empty sequence of frames of one size."""
+    if not frames:
+        raise ValueError("a sequence needs at least one frame")
+    for f in frames[1:]:
+        require_same_size(frames[0], f)
+    return frames[0].width, frames[0].height
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +193,8 @@ def write_sequence(directory: Path | str, frames: list[Frame]) -> Path:
     that loads.
     """
     directory = Path(directory)
+    width, height = sequence_size(frames)
     directory.mkdir(parents=True, exist_ok=True)
-    if frames:
-        width, height = frames[0].width, frames[0].height
-        for f in frames[1:]:
-            _require_same_dims(frames[0], f)
-    else:
-        raise ValueError("cannot write an empty sequence (dimensions unknown)")
     manifest = directory / "manifest.txt"
     manifest.unlink(missing_ok=True)
     names = []
@@ -208,7 +213,7 @@ def write_sequence(directory: Path | str, frames: list[Frame]) -> Path:
 
 def psnr(a: Frame, b: Frame) -> float:
     """Peak signal-to-noise ratio in dB, capped at 99.0 so reports stay finite."""
-    _require_same_dims(a, b)
+    require_same_size(a, b)
     diff = a.as_float() - b.as_float()
     mse = float(np.mean(diff * diff))
     if mse == 0.0:
@@ -229,12 +234,9 @@ def _windowed_mean(img: np.ndarray, kern: np.ndarray) -> np.ndarray:
 
 
 def ssim(a: Frame, b: Frame) -> float:
-    """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5)."""
-    _require_same_dims(a, b)
-    if a.width < SSIM_WINDOW or a.height < SSIM_WINDOW:
-        raise ValueError(
-            f"frames must be at least {SSIM_WINDOW}x{SSIM_WINDOW} for SSIM"
-        )
+    """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5),
+    which fits in every frame: a frame side is at least one macroblock."""
+    require_same_size(a, b)
     x = a.as_float()
     y = b.as_float()
     kern = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)

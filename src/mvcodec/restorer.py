@@ -49,7 +49,7 @@ from .alignment import (
 )
 from .backproject import back_project_frame
 from .codec import SideInfo, residual_plane
-from .frames import MACROBLOCK, Frame, write_atomic
+from .frames import MACROBLOCK, Frame, sequence_size, write_atomic
 from .nn import (
     ConvCache,
     ConvLayer,
@@ -224,10 +224,7 @@ def init_restorer(seed: int = 1) -> RestorerModel:
 def _check_window(window: list[Frame], side: SideInfo) -> None:
     if len(window) != WINDOW:
         raise ValueError(f"window must hold {WINDOW} frames, got {len(window)}")
-    h, w = side.prediction.height, side.prediction.width
-    for f in window:
-        if f.height != h or f.width != w:
-            raise ValueError("window frames must match the coded frame dimensions")
+    sequence_size([side.prediction, *window])
 
 
 def restorer_forward_cached(

@@ -9,9 +9,10 @@ import pytest
 from helpers import global_shift_pair, zero_restorer
 from mvcodec import fixtures
 from mvcodec.cli import main
-from mvcodec.codec import decode_sequence
-from mvcodec.frames import Frame, load_sequence, write_sequence
-from mvcodec.restorer import init_restorer, load_model, save_model
+from mvcodec.bitio import BitstreamError
+from mvcodec.codec import HEADER_SIZE, CodecConfig, decode_sequence, encode_sequence
+from mvcodec.frames import Frame, load_sequence, psnr, write_sequence
+from mvcodec.restorer import init_restorer, load_model, restore_sequence, save_model
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +119,38 @@ class TestDecode:
         assert main(["decode", str(stream), "-o", str(tmp_path / "out")]) == 2
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("short", "shorter than its header"),
+            ("version", "unsupported stream version 2"),
+            ("qp", "qp 52 outside"),
+            ("no_frames", "carries no frames"),
+        ],
+    )
+    def test_bad_header_is_exit_2(self, seq_dir, tmp_path, capsys, case, message):
+        _, manifest, _ = seq_dir
+        stream = tmp_path / "s.mvc"
+        assert main(["encode", str(manifest), "--qp", "32", "-o", str(stream)]) == 0
+        data = bytearray(stream.read_bytes())
+        # the header holds the u16 version at byte 4, the u32 frame count at 10, the qp at 14
+        if case == "short":
+            data = data[: HEADER_SIZE - 1]
+        elif case == "version":
+            struct.pack_into("<H", data, 4, 2)
+        elif case == "qp":
+            data[14] = 52
+        else:
+            struct.pack_into("<I", data, 10, 0)
+        with pytest.raises(BitstreamError, match=message):
+            decode_sequence(bytes(data))
+        stream.write_bytes(data)
+        capsys.readouterr()
+        assert main(["decode", str(stream), "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_output_manifest_loads_back(self, seq_dir, tmp_path):
         _, manifest, frames = seq_dir
         stream = tmp_path / "s.mvc"
@@ -216,6 +249,23 @@ class TestRestore:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "manifest.txt").exists()
 
+    def test_reference_of_another_size_names_both_sizes(self, seq_dir, tmp_path, capsys):
+        _, manifest, frames = seq_dir
+        stream = tmp_path / "s.mvc"
+        main(["encode", str(manifest), "--qp", "36", "-o", str(stream)])
+        model_path = tmp_path / "zero.mvdr"
+        save_model(zero_restorer(), model_path)
+        reference = write_sequence(tmp_path / "taller", [
+            Frame(np.vstack([f.pixels, f.pixels[:16]])) for f in frames
+        ])
+        out = tmp_path / "r"
+        capsys.readouterr()
+        argv = ["restore", str(stream), "--model", str(model_path),
+                "--reference", str(reference), "-o", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: frames must share dimensions: 64x80 vs 64x64\n"
+        assert not out.exists()
+
     def test_missing_model_flag_is_usage_error(self, seq_dir, tmp_path):
         _, manifest, _ = seq_dir
         stream = tmp_path / "s.mvc"
@@ -236,6 +286,8 @@ class TestRestore:
             "same_length",
             # the saved file with one byte appended after the parameters
             "appended_byte",
+            # the saved file with its preamble's version set to 2
+            "other_version",
         ],
     )
     def test_malformed_model_header_is_exit_2(self, seq_dir, tmp_path, capsys, case):
@@ -268,6 +320,8 @@ class TestRestore:
             bad = data[:4] + struct.pack("<HI", 1, 2**32 - 1) + data[10:]
         elif case == "appended_byte":
             bad = data + b"\0"
+        elif case == "other_version":
+            bad = data[:4] + struct.pack("<H", 2) + data[6:]
         model_path.write_bytes(bad)
         with pytest.raises(ValueError):  # at load time, before any decoding
             load_model(model_path)
@@ -402,6 +456,35 @@ class TestRdCurve:
     def test_bad_qps_list_is_exit_2(self, seq_dir, tmp_path):
         _, manifest, _ = seq_dir
         assert main(["rdcurve", str(manifest), "--qps", "8,8", "-o", str(tmp_path / "c.csv")]) == 2
+
+    def test_non_integer_qps_list_is_exit_2(self, seq_dir, tmp_path, capsys):
+        _, manifest, _ = seq_dir
+        out = tmp_path / "c.csv"
+        assert main(["rdcurve", str(manifest), "--qps", "8,x", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad --qps list '8,x'\n"
+        assert not out.exists()
+
+    def test_restored_columns_are_the_model_restoration(self, tmp_path):
+        frames = fixtures.translating_texture(3)
+        manifest = write_sequence(tmp_path / "seq", frames)
+        # output-side weights scaled 3x, so the restoration is not rounded away
+        model = init_restorer(seed=1)
+        for name in ("agg1.w", "agg2.w", "rec1.w", "rec2.w"):
+            model.params[name] *= 3.0
+        model_path = tmp_path / "loud.mvdr"
+        save_model(model, model_path)
+        out = tmp_path / "curve.csv"
+        argv = ["rdcurve", str(manifest), "--qps", "36,24", "--model", str(model_path),
+                "-o", str(out)]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == [24, 36]
+        for row in rows:
+            decoded, sides = decode_sequence(encode_sequence(frames, CodecConfig(qp=int(row[0]))))
+            restored = restore_sequence(decoded, sides, load_model(model_path))
+            expected = np.mean([psnr(f, r) for f, r in zip(frames, restored)])
+            assert row[3] == f"{expected:.4f}"
+            assert row[3] != row[2]
 
 
 @pytest.mark.parametrize("command", ["encode", "rdcurve", "metrics", "restore", "train"])

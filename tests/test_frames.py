@@ -108,6 +108,15 @@ class TestManifest:
         with pytest.raises(SequenceError, match="header"):
             load_sequence(tmp_path / "manifest.txt")
 
+    def test_write_empty_sequence_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="at least one frame"):
+            write_sequence(tmp_path / "seq", [])
+        assert not (tmp_path / "seq").exists()
+
+    def test_write_frames_of_two_sizes_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="share dimensions: 64x64 vs 48x48"):
+            write_sequence(tmp_path / "seq", [_const(0, 64), _const(0, 48)])
+
 
 class TestPsnr:
     def test_identical_frames_hit_the_cap(self, texture_frames):

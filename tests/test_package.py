@@ -59,3 +59,20 @@ def test_every_src_definition_has_a_caller():
             ):
                 uncalled.append(f"{path.name}:{name}")
     assert uncalled == []
+
+
+def test_no_src_module_imports_a_private_name_of_another():
+    # a rule one module shares with another is public, so no module of the
+    # package imports an underscore name from a sibling
+    private = []
+    for path in sorted((ROOT / "src" / "mvcodec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "mvcodec"
+            ):
+                private += [
+                    f"{path.name}:{node.lineno}:{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert private == []

@@ -202,6 +202,14 @@ class TestRestorerForward:
         with pytest.raises(ValueError, match="window"):
             restorer_forward(s.window[:3], s.side, s.aux, model)
 
+    def test_window_frame_of_another_size_is_rejected(self, tiny_coded):
+        _, _, _, samples = tiny_coded
+        s = samples[2]
+        window = list(s.window)
+        window[1] = Frame(window[1].pixels[:48])
+        with pytest.raises(ValueError, match="frames must share dimensions: 64x64 vs 64x48"):
+            restorer_forward(window, s.side, s.aux, init_restorer(seed=5))
+
     def test_padded_window_repeats_edges(self, tiny_coded):
         _, decoded, _, _ = tiny_coded
         w0 = padded_window(decoded, 0, 2)
